@@ -47,7 +47,6 @@ func main() {
 	flag.IntVar(&cfg.QueueDepth, "queue", cfg.QueueDepth, "admission queue depth")
 	flag.IntVar(&cfg.MaxBatchReqs, "max-batch", cfg.MaxBatchReqs, "max requests coalesced per engine call")
 	flag.IntVar(&cfg.MaxBatchCols, "max-batch-cols", cfg.MaxBatchCols, "max RHS columns per engine call")
-	flag.DurationVar(&cfg.BatchWindow, "batch-window", cfg.BatchWindow, "coalescing window")
 	flag.DurationVar(&cfg.DefaultTimeout, "timeout", cfg.DefaultTimeout, "default per-request deadline")
 	flag.DurationVar(&cfg.DrainTimeout, "drain-timeout", cfg.DrainTimeout, "graceful shutdown budget")
 	flag.Int64Var(&cfg.InferSeed, "infer-seed", cfg.InferSeed, "seed for the built-in model weights")

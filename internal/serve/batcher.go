@@ -1,10 +1,6 @@
 package serve
 
-import (
-	"time"
-
-	"flumen/internal/trace"
-)
+import "flumen/internal/trace"
 
 // The batcher coalesces consecutive matmul jobs whose weight matrices are
 // bit-identical (WeightFingerprint keys) into one partition-wide engine
@@ -16,36 +12,24 @@ import (
 // clients streaming the same model pay the SVD + Clements decomposition
 // once.
 
-// collect gathers jobs that share head's fingerprint. It stops at the
-// configured column/request caps, at the batch window's expiry, or at the
-// first job with a different key — which is handed back (preserving FIFO
-// order) to become the next head. Cancelled jobs encountered during
-// collection are completed with their context error and skipped.
+// collect gathers the already-queued jobs that share head's fingerprint. It
+// never waits: the batch is whatever backlog built up while the previous
+// engine call ran, so an idle server dispatches at once and a loaded one
+// coalesces more the deeper its queue. It stops at the configured
+// column/request caps, when the queue is empty, or at the first job with a
+// different key — which is handed back (preserving FIFO order) to become the
+// next head. Cancelled jobs encountered during collection are completed with
+// their context error and skipped.
 func (s *scheduler) collect(head *job) (batch []*job, next *job) {
 	batch = []*job{head}
 	cols := len(head.x[0])
-	var window <-chan time.Time
-	if s.cfg.BatchWindow > 0 {
-		t := time.NewTimer(s.cfg.BatchWindow)
-		defer t.Stop()
-		window = t.C
-	}
 	for len(batch) < s.cfg.MaxBatchReqs && cols < s.cfg.MaxBatchCols {
 		var j *job
 		var ok bool
-		if window == nil {
-			// Zero window: take only what is already queued.
-			select {
-			case j, ok = <-s.queue:
-			default:
-				return batch, nil
-			}
-		} else {
-			select {
-			case j, ok = <-s.queue:
-			case <-window:
-				return batch, nil
-			}
+		select {
+		case j, ok = <-s.queue:
+		default:
+			return batch, nil
 		}
 		if !ok {
 			return batch, nil

@@ -48,13 +48,11 @@ type Config struct {
 	QueueDepth int
 
 	// MaxBatchCols caps the total right-hand-side columns coalesced into
-	// one engine call; MaxBatchReqs caps the request count per batch.
+	// one engine call; MaxBatchReqs caps the request count per batch. A
+	// batch is the same-weight backlog already queued when its head is
+	// dequeued; the scheduler never waits for more.
 	MaxBatchCols int
 	MaxBatchReqs int
-	// BatchWindow is how long the scheduler lingers for more same-weight
-	// requests after dequeuing a batchable head (0 = coalesce only what is
-	// already queued).
-	BatchWindow time.Duration
 
 	// DefaultTimeout bounds a request that does not carry its own
 	// timeout_ms; MaxTimeout clamps client-supplied deadlines.
@@ -125,7 +123,6 @@ func DefaultConfig() Config {
 		QueueDepth:     256,
 		MaxBatchCols:   64,
 		MaxBatchReqs:   32,
-		BatchWindow:    500 * time.Microsecond,
 		DefaultTimeout: 30 * time.Second,
 		MaxTimeout:     2 * time.Minute,
 		DrainTimeout:   10 * time.Second,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"testing"
 	"time"
@@ -77,9 +78,13 @@ func TestRetryAfterSecsCeil(t *testing.T) {
 func TestTraceOptInBodyRingAndStageCoverage(t *testing.T) {
 	s, hs := newTestServer(t, testConfig())
 
-	reqBody, _ := json.Marshal(MatMulRequest{
-		M: [][]float64{{1, 0}, {0, 1}}, X: [][]float64{{1, 2}, {3, 4}},
-	})
+	// A cold 64×64 weight matrix: the request does milliseconds of decode and
+	// compile work, so the coverage bound below is about the stages and not
+	// about how one goroutine hand-off compares with a 2×2 product. One column
+	// keeps the response inside net/http's write buffer, so it reaches the
+	// client only once the handler has returned and the ring holds the record.
+	rng := rand.New(rand.NewSource(5))
+	reqBody, _ := json.Marshal(MatMulRequest{M: testMatrix(rng, 64, 64), X: testMatrix(rng, 64, 1)})
 	req, err := http.NewRequest("POST", hs.URL+"/v1/matmul", bytes.NewReader(reqBody))
 	if err != nil {
 		t.Fatal(err)

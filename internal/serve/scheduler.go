@@ -281,11 +281,15 @@ func (s *scheduler) executeBatch(batch []*job) {
 	}
 	defer cancel()
 
-	xAll := concatColumns(live)
+	// A batch of one goes to the engine as is: MatMulCtx copies its input
+	// and returns fresh rows, so nothing aliases and no column copy is needed.
+	xAll := live[0].x
+	if len(live) > 1 {
+		xAll = concatColumns(live)
+	}
 	for _, j := range live {
 		// Time from each member's dequeue to the shared engine call is
-		// coalesce wait (the head lingered for the batch window; members
-		// joined partway through).
+		// coalesce wait: draining the backlog and assembling the columns.
 		j.stage(trace.StageCoalesce)
 	}
 	start := time.Now()
@@ -298,6 +302,10 @@ func (s *scheduler) executeBatch(batch []*job) {
 		for _, j := range live {
 			j.done <- jobResult{err: err}
 		}
+		return
+	}
+	if len(live) == 1 {
+		live[0].done <- jobResult{matmul: c, batched: 1}
 		return
 	}
 	for i, j := range live {

@@ -7,35 +7,6 @@ import (
 	"time"
 )
 
-// gateExecutor occupies the executor with a direct job that blocks until
-// the returned release func is called, so tests can stage queue contents
-// while jobs provably sit in the queue.
-func gateExecutor(t *testing.T, s *scheduler) (release func(), done chan jobResult) {
-	t.Helper()
-	gate := make(chan struct{})
-	started := make(chan struct{})
-	gj := &job{
-		ctx:      context.Background(),
-		endpoint: "gate",
-		enq:      time.Now(),
-		done:     make(chan jobResult, 1),
-		run: func(ctx context.Context) (any, error) {
-			close(started)
-			<-gate
-			return nil, nil
-		},
-	}
-	if err := s.submit(gj); err != nil {
-		t.Fatalf("gate job: %v", err)
-	}
-	select {
-	case <-started:
-	case <-time.After(5 * time.Second):
-		t.Fatal("executor never picked up the gate job")
-	}
-	return func() { close(gate) }, gj.done
-}
-
 // TestSchedulerShedsStaleJobsOnReclaim is the regression test for the
 // admission-only capacity check: a job admitted while the fabric was free
 // must be shed with errNoCapacity if traffic reclaims the fabric before the
@@ -44,7 +15,7 @@ func TestSchedulerShedsStaleJobsOnReclaim(t *testing.T) {
 	srv, _ := newTestServer(t, fabricTestConfig())
 	arb := srv.Fabric()
 
-	release, gateDone := gateExecutor(t, srv.sched)
+	release := stallExecutor(t, srv)
 
 	// Admitted while compute is available…
 	mj := &job{
@@ -80,7 +51,6 @@ func TestSchedulerShedsStaleJobsOnReclaim(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("stale queued job was never shed")
 	}
-	<-gateDone
 }
 
 // TestDrainCancelsWedgedBatch is the regression test for coalesced batches
@@ -91,7 +61,7 @@ func TestDrainCancelsWedgedBatch(t *testing.T) {
 	srv, _ := newTestServer(t, fabricTestConfig())
 	arb := srv.Fabric()
 
-	release, gateDone := gateExecutor(t, srv.sched)
+	release := stallExecutor(t, srv)
 
 	// Two same-key jobs coalesce into one batch. Quarantining every
 	// partition makes the batch's lease Acquire block indefinitely while
@@ -118,7 +88,6 @@ func TestDrainCancelsWedgedBatch(t *testing.T) {
 		arb.SetQuarantine(p, true)
 	}
 	release()
-	<-gateDone
 
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()

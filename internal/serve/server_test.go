@@ -26,7 +26,6 @@ func testConfig() Config {
 	cfg.QueueDepth = 64
 	cfg.MaxBatchReqs = 8
 	cfg.MaxBatchCols = 32
-	cfg.BatchWindow = 2 * time.Millisecond
 	cfg.DrainTimeout = 5 * time.Second
 	return cfg
 }
@@ -169,8 +168,9 @@ func maxInt(xs []int) int {
 	return m
 }
 
-// stallExecutor occupies the scheduler's executor with a blocking direct
-// job and returns a release function plus a signal that the job started.
+// stallExecutor occupies the scheduler's executor with a direct job that
+// blocks until the returned release func is called, so tests can stage queue
+// contents while jobs provably sit in the queue.
 func stallExecutor(t *testing.T, s *Server) (release func()) {
 	t.Helper()
 	started := make(chan struct{})
@@ -258,62 +258,6 @@ func TestQueuedRequestDeadline(t *testing.T) {
 	}
 	if st := s.acc.Stats(); st.Programs != 0 {
 		t.Fatalf("cancelled request still ran %d programs", st.Programs)
-	}
-}
-
-// Jobs queued while the executor is busy and sharing a fingerprint must
-// coalesce into one engine call, each member getting its own columns.
-func TestBatcherCoalescesSharedWeights(t *testing.T) {
-	cfg := testConfig()
-	cfg.BatchWindow = 0 // take only what is already queued — deterministic
-	s, _ := newTestServer(t, cfg)
-
-	release := stallExecutor(t, s)
-
-	rng := rand.New(rand.NewSource(7))
-	m := testMatrix(rng, 16, 16)
-	key := WeightFingerprint(m)
-	const members = 3
-	jobs := make([]*job, members)
-	for i := range jobs {
-		jobs[i] = &job{
-			ctx: context.Background(), endpoint: "matmul", enq: time.Now(),
-			key: key, m: m, x: testMatrix(rng, 16, 2),
-			done: make(chan jobResult, 1),
-		}
-		if err := s.sched.submit(jobs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	release()
-
-	ref, err := flumen.NewAccelerator(cfg.Ports, cfg.BlockSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, j := range jobs {
-		select {
-		case res := <-j.done:
-			if res.err != nil {
-				t.Fatalf("member %d: %v", i, res.err)
-			}
-			if res.batched != members {
-				t.Fatalf("member %d batched with %d, want %d", i, res.batched, members)
-			}
-			want, err := ref.MatMul(m, j.x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for r := range want {
-				for c := range want[r] {
-					if res.matmul[r][c] != want[r][c] {
-						t.Fatalf("member %d element (%d,%d): %v vs serial %v", i, r, c, res.matmul[r][c], want[r][c])
-					}
-				}
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("member %d never completed", i)
-		}
 	}
 }
 
