@@ -468,8 +468,8 @@ func BenchmarkFullSystemJPEG(b *testing.B) {
 // BenchmarkEngineMatMul measures the accelerator's MatMul at 64×64 and
 // 256×256 with the serial path (1 worker) versus the full partition pool,
 // cache disabled so the per-block SVD + Clements cost is on the measured
-// path. `cmd/flumen-bench -engine` derives the speedup table from the
-// same comparison.
+// path. The standing benchmark carries the same comparison as
+// `flumen.parallel_speedup`.
 func BenchmarkEngineMatMul(b *testing.B) {
 	for _, size := range []int{64, 256} {
 		rng := rand.New(rand.NewSource(31))

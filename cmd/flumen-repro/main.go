@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"flumen"
 	"flumen/internal/core"
@@ -181,24 +182,58 @@ func fig12(w io.Writer) {
 	}
 }
 
+// figs131415 prints the full-system grid: Fig. 13's energy by component for
+// every benchmark × topology, Fig. 14's speedup of Flumen-A over each other
+// topology, Fig. 15's energy-delay products, each closed by its geomean.
 func figs131415(w io.Writer, scale int) {
 	s, err := flumen.RunSuite(flumen.DefaultConfig(), scale)
 	if err != nil {
 		fmt.Fprintf(w, "\nsuite error: %v\n", err)
 		return
 	}
-	fmt.Fprintln(w, "\n## Figs. 13/14/15 — full-system results (Flumen-A vs Mesh)")
-	fmt.Fprintln(w, "\n| benchmark | speedup | energy gain | EDP gain |")
-	fmt.Fprintln(w, "|---|---|---|---|")
+	topos := flumen.Topologies()
+
+	fmt.Fprintln(w, "\n## Fig. 13 — energy by component (µJ)")
+	fmt.Fprintln(w, "\n| benchmark | topology | core | L1i | L1d | L2 | L3 | DRAM | NoP | total | gain over Mesh |")
+	fmt.Fprintln(w, "|---|---|---|---|---|---|---|---|---|---|---|")
 	for _, b := range s.Benchmarks {
-		fa := s.Results[b]["Flumen-A"]
-		mesh := s.Results[b]["Mesh"]
-		fmt.Fprintf(w, "| %s | %.2f× | %.2f× | %.1f× |\n",
-			b, fa.SpeedupOver(mesh), fa.EnergyGainOver(mesh), fa.EDPGainOver(mesh))
+		for _, topo := range topos {
+			r := s.Results[b][topo]
+			e := r.Energy
+			fmt.Fprintf(w, "| %s | %s | %.1f | %.1f | %.1f | %.1f | %.1f | %.1f | %.1f | %.1f | %.2f× |\n",
+				b, topo, e.CorePJ/1e6, e.L1iPJ/1e6, e.L1dPJ/1e6, e.L2PJ/1e6, e.L3PJ/1e6,
+				e.DRAMPJ/1e6, e.NoPPJ/1e6, e.TotalPJ()/1e6, r.EnergyGainOver(s.Results[b]["Mesh"]))
+		}
 	}
-	fmt.Fprintf(w, "| **geomean** | **%.2f×** | **%.2f×** | **%.1f×** |\n",
-		s.GeomeanSpeedup("Mesh"), s.GeomeanEnergyGain("Mesh"), s.GeomeanEDPGain("Mesh"))
-	fmt.Fprintln(w, "\npaper geomeans: 3.6× / 2.5× / 9.3×")
+	fmt.Fprintf(w, "\ngeomean Flumen-A energy gain over Mesh: %.2f× (paper: 2.5×)\n", s.GeomeanEnergyGain("Mesh"))
+
+	fmt.Fprintln(w, "\n## Fig. 14 — speedup of Flumen-A over each topology")
+	var others []string
+	for _, topo := range topos {
+		if topo != "Flumen-A" {
+			others = append(others, topo)
+		}
+	}
+	fmt.Fprintf(w, "\n| benchmark | %s |\n|---|%s\n", strings.Join(others, " | "), strings.Repeat("---|", len(others)))
+	for _, b := range s.Benchmarks {
+		fmt.Fprintf(w, "| %s |", b)
+		for _, topo := range others {
+			fmt.Fprintf(w, " %.2f× |", s.Results[b]["Flumen-A"].SpeedupOver(s.Results[b][topo]))
+		}
+		fmt.Fprintln(w)
+	}
+	fmt.Fprintf(w, "\ngeomean Flumen-A speedup over Mesh: %.2f× (paper: 3.6×)\n", s.GeomeanSpeedup("Mesh"))
+
+	fmt.Fprintln(w, "\n## Fig. 15 — energy-delay product (nJ·s)")
+	fmt.Fprintf(w, "\n| benchmark | %s | Flumen-A gain over Mesh |\n|---|%s---|\n", strings.Join(topos, " | "), strings.Repeat("---|", len(topos)))
+	for _, b := range s.Benchmarks {
+		fmt.Fprintf(w, "| %s |", b)
+		for _, topo := range topos {
+			fmt.Fprintf(w, " %.3f |", s.Results[b][topo].EDPJouleSeconds*1e9)
+		}
+		fmt.Fprintf(w, " %.1f× |\n", s.Results[b]["Flumen-A"].EDPGainOver(s.Results[b]["Mesh"]))
+	}
+	fmt.Fprintf(w, "\ngeomean Flumen-A EDP gain over Mesh: %.1f× (paper: 9.3×)\n", s.GeomeanEDPGain("Mesh"))
 }
 
 func sec51(w io.Writer) {

@@ -27,7 +27,6 @@ func main() {
 	cfg := cluster.DefaultConfig()
 	backends := flag.String("backends", "", "comma-separated flumend base URLs (required)")
 	flag.StringVar(&cfg.Addr, "addr", cfg.Addr, "listen address")
-	flag.StringVar(&cfg.Policy, "policy", cfg.Policy, "routing policy: affinity (rendezvous over weight fingerprints) or random")
 	flag.DurationVar(&cfg.ProbeInterval, "probe-interval", cfg.ProbeInterval, "health probe period per backend")
 	flag.DurationVar(&cfg.ProbeTimeout, "probe-timeout", cfg.ProbeTimeout, "health probe timeout")
 	flag.IntVar(&cfg.FailThreshold, "fail-threshold", cfg.FailThreshold, "consecutive failures that eject a backend")
@@ -66,8 +65,8 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	log.Printf("flumen-router: listening on %s, %s routing over %d backends: %s",
-		rt.Addr(), cfg.Policy, len(cfg.Backends), strings.Join(cfg.Backends, ", "))
+	log.Printf("flumen-router: listening on %s, routing over %d backends: %s",
+		rt.Addr(), len(cfg.Backends), strings.Join(cfg.Backends, ", "))
 	start := time.Now()
 	if err := rt.Run(ctx); err != nil {
 		log.Fatalf("flumen-router: %v", err)

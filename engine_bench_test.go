@@ -8,8 +8,7 @@ import (
 // Engine-level kernel benchmarks: the same 256×256 MatMul with the compiled
 // SoA path on and off, at both block sizes. The program cache is sized to
 // the sweep's block count so the steady state is genuinely warm (an evicted
-// program drops its compiled plan with it). The fuller cold/warm × fabric/
-// engine sweep lives in `flumen-bench -kernel`.
+// program drops its compiled plan with it).
 
 func benchEngineMatMul(b *testing.B, compiled bool, blockSize, size, nrhs int) {
 	a, err := NewAccelerator(64, blockSize)

@@ -1,6 +1,7 @@
 package flumen
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -218,5 +219,101 @@ func TestHealthGuards(t *testing.T) {
 	}
 	if _, err := a.RoutePermutation(perm); err == nil {
 		t.Fatal("RoutePermutation allowed with health monitor enabled")
+	}
+}
+
+// TestHealthMonitorHoldsAccuracyUnderDrift is the accuracy claim of the
+// health monitor: two of eight partitions drift (σ = 0.02 per item), then
+// the fault source abates. With nobody watching, the accumulated phase
+// error stays and a 64×64·16 product is wrong by more than 10× the healthy
+// quantisation error; under the monitor the partitions are quarantined and
+// recalibrated, and the error returns to within 2× of healthy.
+func TestHealthMonitorHoldsAccuracyUnderDrift(t *testing.T) {
+	const ports, block, faulted, sigma = 64, 8, 2, 0.02
+	rng := rand.New(rand.NewSource(41))
+	m, x := randMatrix(rng, 64, 64), randMatrix(rng, 64, 16)
+	// maxErr is the max element error of one MatMul against the float64 product.
+	maxErr := func(a *Accelerator) float64 {
+		got, err := a.MatMul(m, x)
+		if err != nil {
+			t.Fatalf("MatMul: %v", err)
+		}
+		worst := 0.0
+		for i := range m {
+			for j := range x[0] {
+				want := 0.0
+				for k := range x {
+					want += m[i][k] * x[k][j]
+				}
+				worst = math.Max(worst, math.Abs(got[i][j]-want))
+			}
+		}
+		return worst
+	}
+	inject := func(a *Accelerator) {
+		for i := 0; i < faulted; i++ {
+			if err := a.InjectFaults(i, photonic.FaultConfig{DriftSigma: sigma, Seed: int64(100 + i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	baseline := maxErr(newEngineAccel(t, ports, block))
+
+	unmon := newEngineAccel(t, ports, block)
+	inject(unmon)
+	for i := 0; i < 40; i++ {
+		maxErr(unmon)
+	}
+	for i := 0; i < faulted; i++ {
+		unmon.FaultInjector(i).SetDriftSigma(0)
+	}
+	if got := maxErr(unmon); got < 10*baseline {
+		t.Fatalf("unmonitored error %.4f under 10× healthy %.4f: fault injection too weak", got, baseline)
+	}
+
+	mon := newEngineAccel(t, ports, block)
+	// A recalibrated partition is exact on the probe matrix only, and which
+	// blocks of the product land on it is up to the scheduler, so the bound
+	// has to hold for the worst block: 24 sweeps leave a residual that read
+	// at most 1.6× over 250 runs, 8 sweeps one that passes 2× now and then.
+	cfg := healthTestConfig()
+	cfg.RecalPasses = 24
+	if err := mon.EnableHealthMonitor(cfg); err != nil {
+		t.Fatal(err)
+	}
+	inject(mon)
+	// The drift walk is seeded and advances per item, so a partition's state
+	// at its first quarantine is the same on every run. Freezing it there,
+	// while it is parked and runs nothing, makes the state the monitor has to
+	// repair independent of how fast recalibration is on this host.
+	driveUntil(t, mon, func(st HealthStats) bool {
+		frozen := 0
+		for i := 0; i < faulted; i++ {
+			if st.Partitions[i].Quarantines > 0 {
+				mon.FaultInjector(i).SetDriftSigma(0)
+				frozen++
+			}
+		}
+		return frozen == faulted
+	})
+	// Settled: nothing out of service, and no drifted partition back in
+	// service with a failing last probe.
+	st := driveUntil(t, mon, func(st HealthStats) bool {
+		if st.Degraded() {
+			return false
+		}
+		for _, p := range st.Partitions {
+			if p.Faulty && p.LastProbeError > st.ProbeThreshold {
+				return false
+			}
+		}
+		return true
+	})
+	if st.Quarantines == 0 || st.Recalibrations == 0 {
+		t.Fatalf("monitor never cycled: %+v", st)
+	}
+	if got := maxErr(mon); got > 2*baseline {
+		t.Fatalf("monitored error %.4f exceeds 2× healthy %.4f (stats %+v)", got, baseline, st)
 	}
 }

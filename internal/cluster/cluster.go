@@ -40,16 +40,6 @@ import (
 	"time"
 )
 
-// Routing policies.
-const (
-	// PolicyAffinity routes by rendezvous hashing over the weight
-	// fingerprint (the default; repeat weights hit warm caches).
-	PolicyAffinity = "affinity"
-	// PolicyRandom routes uniformly at random over healthy backends — the
-	// control arm the cluster benchmark compares affinity against.
-	PolicyRandom = "random"
-)
-
 // Config parameterizes the router, its backend pool, and its failure
 // handling.
 type Config struct {
@@ -59,10 +49,6 @@ type Config struct {
 	// Backends are the flumend base URLs, e.g. "http://10.0.0.1:8080".
 	// Order is irrelevant: routing preference comes from the hash.
 	Backends []string
-
-	// Policy selects the routing policy: PolicyAffinity (default) or
-	// PolicyRandom.
-	Policy string
 
 	// ProbeInterval is how often each backend's /healthz is probed;
 	// ProbeTimeout bounds one probe.
@@ -106,10 +92,6 @@ type Config struct {
 	DrainTimeout time.Duration
 	RetryAfter   time.Duration
 
-	// Seed makes PolicyRandom reproducible in benchmarks (0 = seeded from
-	// entropy).
-	Seed int64
-
 	// TraceEnabled traces every proxied request (candidate selection, hop
 	// latency, spills, retries) into the router's /debug/requests ring and
 	// the flumen_router_hop_seconds histogram. Off, individual requests can
@@ -127,7 +109,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Addr:           ":8090",
-		Policy:         PolicyAffinity,
 		ProbeInterval:  2 * time.Second,
 		ProbeTimeout:   1 * time.Second,
 		FailThreshold:  3,
@@ -150,12 +131,6 @@ func (c *Config) Validate() error {
 	d := DefaultConfig()
 	if c.Addr == "" {
 		c.Addr = d.Addr
-	}
-	if c.Policy == "" {
-		c.Policy = d.Policy
-	}
-	if c.Policy != PolicyAffinity && c.Policy != PolicyRandom {
-		return fmt.Errorf("cluster: unknown routing policy %q (want %q or %q)", c.Policy, PolicyAffinity, PolicyRandom)
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = d.ProbeInterval

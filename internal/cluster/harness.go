@@ -13,7 +13,7 @@ import (
 )
 
 // Harness spins up N real flumend instances on loopback inside one process,
-// so cluster tests and flumen-bench -cluster exercise the genuine HTTP
+// so cluster tests and the standing benchmark exercise the genuine HTTP
 // path — real listeners, real JSON, real schedulers and program caches —
 // without forking binaries. Kill simulates a crashed node (abrupt
 // connection teardown, no drain) and Restart brings a replacement up on the

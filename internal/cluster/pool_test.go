@@ -157,7 +157,7 @@ func TestConfigValidate(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := DefaultConfig()
-		if cfg.Policy != PolicyAffinity || cfg.ProbeInterval != d.ProbeInterval ||
+		if cfg.Addr != d.Addr || cfg.ProbeInterval != d.ProbeInterval ||
 			cfg.FailThreshold != d.FailThreshold || cfg.MaxBodyBytes != d.MaxBodyBytes {
 			t.Fatalf("defaults not applied: %+v", cfg)
 		}
@@ -176,7 +176,6 @@ func TestConfigValidate(t *testing.T) {
 		cfg  Config
 	}{
 		{"no backends", Config{}},
-		{"unknown policy", Config{Backends: []string{"http://a:1"}, Policy: "sticky"}},
 		{"relative URL", Config{Backends: []string{"a:1"}}},
 		{"empty backend", Config{Backends: []string{"http://a:1", "  "}}},
 		{"duplicate backend", Config{Backends: []string{"http://a:1", "http://a:1/"}}},

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math/rand"
 	"net"
 	"net/http"
 	"strconv"
@@ -38,9 +37,6 @@ type Router struct {
 	httpSrv *http.Server
 	lis     net.Listener
 
-	rndMu sync.Mutex
-	rnd   *rand.Rand
-
 	// modelsMu guards modelDir: the router's directory of models registered
 	// through it (models.go). Each entry carries the registered routing key,
 	// so by-reference requests route without any weight bytes to hash, and
@@ -62,10 +58,6 @@ func New(cfg Config) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
 	rt := &Router{
 		cfg:      cfg,
 		pool:     p,
@@ -73,7 +65,6 @@ func New(cfg Config) (*Router, error) {
 		budget:   newRetryBudget(cfg.RetryBudget, cfg.RetryBurst),
 		client:   &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 64}},
 		mux:      http.NewServeMux(),
-		rnd:      rand.New(rand.NewSource(seed)),
 		modelDir: make(map[string]*modelEntry),
 		ring:     trace.NewRing(cfg.TraceRing),
 	}
@@ -300,9 +291,6 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, endpoint, path
 
 	selStart := time.Now()
 	order, home := rt.pool.candidates(key)
-	if rt.cfg.Policy == PolicyRandom {
-		rt.shuffle(order)
-	}
 	tr.Add(trace.StageRouterSelect, time.Since(selStart))
 	if len(order) == 0 {
 		rt.met.add(&rt.met.noBackend, 1)
@@ -576,14 +564,6 @@ func (rt *Router) relay(w http.ResponseWriter, endpoint string, start time.Time,
 	rt.finishTrace(tr, endpoint, res.status)
 }
 
-// shuffle randomizes the candidate order (PolicyRandom, the benchmark's
-// control arm).
-func (rt *Router) shuffle(order []*backend) {
-	rt.rndMu.Lock()
-	rt.rnd.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	rt.rndMu.Unlock()
-}
-
 // retryAfterSecs renders the Retry-After hint, rounded UP to whole seconds
 // so the hint never tells a client to come back sooner than the configured
 // backoff (a 1.4s config must say 2, not 1), with a floor of 1 because
@@ -610,7 +590,6 @@ func (rt *Router) answerError(w http.ResponseWriter, endpoint string, start time
 type RouterHealth struct {
 	Status        string          `json:"status"` // ok | degraded | down
 	UptimeSeconds float64         `json:"uptime_seconds"`
-	Policy        string          `json:"policy"`
 	Draining      bool            `json:"draining"`
 	Backends      []BackendHealth `json:"backends"`
 }
@@ -631,7 +610,6 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp := RouterHealth{
 		Status:        "ok",
 		UptimeSeconds: time.Since(rt.met.start).Seconds(),
-		Policy:        rt.cfg.Policy,
 		Draining:      draining,
 	}
 	routable := 0

@@ -1,12 +1,6 @@
 package fabricrun
 
-import (
-	"context"
-	"math/rand"
-	"time"
-
-	"flumen"
-)
+import "math/rand"
 
 // PumpMatrices builds the deterministic dim×dim operand pair the compute
 // pump multiplies. The weight matrix is fixed across calls so repeated
@@ -25,21 +19,4 @@ func PumpMatrices(dim int, seed int64) (m, x [][]float64) {
 		}
 	}
 	return m, x
-}
-
-// MeasureComputeOps pumps dim×dim MatMuls through the accelerator for the
-// given wall-clock duration and returns the number of completed calls.
-// Used to compare opportunistic (fabric-attached, idle interconnect)
-// against dedicated compute throughput.
-func MeasureComputeOps(accel *flumen.Accelerator, dim int, seed int64, wall time.Duration) int64 {
-	m, x := PumpMatrices(dim, seed)
-	ctx, cancel := context.WithTimeout(context.Background(), wall)
-	defer cancel()
-	var ops int64
-	for ctx.Err() == nil {
-		if _, err := accel.MatMulCtx(ctx, m, x); err == nil {
-			ops++
-		}
-	}
-	return ops
 }

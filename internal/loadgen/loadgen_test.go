@@ -2,12 +2,9 @@ package loadgen
 
 import (
 	"bytes"
-	"context"
 	"sync"
 	"testing"
-	"time"
 
-	"flumen/internal/cluster"
 	"flumen/internal/serve"
 )
 
@@ -103,78 +100,5 @@ func TestStreamDeterminism(t *testing.T) {
 	}
 	if st2.RequestDigest() == first.RequestDigest() {
 		t.Fatal("different seeds produced the same request digest")
-	}
-}
-
-// End-to-end conformance against a single in-process flumend: every
-// response bitwise-equal to the reference, including by-name matmuls.
-func TestConformanceSingleNode(t *testing.T) {
-	runConformance(t, HarnessConfig{Backends: 1, Serve: testServeConfig()})
-}
-
-// Same stream through a router-fronted 2-backend fleet: routing and
-// fan-out must not change a bit.
-func TestConformanceThroughRouter(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	hc := HarnessConfig{Backends: 2, Serve: testServeConfig(), Router: cluster.DefaultConfig()}
-	hc.Router.Addr = "127.0.0.1:0"
-	runConformance(t, hc)
-}
-
-func runConformance(t *testing.T, hc HarnessConfig) {
-	t.Helper()
-	cfg := testWorkload()
-
-	ref, err := serve.NewReference(hc.Serve)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := NewStream(cfg, ref.InferShapes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	expected, digest, err := st.Expect(hc.Serve)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	h, err := StartHarness(hc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Stop()
-
-	if specs := st.ModelSpecs(); len(specs) > 0 {
-		if err := h.RegisterModels(specs); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	rn := &Runner{Target: h.URL(), Expected: expected, TraceHeader: true}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	res, err := rn.Run(ctx, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Errors != 0 {
-		t.Fatalf("%d/%d requests failed: outcomes %v, offenders %+v",
-			res.Errors, res.Requests, res.Outcomes, res.Offenders)
-	}
-	if res.ConformanceFailures != 0 {
-		t.Fatalf("%d responses diverged from the reference: %+v",
-			res.ConformanceFailures, res.Offenders)
-	}
-	if res.OK != cfg.Requests {
-		t.Fatalf("ok=%d, want %d", res.OK, cfg.Requests)
-	}
-	res.ConformanceDigest = digest
-
-	// The same run must gate-pass against itself as a baseline.
-	regs, err := Compare(res, res, Tolerance{})
-	if err != nil || len(regs) != 0 {
-		t.Fatalf("self-gate failed: regs=%v err=%v", regs, err)
 	}
 }

@@ -66,6 +66,4 @@ set -e
 test "$RC" = 3   # not-found exit code
 
 drain "$PID"
-
-go run -race ./cmd/flumen-bench -registry -smoke -registryout /tmp/BENCH_registry.json
 echo "registry smoke: PASS"
