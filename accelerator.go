@@ -20,10 +20,11 @@ import (
 // Accelerator performs matrix algebra on a simulated Flumen photonic
 // fabric. Matrices are zero-padded and split into BlockSize×BlockSize
 // sub-blocks (Eq. 2-3); each block is scaled by its spectral norm,
-// decomposed via SVD, programmed into a mesh partition with the Clements
-// algorithm, and evaluated by exact complex E-field propagation. Inputs
-// and detected outputs pass through DAC/ADC quantizers, reproducing the
-// paper's 8-bit equivalent analog precision.
+// decomposed via SVD, compiled with the Clements algorithm into the phase
+// program of a mesh partition, and evaluated by exact complex E-field
+// propagation through that program. Inputs and detected outputs pass through
+// DAC/ADC quantizers, reproducing the paper's 8-bit equivalent analog
+// precision.
 //
 // The fabric is carved into ports/blockSize independent compute
 // partitions (the k/2 concurrent sub-meshes of Sec 3.2); MatMul/Conv2D
@@ -289,13 +290,8 @@ func (a *Accelerator) EnergyPJ() float64 { return a.meter.EnergyPJ() }
 // Prewarming performs no physical programming and meters no energy: it
 // fills the compilation cache, it does not touch the fabric.
 func (a *Accelerator) PrewarmWeights(m [][]float64) (int, error) {
-	if len(m) == 0 || len(m[0]) == 0 {
-		return 0, fmt.Errorf("flumen: empty matrix")
-	}
-	for i, row := range m {
-		if len(row) != len(m[0]) {
-			return 0, fmt.Errorf("flumen: ragged matrix: row %d has %d columns, row 0 has %d", i, len(row), len(m[0]))
-		}
+	if err := checkMatrix(m); err != nil {
+		return 0, err
 	}
 	a.mu.RLock()
 	cache := a.cache
@@ -305,12 +301,12 @@ func (a *Accelerator) PrewarmWeights(m [][]float64) (int, error) {
 		return 0, nil
 	}
 	n := a.blockSize
-	pm := mat.PadTo(realDense(m), n)
+	pm := mat.PadTo(mat.FromReal(m), n)
 	pinned := 0
+	var key []byte
 	for c := 0; c < pm.Cols()/n; c++ {
 		for r := 0; r < pm.Rows()/n; r++ {
-			blk := mat.Block(pm, n, r, c)
-			bp, err := a.programFor(blk, cache)
+			bp, err := a.programFor(pm, r, c, cache, &key)
 			if err != nil {
 				return pinned, err
 			}
@@ -321,7 +317,7 @@ func (a *Accelerator) PrewarmWeights(m [][]float64) (int, error) {
 					a.kernelReuses.Add(1)
 				}
 			}
-			if cache.pin(blk.Fingerprint()) {
+			if cache.pin(key) {
 				pinned++
 			}
 		}
@@ -334,13 +330,8 @@ func (a *Accelerator) PrewarmWeights(m [][]float64) (int, error) {
 // how many pins were released; weights that were never prewarmed — or a
 // cache that has since been resized, which drops all pins — release zero.
 func (a *Accelerator) UnpinWeights(m [][]float64) int {
-	if len(m) == 0 || len(m[0]) == 0 {
+	if checkMatrix(m) != nil {
 		return 0
-	}
-	for _, row := range m {
-		if len(row) != len(m[0]) {
-			return 0
-		}
 	}
 	a.mu.RLock()
 	cache := a.cache
@@ -349,11 +340,13 @@ func (a *Accelerator) UnpinWeights(m [][]float64) int {
 		return 0
 	}
 	n := a.blockSize
-	pm := mat.PadTo(realDense(m), n)
+	pm := mat.PadTo(mat.FromReal(m), n)
 	released := 0
+	var key []byte
 	for c := 0; c < pm.Cols()/n; c++ {
 		for r := 0; r < pm.Rows()/n; r++ {
-			if cache.unpin(mat.Block(pm, n, r, c).Fingerprint()) {
+			key = mat.AppendBlockFingerprint(key[:0], pm, n, r, c)
+			if cache.unpin(key) {
 				released++
 			}
 		}
@@ -486,20 +479,23 @@ func (a *Accelerator) MatVec(m [][]float64, x []float64) ([]float64, error) {
 // or its deadline passes, dispatch stops before the remaining block work
 // items run and the context's error is returned.
 func (a *Accelerator) MatVecCtx(ctx context.Context, m [][]float64, x []float64) ([]float64, error) {
-	if len(m) == 0 || len(m[0]) != len(x) {
-		return nil, fmt.Errorf("flumen: MatVec dimension mismatch: %d×%d · %d", len(m), colsOf(m), len(x))
+	if err := checkMatrix(m); err != nil {
+		return nil, err
+	}
+	if len(m[0]) != len(x) {
+		return nil, fmt.Errorf("flumen: MatVec dimension mismatch: %d×%d · %d", len(m), len(m[0]), len(x))
 	}
 	xd := mat.New(len(x), 1)
 	for i, v := range x {
 		xd.Set(i, 0, complex(v, 0))
 	}
-	out, err := a.matMulCtx(ctx, realDense(m), xd)
+	out, err := a.matMulCtx(ctx, mat.FromReal(m), xd)
 	if err != nil {
 		return nil, err
 	}
 	y := make([]float64, len(m))
 	for i := range y {
-		y[i] = real(out.At(i, 0))
+		y[i] = real(out[i])
 	}
 	return y, nil
 }
@@ -521,15 +517,18 @@ func (a *Accelerator) MatMul(m, x [][]float64) ([][]float64, error) {
 // bitwise-identical per-column results (the property the serving layer's
 // batcher relies on).
 func (a *Accelerator) MatMulCtx(ctx context.Context, m, x [][]float64) ([][]float64, error) {
-	rows, inner := len(m), colsOf(m)
-	if rows == 0 || inner == 0 {
-		return nil, fmt.Errorf("flumen: empty matrix")
+	if err := checkMatrix(m); err != nil {
+		return nil, err
 	}
+	rows, inner := len(m), len(m[0])
 	if len(x) != inner {
 		return nil, fmt.Errorf("flumen: MatMul dimension mismatch: %d×%d · %d×%d", rows, inner, len(x), colsOf(x))
 	}
-	nrhs := colsOf(x)
-	out, err := a.matMulCtx(ctx, realDense(m), realDense(x))
+	if err := checkMatrix(x); err != nil {
+		return nil, err
+	}
+	nrhs := len(x[0])
+	out, err := a.matMulCtx(ctx, mat.FromReal(m), mat.FromReal(x))
 	if err != nil {
 		return nil, err
 	}
@@ -538,7 +537,7 @@ func (a *Accelerator) MatMulCtx(ctx context.Context, m, x [][]float64) ([][]floa
 	for i := 0; i < rows; i++ {
 		result[i] = make([]float64, nrhs)
 		for j := 0; j < nrhs; j++ {
-			result[i][j] = real(out.At(i, j))
+			result[i][j] = real(out[i*nrhs+j])
 		}
 	}
 	return result, nil
@@ -562,19 +561,31 @@ func (a *Accelerator) Conv2D(input [][][]float64, kernels [][][][]float64, strid
 // or its deadline passes, dispatch stops before the remaining block work
 // items run and the context's error is returned.
 func (a *Accelerator) Conv2DCtx(ctx context.Context, input [][][]float64, kernels [][][][]float64, stride, pad int) ([][][]float64, error) {
-	if len(input) == 0 || len(input[0]) == 0 || len(input[0][0]) == 0 {
-		return nil, fmt.Errorf("flumen: Conv2D empty input")
+	if len(input) == 0 || len(kernels) == 0 {
+		return nil, fmt.Errorf("flumen: Conv2D needs input channels and kernels, got %d and %d", len(input), len(kernels))
 	}
-	if len(kernels) == 0 || len(kernels[0]) != len(input) {
-		return nil, fmt.Errorf("flumen: Conv2D kernel channel count %d does not match input %d",
-			len(kernels[0]), len(input))
+	var kplanes [][][]float64
+	for k, kern := range kernels {
+		if len(kern) != len(input) {
+			return nil, fmt.Errorf("flumen: Conv2D kernel %d has %d channels, input has %d", k, len(kern), len(input))
+		}
+		kplanes = append(kplanes, kern...)
+	}
+	if err := checkPlanes(input); err != nil {
+		return nil, fmt.Errorf("flumen: Conv2D input: %w", err)
+	}
+	if err := checkPlanes(kplanes); err != nil {
+		return nil, fmt.Errorf("flumen: Conv2D kernels: %w", err)
 	}
 	shape := workload.ConvShape{
 		InW: len(input[0][0]), InH: len(input[0]), InC: len(input),
 		KH: len(kernels[0][0]), KW: len(kernels[0][0][0]),
 		NumKernels: len(kernels), Stride: stride, Pad: pad,
 	}
-	shape.Validate()
+	if stride <= 0 || pad < 0 || shape.OutW() <= 0 || shape.OutH() <= 0 {
+		return nil, fmt.Errorf("flumen: Conv2D %d×%d kernel at stride %d pad %d leaves no output on a %d×%d input",
+			shape.KW, shape.KH, stride, pad, shape.InW, shape.InH)
+	}
 	// The CPU-side im2col lowering (volume packing, kernel ravel, patch
 	// extraction) is real per-request work a latency breakdown must not
 	// lose; for traced requests it books under the compute stage alongside
@@ -614,7 +625,7 @@ func (a *Accelerator) Conv2DCtx(ctx context.Context, input [][][]float64, kernel
 		for y := range out[k] {
 			out[k][y] = make([]float64, shape.OutW())
 			for x := range out[k][y] {
-				out[k][y][x] = real(prod.At(k, y*shape.OutW()+x))
+				out[k][y][x] = real(prod[k*shape.Patches()+y*shape.OutW()+x])
 			}
 		}
 	}
@@ -667,17 +678,32 @@ func colsOf(m [][]float64) int {
 	return len(m[0])
 }
 
-func realDense(m [][]float64) *mat.Dense {
-	d := mat.New(len(m), len(m[0]))
+// checkMatrix is the shape check every entry point that takes a row-major
+// matrix runs before touching it: non-empty and rectangular.
+func checkMatrix(m [][]float64) error {
+	if len(m) == 0 || len(m[0]) == 0 {
+		return fmt.Errorf("flumen: empty matrix")
+	}
 	for i, row := range m {
 		if len(row) != len(m[0]) {
-			panic("flumen: ragged matrix")
-		}
-		for j, v := range row {
-			d.Set(i, j, complex(v, 0))
+			return fmt.Errorf("flumen: ragged matrix: row %d has %d columns, row 0 has %d", i, len(row), len(m[0]))
 		}
 	}
-	return d
+	return nil
+}
+
+// checkPlanes checks a stack of planes (input channels, or every kernel's
+// channels): each a valid matrix, all of plane 0's shape.
+func checkPlanes(planes [][][]float64) error {
+	for i, p := range planes {
+		if err := checkMatrix(p); err != nil {
+			return fmt.Errorf("plane %d: %w", i, err)
+		}
+		if len(p) != len(planes[0]) || len(p[0]) != len(planes[0][0]) {
+			return fmt.Errorf("plane %d is %d×%d, plane 0 is %d×%d", i, len(p), len(p[0]), len(planes[0]), len(planes[0][0]))
+		}
+	}
+	return nil
 }
 
 func maxAbs(xs []complex128) float64 {

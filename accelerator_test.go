@@ -1,6 +1,7 @@
 package flumen
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -420,5 +421,64 @@ func TestAcceleratorConv2DValidation(t *testing.T) {
 	badKernels := [][][][]float64{{{{1}}, {{1}}}} // 2 channels vs 1
 	if _, err := acc.Conv2D(input, badKernels, 1, 0); err == nil {
 		t.Fatal("channel mismatch accepted")
+	}
+}
+
+// TestComputeEntryPointsRejectBadShapes feeds every public compute entry
+// point shapes that used to panic (ragged rows, nil kernels, a non-positive
+// stride) or be silently zero-filled (a short input row), and requires an
+// error with the energy meter untouched.
+func TestComputeEntryPointsRejectBadShapes(t *testing.T) {
+	ctx := context.Background()
+	sq := [][]float64{{1, 2}, {3, 4}}
+	ragged := [][]float64{{1, 2}, {3}}
+	input := [][][]float64{{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}}
+	kernels := [][][][]float64{{{{1, 0}, {0, 1}}}, {{{0, 1}, {1, 0}}}}
+	matMul := func(m, x [][]float64) func(*Accelerator) error {
+		return func(a *Accelerator) error { _, err := a.MatMulCtx(ctx, m, x); return err }
+	}
+	matVec := func(m [][]float64, x []float64) func(*Accelerator) error {
+		return func(a *Accelerator) error { _, err := a.MatVecCtx(ctx, m, x); return err }
+	}
+	conv := func(in [][][]float64, ks [][][][]float64, stride, pad int) func(*Accelerator) error {
+		return func(a *Accelerator) error { _, err := a.Conv2DCtx(ctx, in, ks, stride, pad); return err }
+	}
+	for _, tc := range []struct {
+		name string
+		call func(*Accelerator) error
+	}{
+		{"MatMul ragged M", matMul(ragged, sq)},
+		{"MatMul ragged X", matMul(sq, ragged)},
+		{"MatMul X with empty rows", matMul(sq, [][]float64{{}, {}})},
+		{"MatVec ragged M", matVec(ragged, []float64{1, 2})},
+		{"MatVec empty row and vector", matVec([][]float64{{}}, nil)},
+		{"Conv2D nil kernels", conv(input, nil, 1, 0)},
+		{"Conv2D short input row", conv([][][]float64{{{1, 2, 3}, {4, 5}, {7, 8, 9}}}, kernels, 1, 0)},
+		{"Conv2D input channels differ", conv([][][]float64{input[0], input[0][:2]}, [][][][]float64{{kernels[0][0], kernels[0][0]}}, 1, 0)},
+		{"Conv2D ragged kernel", conv(input, [][][][]float64{kernels[0], {{{0, 1}, {1}}}}, 1, 0)},
+		{"Conv2D later kernel lacks a channel", conv(input, [][][][]float64{kernels[0], {}}, 1, 0)},
+		{"Conv2D kernels differ in size", conv(input, [][][][]float64{kernels[0], {{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}}}, 1, 0)},
+		{"Conv2D stride 0", conv(input, kernels, 0, 0)},
+		{"Conv2D negative stride", conv(input, kernels, -1, 0)},
+		{"Conv2D negative pad", conv(input, kernels, 1, -1)},
+		{"Conv2D kernel larger than input", conv([][][]float64{{{1}}}, kernels, 1, 0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, err := NewAccelerator(8, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("panicked: %v", p)
+				}
+			}()
+			if err := tc.call(a); err == nil {
+				t.Fatal("bad shape accepted")
+			}
+			if st := a.Stats(); st.EnergyPJ != 0 || st.Programs != 0 || st.Batches != 0 {
+				t.Fatalf("rejected call touched the meter: %g pJ, %d programs, %d batches", st.EnergyPJ, st.Programs, st.Batches)
+			}
+		})
 	}
 }

@@ -17,24 +17,30 @@ import (
 )
 
 // This file is the accelerator's parallel compute engine. A padded
-// matrix-matrix product decomposes into (block-row, block-col) work items;
-// each item compiles (or fetches from the weight-program cache) the
-// block's SVD + Clements program, applies it to a fabric partition checked
-// out of the pool, and streams the right-hand-side columns through the
-// compiled lattice.
+// matrix-matrix product decomposes into (block-row, block-col) work items.
+// The right-hand side passes the DAC once per call; each item then fetches
+// (or compiles into the weight-program cache) its block's SVD + Clements
+// program, propagates its block column's modulated vectors through the
+// program's compiled plan, and detects the result straight into the output.
+//
+// A partition is the engine's unit of capacity (pool, lease, preemption),
+// of fault injection and of health; the engine executes the program and
+// does not write its phases into the partition's mesh. The equivalence
+// physical partition ≡ program ≡ plan is pinned in internal/photonic, and
+// each item is still charged the phase-programming energy (DESIGN §3c).
 //
 // Determinism guarantees:
-//   - Work item idx = c*bi + r is assigned to worker idx % workers, and the
-//     per-item partial results are merged serially in ascending idx order —
-//     the exact accumulation order of the serial path. Combined with the
-//     partition-independent BlockProgram propagation, noiseless outputs are
-//     bitwise-identical for every worker count.
+//   - Worker g owns block rows g, g+workers, … and walks block columns in
+//     ascending order, so every output element is accumulated by one worker
+//     in the serial path's order. Combined with the partition-independent
+//     BlockProgram propagation, noiseless outputs are bitwise-identical for
+//     every worker count.
 //   - Noise draws come from a per-item stream seeded by
 //     (noiseSeed, call number, block row, block col), so EnableNoise(seed)
 //     reproduces a run exactly regardless of scheduling.
-//   - Energy/program/batch counters are accumulated per item and merged in
-//     the same deterministic order into a mutex-guarded Meter, keeping the
-//     totals exact under concurrency.
+//   - An item's energy and λ-batch count depend on the call's shape alone;
+//     they are charged item by item after the last worker returns, so the
+//     mutex-guarded Meter's totals are exact under concurrency.
 
 // DefaultProgramCacheSize is the default capacity (in compiled block
 // programs) of the weight-program cache.
@@ -79,63 +85,69 @@ func (cfg *callConfig) injector(idx int) *photonic.FaultInjector {
 	return cfg.faults[idx]
 }
 
-// itemResult is one work item's contribution: the block's partial output
-// columns (flat [v*n+i], already multiplied by each column's modulator
-// scale) plus its energy and batch accounting.
-type itemResult struct {
-	out       []complex128
-	programPJ float64
-	vectorPJ  float64
-	batches   int64
-}
-
-// workerScratch holds per-worker reusable buffers so the streaming loop
-// performs no per-column allocation.
-type workerScratch struct {
-	seg []complex128
-	res []complex128
-	// batch and scales back the compiled multi-RHS path: one vector-major
-	// slab of nrhs×n states plus the per-column modulator scales, grown on
-	// demand and reused across the worker's items.
-	batch  []complex128
+// modulated is a call's right-hand side after the DAC: for every block
+// column c and vector v, the n inputs scaled into the modulator's
+// full-scale range and quantized (states[(c*nrhs+v)*n:][:n]) and the scale
+// that was divided out (scales[c*nrhs+v]; 0 marks a dark vector, which is
+// never detected). Workers only read it.
+type modulated struct {
+	nrhs   int
+	states []complex128
 	scales []float64
 }
 
-func newScratch(n int) *workerScratch {
-	return &workerScratch{seg: make([]complex128, n), res: make([]complex128, n)}
-}
-
-// ensureBatch returns batch and scale buffers sized for nrhs columns of
-// width n, growing the backing arrays only when an item needs more.
-func (s *workerScratch) ensureBatch(nrhs, n int) ([]complex128, []float64) {
-	if cap(s.batch) < nrhs*n {
-		s.batch = make([]complex128, nrhs*n)
+// modulate is the call's one DAC stage. The slab is a pure function of the
+// right-hand side and the quantizer, so the bj·bi items share it instead of
+// each re-converting its block column.
+func (a *Accelerator) modulate(xd *mat.Dense, bj int, dac optics.Quantizer) *modulated {
+	n, nrhs := a.blockSize, xd.Cols()
+	in := &modulated{nrhs: nrhs, states: make([]complex128, bj*nrhs*n), scales: make([]float64, bj*nrhs)}
+	for c := 0; c < bj; c++ {
+		rows := min(n, xd.Rows()-c*n) // the last block column may be zero-padded
+		for v := 0; v < nrhs; v++ {
+			seg := in.states[(c*nrhs+v)*n:][:n]
+			for i := 0; i < rows; i++ {
+				seg[i] = xd.At(c*n+i, v)
+			}
+			scale := maxAbs(seg)
+			in.scales[c*nrhs+v] = scale
+			if scale == 0 {
+				// Dark (or all-NaN) vector: its slab still rides through a
+				// batched plan — vectors are isolated, so nothing leaks into a
+				// neighbour — but it is never detected.
+				clear(seg)
+				continue
+			}
+			for i := range seg {
+				seg[i] /= complex(scale, 0)
+			}
+			dac.QuantizeComplexVec(seg)
+		}
 	}
-	if cap(s.scales) < nrhs {
-		s.scales = make([]float64, nrhs)
-	}
-	return s.batch[:nrhs*n], s.scales[:nrhs]
+	return in
 }
 
-// matMul computes the padded product pm·px across the partition pool and
-// returns it as a padded complex matrix (callers truncate and project).
-func (a *Accelerator) matMul(md, xd *mat.Dense) (*mat.Dense, error) {
-	return a.matMulCtx(context.Background(), md, xd)
+// workerScratch holds one worker's reusable buffers: the states its current
+// item propagates and the fingerprint of the block it is looking up.
+type workerScratch struct {
+	states []complex128
+	key    []byte
 }
 
-// matMulCtx is matMul with cooperative cancellation: the context is checked
-// before each partition checkout and before every work item, so a cancelled
-// call abandons its remaining items (and never starts any when the context
-// arrives already cancelled). Partitions checked out before cancellation are
-// always returned to the pool; a cancelled call contributes nothing to the
-// energy meter.
-func (a *Accelerator) matMulCtx(ctx context.Context, md, xd *mat.Dense) (*mat.Dense, error) {
+// matMulCtx computes the product md·xd across the partition pool and returns
+// it row-major with xd.Cols() columns and md's row count padded to a block
+// multiple (callers truncate and project). Cancellation is cooperative: the
+// context is checked before each partition checkout and before every work
+// item, so a cancelled call abandons its remaining items (and never starts
+// any when the context arrives already cancelled). Partitions checked out
+// before cancellation are always returned to the pool; a cancelled call
+// contributes nothing to the energy meter.
+func (a *Accelerator) matMulCtx(ctx context.Context, md, xd *mat.Dense) ([]complex128, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	n := a.blockSize
 	pm := mat.PadTo(md, n)
-	px := mat.PadTo(xd, n)
 	bi := pm.Rows() / n
 	bj := pm.Cols() / n
 	nrhs := xd.Cols()
@@ -164,12 +176,18 @@ func (a *Accelerator) matMulCtx(ctx context.Context, md, xd *mat.Dense) (*mat.De
 	}
 	cfg.rec = trace.FromContext(ctx)
 
-	items := bi * bj
-	results := make([]itemResult, items)
-	workers := min(cfg.workers, items)
+	// The DAC pass is per-request CPU work like the conv lowering; for
+	// traced calls it books under the compute stage it feeds.
+	dacStart := time.Now()
+	in := a.modulate(xd, bj, cfg.dac)
+	if cfg.rec != nil {
+		cfg.rec.Add(trace.StageCompute, time.Since(dacStart))
+	}
 
+	out := make([]complex128, pm.Rows()*nrhs)
+	workers := min(cfg.workers, bi)
 	if workers <= 1 {
-		if err := a.runItems(ctx, 0, 1, items, bi, nrhs, pm, px, &cfg, results); err != nil {
+		if err := a.runRows(ctx, 0, 1, pm, in, out, &cfg); err != nil {
 			return nil, err
 		}
 	} else {
@@ -179,7 +197,7 @@ func (a *Accelerator) matMulCtx(ctx context.Context, md, xd *mat.Dense) (*mat.De
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				errs[g] = a.runItems(ctx, g, workers, items, bi, nrhs, pm, px, &cfg, results)
+				errs[g] = a.runRows(ctx, g, workers, pm, in, out, &cfg)
 			}(g)
 		}
 		wg.Wait()
@@ -190,26 +208,23 @@ func (a *Accelerator) matMulCtx(ctx context.Context, md, xd *mat.Dense) (*mat.De
 		}
 	}
 
-	// Merge the per-item partials serially in the serial path's (c outer,
-	// r inner) order so the float accumulation — and hence the result — is
-	// bitwise-independent of the worker count.
-	out := mat.New(pm.Rows(), px.Cols())
-	var programs, batches int64
-	var pj float64
-	for c := 0; c < bj; c++ {
-		for r := 0; r < bi; r++ {
-			res := &results[c*bi+r]
-			for v := 0; v < nrhs; v++ {
-				for i := 0; i < n; i++ {
-					out.Set(r*n+i, v, out.At(r*n+i, v)+res.out[v*n+i])
-				}
-			}
-			programs++
-			batches += res.batches
-			pj += res.programPJ + res.vectorPJ
-		}
+	// Every item programs one block and streams the same nrhs vectors in λ
+	// batches. Summing item by item (not multiplying) keeps the float total
+	// the one the serial path accumulates.
+	itemPJ := a.ep.FlumenProgramPJ(n)
+	var vectorPJ float64
+	var itemBatches int64
+	for v0 := 0; v0 < nrhs; v0 += cfg.lambdas {
+		vectorPJ += a.ep.FlumenVectorsPJ(n, min(cfg.lambdas, nrhs-v0))
+		itemBatches++
 	}
-	a.meter.Add(pj, programs, batches)
+	itemPJ += vectorPJ
+	items := int64(bi * bj)
+	var pj float64
+	for i := int64(0); i < items; i++ {
+		pj += itemPJ
+	}
+	a.meter.Add(pj, items, items*itemBatches)
 	return out, nil
 }
 
@@ -281,68 +296,72 @@ func (a *Accelerator) checkin(h partHandle) {
 	}
 }
 
-// runItems executes one worker's stripe of work items (idx = g, g+workers,
-// …), honouring lease preemption at block-item granularity: when the
-// arbiter reclaims the fabric, the worker finishes nothing speculatively —
-// the pending item is re-queued behind a fresh Acquire (which blocks until
-// the fabric is handed back) and retried on whichever partition the new
-// lease grants. Results stay bitwise-identical to the serial path because
-// partial results merge serially in index order and a compiled block
+// runRows executes one worker's work items — block rows g, g+workers, … of
+// every block column, columns ascending — honouring lease preemption at
+// block-item granularity: when the arbiter reclaims the fabric, the worker
+// finishes nothing speculatively — the pending item is re-queued behind a
+// fresh Acquire (which blocks until the fabric is handed back) and retried
+// on whichever partition the new lease grants. Results stay bitwise-identical
+// to the serial path because the rows of out a worker accumulates into are
+// its alone, it visits their items in the serial order, and a compiled block
 // program propagates independently of the partition that runs it.
-func (a *Accelerator) runItems(ctx context.Context, g, workers, items, bi, nrhs int, pm, px *mat.Dense, cfg *callConfig, results []itemResult) error {
+func (a *Accelerator) runRows(ctx context.Context, g, workers int, pm *mat.Dense, in *modulated, out []complex128, cfg *callConfig) error {
+	n := a.blockSize
 	var h partHandle
 	var err error
 	defer func() { a.checkin(h) }()
-	scratch := newScratch(a.blockSize)
-	for idx := g; idx < items; idx += workers {
-		for {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if h.p == nil {
-				// First item, or the previous partition was quarantined:
-				// acquire lazily so a worker that just finished its stripe
-				// never blocks on capacity it no longer needs.
-				if h, err = a.checkout(ctx, cfg); err != nil {
+	scratch := &workerScratch{states: make([]complex128, in.nrhs*n), key: make([]byte, 0, 16+16*n*n)}
+	for c := 0; c < pm.Cols()/n; c++ {
+		for r := g; r < pm.Rows()/n; r += workers {
+			for {
+				if err := ctx.Err(); err != nil {
 					return err
 				}
+				if h.p == nil {
+					// First item, or the previous partition was quarantined:
+					// acquire lazily so a worker that just finished its rows
+					// never blocks on capacity it no longer needs.
+					if h, err = a.checkout(ctx, cfg); err != nil {
+						return err
+					}
+				}
+				if h.lease == nil || !preempted(h.lease) {
+					break
+				}
+				// Yield the fabric: count the pending item as re-queued,
+				// release the lease, and park in Acquire until compute is
+				// allowed again.
+				cfg.fab.NotePreemptedItems(1)
+				a.checkin(h)
+				h = partHandle{}
 			}
-			if h.lease == nil || !preempted(h.lease) {
-				break
+			var itemStart time.Time
+			if cfg.rec != nil {
+				itemStart = time.Now()
 			}
-			// Yield the fabric: count the pending item as re-queued, release
-			// the lease, and park in Acquire until compute is allowed again.
-			cfg.fab.NotePreemptedItems(1)
-			a.checkin(h)
-			h = partHandle{}
-		}
-		c, r := idx/bi, idx%bi
-		var itemStart time.Time
-		if cfg.rec != nil {
-			itemStart = time.Now()
-		}
-		if err := a.computeItem(h.p, h.idx, scratch, pm, px, r, c, nrhs, cfg, &results[idx]); err != nil {
-			return err
-		}
-		if cfg.rec != nil {
-			cfg.rec.Add(trace.StageCompute, time.Since(itemStart))
-		}
-		if cfg.health != nil && cfg.health.afterItem(a, cfg, h) {
-			// The partition we hold just failed its calibration probe and
-			// was quarantined: hand it to the monitor and continue the
-			// stripe on whichever healthy partition the next checkout
-			// grants. Results are unaffected — the remaining items merge in
-			// the same serial order regardless of which partition runs them.
-			a.checkin(h)
-			h = partHandle{}
-			continue
-		}
-		if h.lease != nil {
-			// Cooperative yield between leased items: a cycle-driven arbiter
-			// running on the same CPU gets a chance to tick — and preempt —
-			// while the lease is demonstrably held, instead of only ever
-			// observing the zero-lease instants at stripe boundaries.
-			runtime.Gosched()
+			if err := a.computeItem(h.idx, scratch, pm, in, out, r, c, cfg); err != nil {
+				return err
+			}
+			if cfg.rec != nil {
+				cfg.rec.Add(trace.StageCompute, time.Since(itemStart))
+			}
+			if cfg.health != nil && cfg.health.afterItem(a, cfg, h) {
+				// The partition we hold just failed its calibration probe and
+				// was quarantined: hand it to the monitor and continue on
+				// whichever healthy partition the next checkout grants.
+				// Results are unaffected — the remaining items accumulate in
+				// the same order regardless of which partition runs them.
+				a.checkin(h)
+				h = partHandle{}
+				continue
+			}
+			if h.lease != nil {
+				// Cooperative yield between leased items: a cycle-driven
+				// arbiter running on the same CPU gets a chance to tick — and
+				// preempt — while the lease is demonstrably held, instead of
+				// only ever observing the zero-lease instants between rows.
+				runtime.Gosched()
+			}
 		}
 	}
 	return nil
@@ -358,215 +377,125 @@ func preempted(l *fabric.Lease) bool {
 	}
 }
 
-// computeItem executes one (block-row r, block-col c) work item on
-// partition p: fetch or compile the block's weight program, apply it to
-// the fabric, and stream the nrhs right-hand-side columns through the
-// compiled lattice in λ batches. With compiled kernels enabled (the
-// default) and no fault injector on the partition, all columns propagate
-// through the program's SoA plan in one multi-RHS pass; otherwise each
-// column runs the interpreted per-vector path. Both paths execute the same
-// floating-point operations per column in the same order, so outputs are
-// bitwise-identical.
-func (a *Accelerator) computeItem(p *photonic.Partition, pidx int, s *workerScratch, pm, px *mat.Dense, r, c, nrhs int, cfg *callConfig, res *itemResult) error {
-	n := a.blockSize
-	blk := mat.Block(pm, n, r, c)
-	bp, err := a.programFor(blk, cfg.cache)
+// computeItem executes one (block-row r, block-col c) work item on the
+// partition with index pidx: fetch or compile the block's weight program,
+// propagate block column c's modulated vectors through it, and detect the
+// result into block row r of out. With compiled kernels enabled (the
+// default) and no fault injector on the partition, all vectors propagate
+// through the program's SoA plan in one multi-RHS pass; otherwise each runs
+// the interpreted lattice. Both execute the same floating-point operations
+// per vector in the same order, so outputs are bitwise-identical.
+func (a *Accelerator) computeItem(pidx int, s *workerScratch, pm *mat.Dense, in *modulated, out []complex128, r, c int, cfg *callConfig) error {
+	n, nrhs := a.blockSize, in.nrhs
+	bp, err := a.programFor(pm, r, c, cfg.cache, &s.key)
 	if err != nil {
 		return err
 	}
-	// Physically program the partition (phase settings are always
-	// re-applied; only the decomposition is amortized by the cache), so
-	// energy accounting and fabric state match the device model.
-	if err := p.Apply(bp); err != nil {
-		return err
-	}
+	src := in.states[c*nrhs*n:][:nrhs*n]
+	scales := in.scales[c*nrhs:][:nrhs]
 	// With a fault injector attached, the hardware realizes a corrupted
 	// version of the program it was asked for: drift advances one step per
-	// item and the propagation below runs through the corrupted lattice.
-	// The cached program itself is never touched — and because the corrupted
-	// program is fresh each item, the compiled-plan path would recompile per
-	// item for nothing, so faults force the interpreted path.
-	run := bp
+	// item and propagation runs through the corrupted lattice. The cached
+	// program itself is never touched — and because the corrupted program is
+	// fresh each item, a compiled plan would be recompiled per item for
+	// nothing, so faults force the interpreted path.
 	inj := cfg.injector(pidx)
-	if inj != nil {
-		inj.Step(1)
-		run = inj.Corrupt(bp)
+	if cfg.kernels && inj == nil {
+		plan, compiledNow := bp.Plan()
+		if compiledNow {
+			a.kernelCompiles.Add(1)
+		} else {
+			a.kernelReuses.Add(1)
+		}
+		copy(s.states, src)
+		plan.ForwardBatch(s.states, nrhs)
+	} else {
+		run := bp
+		if inj != nil {
+			inj.Step(1)
+			run = inj.Corrupt(bp)
+			if cfg.kernels {
+				a.kernelFallbacks.Add(1)
+			}
+		}
+		for v := 0; v < nrhs; v++ {
+			if scales[v] != 0 {
+				run.ForwardInto(s.states[v*n:][:n], src[v*n:][:n])
+			}
+		}
 	}
-	res.programPJ = a.ep.FlumenProgramPJ(n)
-	res.out = make([]complex128, nrhs*n)
 
 	var noise *optics.NoiseModel
 	if cfg.noiseOn {
-		src := rand.NewSource(noiseStreamSeed(cfg.noiseSeed, cfg.noiseCall, r, c))
-		nm := optics.DefaultNoise(1, rand.New(src))
+		rng := rand.New(rand.NewSource(noiseStreamSeed(cfg.noiseSeed, cfg.noiseCall, r, c)))
+		nm := optics.DefaultNoise(1, rng)
 		noise = &nm
 	}
-
-	if cfg.kernels {
-		if inj == nil {
-			a.streamBatched(bp, s, px, c, nrhs, cfg, noise, res)
-			return nil
-		}
-		a.kernelFallbacks.Add(1)
-	}
-	a.streamInterp(run, bp, s, px, c, nrhs, cfg, noise, res)
+	a.detect(out[r*n*nrhs:][:n*nrhs], s.states, scales, bp.Scale, noise, cfg.adc)
 	return nil
 }
 
-// streamBatched streams every right-hand-side column through the program's
-// compiled plan in one pass: columns are gathered, scaled and DAC-quantized
-// into a vector-major slab, propagated together by ForwardBatch (which
-// loads each op's coefficients once per tile instead of once per column),
-// then post-processed per column in ascending order so noise draws, ADC
-// quantization and λ-batch accounting match the interpreted path exactly.
-func (a *Accelerator) streamBatched(bp *photonic.BlockProgram, s *workerScratch, px *mat.Dense, c, nrhs int, cfg *callConfig, noise *optics.NoiseModel, res *itemResult) {
-	n := a.blockSize
-	plan, compiledNow := bp.Plan()
-	if compiledNow {
-		a.kernelCompiles.Add(1)
-	} else {
-		a.kernelReuses.Add(1)
-	}
-	batch, scales := s.ensureBatch(nrhs, n)
-	for v := 0; v < nrhs; v++ {
-		seg := batch[v*n : (v+1)*n]
-		for i := 0; i < n; i++ {
-			seg[i] = px.At(c*n+i, v)
-		}
-		// Scale inputs into the modulator's full-scale range and quantize
-		// at the DAC.
-		scale := maxAbs(seg)
-		scales[v] = scale
+// detect is the one post-propagation stage: for each live vector in
+// ascending order (so noise draws are reproducible) it applies the block's
+// spectral scale, detection noise and the ADC, restores the modulator scale
+// the DAC divided out, and adds the n detected values into column v of
+// rows, the item's n output rows (row-major, one column per vector).
+func (a *Accelerator) detect(rows, states []complex128, scales []float64, blockScale float64, noise *optics.NoiseModel, adc optics.Quantizer) {
+	n, nrhs := a.blockSize, len(scales)
+	scaleC := complex(blockScale, 0)
+	for v, scale := range scales {
 		if scale == 0 {
-			// The interpreted path never propagates a dark column; its slab
-			// still rides through the plan (vectors are isolated, so even
-			// non-finite values that zeroed the scale cannot leak into a
-			// neighbour), but the output is discarded below.
-			clear(seg)
 			continue
 		}
-		for i := range seg {
-			seg[i] /= complex(scale, 0)
-		}
-		cfg.dac.QuantizeComplexVec(seg)
-	}
-	plan.ForwardBatch(batch, nrhs)
-	scaleC := complex(bp.Scale, 0)
-	for v0 := 0; v0 < nrhs; v0 += cfg.lambdas {
-		v1 := min(v0+cfg.lambdas, nrhs)
-		for v := v0; v < v1; v++ {
-			if scales[v] == 0 {
-				continue
-			}
-			out := batch[v*n : (v+1)*n]
-			if bp.Scale != 1 {
-				for i := range out {
-					out[i] *= scaleC
-				}
-			}
-			if noise != nil {
-				for i := range out {
-					out[i] = complex(noise.Apply(real(out[i])), noise.Apply(imag(out[i])))
-				}
-			}
-			// ADC quantization of detected outputs, in the normalized
-			// (pre-spectral-rescale) domain.
-			if bp.Scale != 0 {
-				for i := range out {
-					out[i] /= scaleC
-				}
-				cfg.adc.QuantizeComplexVec(out)
-				for i := range out {
-					out[i] *= scaleC
-				}
-			}
-			dst := res.out[v*n : (v+1)*n]
-			sc := complex(scales[v], 0)
-			for i := 0; i < n; i++ {
-				dst[i] = out[i] * sc
+		det := states[v*n:][:n]
+		if blockScale != 1 {
+			for i := range det {
+				det[i] *= scaleC
 			}
 		}
-		res.batches++
-		res.vectorPJ += a.ep.FlumenVectorsPJ(n, v1-v0)
+		if noise != nil {
+			for i := range det {
+				det[i] = complex(noise.Apply(real(det[i])), noise.Apply(imag(det[i])))
+			}
+		}
+		// ADC quantization of detected outputs, in the normalized
+		// (pre-spectral-rescale) domain.
+		if blockScale != 0 {
+			for i := range det {
+				det[i] /= scaleC
+			}
+			adc.QuantizeComplexVec(det)
+			for i := range det {
+				det[i] *= scaleC
+			}
+		}
+		sc := complex(scale, 0)
+		for i, d := range det {
+			rows[i*nrhs+v] += d * sc
+		}
 	}
 }
 
-// streamInterp streams the right-hand-side columns one vector at a time
-// through the interpreted lattice of run (which may be a fault-corrupted
-// variant of bp); bp supplies the spectral scale of the intended program.
-func (a *Accelerator) streamInterp(run, bp *photonic.BlockProgram, s *workerScratch, px *mat.Dense, c, nrhs int, cfg *callConfig, noise *optics.NoiseModel, res *itemResult) {
+// programFor resolves the weight program of block (r, c) of the padded
+// matrix pm, through the cache when one is configured. The block's
+// fingerprint is appended into *key (worker scratch) and looked up without
+// allocating; the block itself is materialized only on a miss. Concurrent
+// misses on the same key compile independently and the last put wins;
+// compilation is deterministic, so every copy is interchangeable.
+func (a *Accelerator) programFor(pm *mat.Dense, r, c int, cache *programCache, key *[]byte) (*photonic.BlockProgram, error) {
 	n := a.blockSize
-	scaleC := complex(bp.Scale, 0)
-	for v0 := 0; v0 < nrhs; v0 += cfg.lambdas {
-		v1 := min(v0+cfg.lambdas, nrhs)
-		for v := v0; v < v1; v++ {
-			seg := s.seg
-			for i := 0; i < n; i++ {
-				seg[i] = px.At(c*n+i, v)
-			}
-			// Scale inputs into the modulator's full-scale range and
-			// quantize at the DAC.
-			scale := maxAbs(seg)
-			if scale == 0 {
-				continue
-			}
-			for i := range seg {
-				seg[i] /= complex(scale, 0)
-			}
-			cfg.dac.QuantizeComplexVec(seg)
-			// Propagate through the compiled lattice rather than the
-			// physical partition: the result is identical math but does not
-			// depend on the partition's wire offset, which is what makes
-			// parallel output bitwise-equal to serial.
-			out := run.ForwardInto(s.res, seg)
-			if bp.Scale != 1 {
-				for i := range out {
-					out[i] *= scaleC
-				}
-			}
-			if noise != nil {
-				for i := range out {
-					out[i] = complex(noise.Apply(real(out[i])), noise.Apply(imag(out[i])))
-				}
-			}
-			// ADC quantization of detected outputs, in the normalized
-			// (pre-spectral-rescale) domain.
-			if bp.Scale != 0 {
-				for i := range out {
-					out[i] /= scaleC
-				}
-				cfg.adc.QuantizeComplexVec(out)
-				for i := range out {
-					out[i] *= scaleC
-				}
-			}
-			dst := res.out[v*n : (v+1)*n]
-			for i := 0; i < n; i++ {
-				dst[i] = out[i] * complex(scale, 0)
-			}
-		}
-		res.batches++
-		res.vectorPJ += a.ep.FlumenVectorsPJ(n, v1-v0)
-	}
-}
-
-// programFor resolves the weight program for a padded block, through the
-// cache when one is configured. Concurrent misses on the same key compile
-// independently and the last put wins; compilation is deterministic, so
-// every copy is interchangeable.
-func (a *Accelerator) programFor(blk *mat.Dense, cache *programCache) (*photonic.BlockProgram, error) {
 	if cache == nil {
-		return photonic.CompileBlockScaled(blk)
+		return photonic.CompileBlockScaled(mat.Block(pm, n, r, c))
 	}
-	key := blk.Fingerprint()
-	if bp, ok := cache.get(key); ok {
+	*key = mat.AppendBlockFingerprint((*key)[:0], pm, n, r, c)
+	if bp, ok := cache.get(*key); ok {
 		return bp, nil
 	}
-	bp, err := photonic.CompileBlockScaled(blk)
+	bp, err := photonic.CompileBlockScaled(mat.Block(pm, n, r, c))
 	if err != nil {
 		return nil, err
 	}
-	cache.put(key, bp)
+	cache.put(string(*key), bp)
 	return bp, nil
 }
 
@@ -637,10 +566,12 @@ func newProgramCache(capacity int) *programCache {
 	}
 }
 
-func (pc *programCache) get(key string) (*photonic.BlockProgram, bool) {
+// get, pin and unpin take the key as bytes: index[string(key)] looks up
+// without allocating, so only put — a miss — pays for a key string.
+func (pc *programCache) get(key []byte) (*photonic.BlockProgram, bool) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	if el, ok := pc.index[key]; ok {
+	if el, ok := pc.index[string(key)]; ok {
 		pc.ll.MoveToFront(el)
 		pc.hits++
 		return el.Value.(*cacheEntry).bp, true
@@ -682,10 +613,10 @@ func (pc *programCache) put(key string, bp *photonic.BlockProgram) {
 // pin marks key's entry as held against eviction (reference-counted).
 // Returns false when the key is not resident — the caller compiles and puts
 // first, so a false here means a concurrent eviction won the race.
-func (pc *programCache) pin(key string) bool {
+func (pc *programCache) pin(key []byte) bool {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	el, ok := pc.index[key]
+	el, ok := pc.index[string(key)]
 	if !ok {
 		return false
 	}
@@ -699,10 +630,10 @@ func (pc *programCache) pin(key string) bool {
 
 // unpin releases one pin hold on key; the entry becomes evictable again
 // when its count reaches zero. Returns false for unknown or unpinned keys.
-func (pc *programCache) unpin(key string) bool {
+func (pc *programCache) unpin(key []byte) bool {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	el, ok := pc.index[key]
+	el, ok := pc.index[string(key)]
 	if !ok {
 		return false
 	}

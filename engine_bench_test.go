@@ -35,3 +35,26 @@ func BenchmarkEngineKernelInterp256(b *testing.B)      { benchEngineMatMul(b, fa
 func BenchmarkEngineKernelCompiled256(b *testing.B)    { benchEngineMatMul(b, true, 8, 256, 256) }
 func BenchmarkEngineKernelInterp256B32(b *testing.B)   { benchEngineMatMul(b, false, 32, 256, 256) }
 func BenchmarkEngineKernelCompiled256B32(b *testing.B) { benchEngineMatMul(b, true, 32, 256, 256) }
+
+// BenchmarkEngineWarmWide is the engine call the standing benchmark's
+// serve_wide workload makes: a 64×64·64 product on a 32-port, block-8
+// accelerator whose 64 block programs and plans are already cached.
+func BenchmarkEngineWarmWide(b *testing.B) {
+	a, err := NewAccelerator(32, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	m := randMatrix(rng, 64, 64)
+	x := randMatrix(rng, 64, 64)
+	if _, err := a.MatMul(m, x); err != nil { // prime caches
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := a.MatMul(m, x); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -170,7 +170,8 @@ func TestEngineProgramCacheHits(t *testing.T) {
 			}
 		}
 	}
-	// Counters must be unaffected by caching: phases are still re-applied.
+	// Counters must be unaffected by caching: every item is still charged
+	// its phase programming.
 	aStats := a.Stats()
 	programs, batches := aStats.Programs, aStats.Batches
 	if programs != 8 || batches != 8 {
@@ -349,5 +350,35 @@ func TestEngineRoutePermutationRestoresPool(t *testing.T) {
 	x := randMatrix(rng, 8, 2)
 	if _, err := a.MatMul(m, x); err != nil {
 		t.Fatalf("MatMul after RoutePermutation: %v", err)
+	}
+}
+
+// TestWarmMatMulAllocations is the warm path's allocation budget. A cached
+// 64×64·64 product (the serve_wide call) made 487 allocations when every
+// item carried its own output slab, block copy and key strings; the budget
+// of 200 fails long before that returns. The second check pins the shape of
+// the cost: four times the items may allocate only the extra result rows the
+// caller gets back, so nothing can be allocated per item.
+func TestWarmMatMulAllocations(t *testing.T) {
+	warmAllocs := func(dim int) float64 {
+		a := newEngineAccel(t, 32, 8)
+		rng := rand.New(rand.NewSource(21))
+		m := randMatrix(rng, dim, dim)
+		x := randMatrix(rng, dim, 64)
+		call := func() {
+			if _, err := a.MatMul(m, x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		call() // compile and cache every block program and plan
+		return testing.AllocsPerRun(20, call)
+	}
+	wide, quarter := warmAllocs(64), warmAllocs(32) // 64 items, 16 items
+	if wide > 200 {
+		t.Errorf("warm 64×64·64 MatMul: %.0f allocations, budget 200", wide)
+	}
+	if extraRows := 64.0 - 32.0; wide-quarter > extraRows {
+		t.Errorf("64 items allocate %.0f, 16 items %.0f: %.0f more, only the %.0f extra result rows are allowed",
+			wide, quarter, wide-quarter, extraRows)
 	}
 }

@@ -75,7 +75,7 @@ func TestFailoverUnderLoad(t *testing.T) {
 		}
 	}
 
-	h, err := StartBackends(3, serveCfg)
+	h, err := startBackends(3, serveCfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"path/filepath"
 	"sync"
@@ -33,16 +34,52 @@ type harnessNode struct {
 	done   chan error
 }
 
+// harnessBasePort is the loopback port of node 0 of a fleet of several; node
+// i listens on harnessBasePort+i. The router ranks backends by a hash of
+// their URLs, so on kernel-assigned ports which node owns which weights
+// differed from one start to the next, and in about one start in five one
+// node was handed more unpinned programs than its cache has room for: the
+// same routed stream then ran 10 % slower with 0.6 ms more p95
+// (EXPERIMENTS.md, "Fleet placement"). With fixed ports a fleet's placement
+// is a function of the traffic alone.
+const harnessBasePort = 18080
+
 // StartBackends launches n flumend instances with the given base config
-// (Addr is overridden with loopback-any-port; NodeID with "node-<i>").
-// Identical Ports/BlockSize/Precision/InferSeed across nodes is what makes
+// (NodeID is overridden with "node-<i>"; Addr with loopback ports from
+// harnessBasePort up, or with any free ports while another fleet holds those
+// and for a lone node: it owns every key whatever it is called, and its
+// callers reach it directly, over connections that would outlive it at a
+// repeated address). Identical Ports/BlockSize/Precision/InferSeed across nodes is what makes
 // the fleet bitwise-interchangeable.
 func StartBackends(n int, base serve.Config) (*Harness, error) {
+	if n < 2 {
+		return startBackends(n, base, 0)
+	}
+	return startBackends(n, base, harnessBasePort)
+}
+
+// startBackends is StartBackends from a chosen first port; 0 asks the kernel
+// for every port, which tests that kill and restart nodes do so that they
+// never contend with another process's fleet for a port a node must return to.
+func startBackends(n int, base serve.Config, port int) (*Harness, error) {
+	// A fleet is either wholly at the fixed addresses or nowhere near them.
+	for i := 0; i < n && port != 0; i++ {
+		lis, err := net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", port+i))
+		if err != nil {
+			port = 0
+			continue
+		}
+		lis.Close()
+	}
 	h := &Harness{cfg: base}
 	for i := 0; i < n; i++ {
 		node := &harnessNode{nodeID: fmt.Sprintf("node-%d", i)}
 		h.nodes = append(h.nodes, node)
-		if err := h.start(node, "127.0.0.1:0"); err != nil {
+		addr := "127.0.0.1:0"
+		if port != 0 {
+			addr = fmt.Sprintf("127.0.0.1:%d", port+i)
+		}
+		if err := h.start(node, addr); err != nil {
 			h.Stop()
 			return nil, err
 		}

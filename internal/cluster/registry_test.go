@@ -67,7 +67,7 @@ func TestRouterModelFanoutAndReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	h, err := StartBackends(2, serveCfg)
+	h, err := startBackends(2, serveCfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,14 +12,18 @@ import (
 // one photonic matrix multiplication, and chiplets accumulate the partial
 // sums.
 
-// PadTo returns a copy of m zero-padded so both dimensions are multiples
-// of n (Eq. 2). Matrices already aligned are copied unchanged.
+// PadTo returns m zero-padded so both dimensions are multiples of n
+// (Eq. 2). A matrix already aligned is returned as is, not copied: callers
+// treat the result as read-only.
 func PadTo(m *Dense, n int) *Dense {
 	if n <= 0 {
 		panic("mat: PadTo requires positive block size")
 	}
 	pr := ceilMultiple(m.rows, n)
 	pc := ceilMultiple(m.cols, n)
+	if pr == m.rows && pc == m.cols {
+		return m
+	}
 	out := New(pr, pc)
 	for i := 0; i < m.rows; i++ {
 		copy(out.data[i*pc:i*pc+m.cols], m.data[i*m.cols:(i+1)*m.cols])
@@ -66,11 +70,32 @@ func (m *Dense) Fingerprint() string {
 	b := make([]byte, 0, 16+16*len(m.data))
 	b = binary.LittleEndian.AppendUint64(b, uint64(m.rows))
 	b = binary.LittleEndian.AppendUint64(b, uint64(m.cols))
-	for _, v := range m.data {
+	return string(appendBits(b, m.data))
+}
+
+// AppendBlockFingerprint appends Block(m, n, bi, bj).Fingerprint() to b
+// without materializing the block, so a cache lookup on a resident block
+// allocates nothing.
+func AppendBlockFingerprint(b []byte, m *Dense, n, bi, bj int) []byte {
+	if m.rows%n != 0 || m.cols%n != 0 {
+		panic("mat: AppendBlockFingerprint requires dimensions aligned to the block size")
+	}
+	b = binary.LittleEndian.AppendUint64(b, uint64(n))
+	b = binary.LittleEndian.AppendUint64(b, uint64(n))
+	for i := 0; i < n; i++ {
+		src := (bi*n+i)*m.cols + bj*n
+		b = appendBits(b, m.data[src:src+n])
+	}
+	return b
+}
+
+// appendBits appends the raw IEEE-754 bits of every element of vs.
+func appendBits(b []byte, vs []complex128) []byte {
+	for _, v := range vs {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(real(v)))
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(imag(v)))
 	}
-	return string(b)
+	return b
 }
 
 // BlockGrid reports the number of block rows and block columns for matrix m

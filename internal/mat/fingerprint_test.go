@@ -2,6 +2,7 @@ package mat
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -35,5 +36,30 @@ func TestFingerprintIsBitExact(t *testing.T) {
 	// fingerprint keeps them apart (conservative: never a false hit).
 	if a.Fingerprint() == b.Fingerprint() {
 		t.Fatal("+0 and -0 share a fingerprint")
+	}
+}
+
+// TestAppendBlockFingerprintMatchesBlock pins the engine's allocation-free
+// cache key to the key of the materialized block, for every block of a padded
+// matrix and with a reused, non-empty-capacity buffer.
+func TestAppendBlockFingerprintMatchesBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	m := PadTo(RandomReal(10, 7, rng), 4)
+	m.Set(0, 0, complex(math.Copysign(0, -1), 0))
+	var buf []byte
+	for bi := 0; bi < m.Rows()/4; bi++ {
+		for bj := 0; bj < m.Cols()/4; bj++ {
+			buf = AppendBlockFingerprint(buf[:0], m, 4, bi, bj)
+			if string(buf) != Block(m, 4, bi, bj).Fingerprint() {
+				t.Fatalf("block (%d,%d): appended fingerprint differs from Block().Fingerprint()", bi, bj)
+			}
+		}
+	}
+}
+
+func TestPadToReturnsAlignedMatrixUncopied(t *testing.T) {
+	m := New(4, 8)
+	if PadTo(m, 4) != m {
+		t.Fatal("PadTo copied a matrix that was already aligned")
 	}
 }

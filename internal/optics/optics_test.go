@@ -217,6 +217,68 @@ func TestQuantizeComplexVec(t *testing.T) {
 	}
 }
 
+// refQuantize is the scalar converter written out element by element — step
+// and largest code re-derived for each value, as the vector forms did before
+// they hoisted both — kept here as the oracle for them.
+func refQuantize(q Quantizer, x float64) float64 {
+	max := float64(int(1)<<(q.Bits-1) - 1)
+	step := q.FullScale / max
+	k := math.Round(x / step)
+	if k > max {
+		k = max
+	}
+	if k < -max {
+		k = -max
+	}
+	return k * step
+}
+
+// TestQuantizeVecMatchesScalarBitwise holds the vector forms (which derive
+// the step once per vector) to the scalar converter bit for bit, on the
+// values where a reordered or fused computation would show: NaN, ±Inf, −0,
+// exact half-step ties, both clip edges, and a seeded sweep.
+func TestQuantizeVecMatchesScalarBitwise(t *testing.T) {
+	for _, bits := range []int{4, 8, 12} {
+		for _, fullScale := range []float64{1, math.Sqrt(8)} {
+			q := NewQuantizer(bits, fullScale)
+			step := q.Step()
+			xs := []float64{
+				math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+				step / 2, -step / 2, 1.5 * step, -1.5 * step, 2.5 * step,
+				fullScale, -fullScale, math.Nextafter(fullScale, 2*fullScale), -math.Nextafter(fullScale, 2*fullScale),
+				fullScale - step/2, -(fullScale - step/2), 10 * fullScale, -10 * fullScale,
+				math.SmallestNonzeroFloat64, math.MaxFloat64,
+			}
+			rng := rand.New(rand.NewSource(int64(bits)))
+			for i := 0; i < 10000; i++ {
+				xs = append(xs, 1.2*fullScale*(2*rng.Float64()-1))
+			}
+			want := make([]uint64, len(xs))
+			for i, x := range xs {
+				want[i] = math.Float64bits(refQuantize(q, x))
+				if got := math.Float64bits(q.Quantize(x)); got != want[i] {
+					t.Fatalf("%d bits: Quantize(%v) = %x, reference %x", bits, x, got, want[i])
+				}
+			}
+			reals := q.QuantizeVec(append([]float64(nil), xs...))
+			cs := make([]complex128, len(xs))
+			for i, x := range xs {
+				cs[i] = complex(x, xs[len(xs)-1-i])
+			}
+			q.QuantizeComplexVec(cs)
+			for i := range xs {
+				if got := math.Float64bits(reals[i]); got != want[i] {
+					t.Fatalf("%d bits: QuantizeVec(%v) = %x, scalar %x", bits, xs[i], got, want[i])
+				}
+				if re, im := math.Float64bits(real(cs[i])), math.Float64bits(imag(cs[i])); re != want[i] || im != want[len(xs)-1-i] {
+					t.Fatalf("%d bits: QuantizeComplexVec(%v) = (%x, %x), scalar (%x, %x)",
+						bits, complex(xs[i], xs[len(xs)-1-i]), re, im, want[i], want[len(xs)-1-i])
+				}
+			}
+		}
+	}
+}
+
 func TestNoiseModelDeterministicWhenNil(t *testing.T) {
 	n := NoiseModel{RINSigma: 0.1, ThermalSigma: 0.1, FullScale: 1, Rng: nil}
 	if n.Apply(0.5) != 0.5 {

@@ -42,9 +42,14 @@ func (q Quantizer) Step() float64 { return q.FullScale / float64(q.maxCode()) }
 // Quantize rounds x to the nearest representable level, clipping to full
 // scale.
 func (q Quantizer) Quantize(x float64) float64 {
-	step := q.Step()
+	return quantize(x, q.Step(), float64(q.maxCode()))
+}
+
+// quantize is Quantize with the step and the largest code already derived,
+// so the vector forms pay for the division behind Step once per vector
+// instead of once per element.
+func quantize(x, step, max float64) float64 {
 	k := math.Round(x / step)
-	max := float64(q.maxCode())
 	if k > max {
 		k = max
 	}
@@ -56,8 +61,9 @@ func (q Quantizer) Quantize(x float64) float64 {
 
 // QuantizeVec quantizes a real vector in place and returns it.
 func (q Quantizer) QuantizeVec(xs []float64) []float64 {
+	step, max := q.Step(), float64(q.maxCode())
 	for i, x := range xs {
-		xs[i] = q.Quantize(x)
+		xs[i] = quantize(x, step, max)
 	}
 	return xs
 }
@@ -70,8 +76,9 @@ func (q Quantizer) QuantizeComplex(x complex128) complex128 {
 
 // QuantizeComplexVec quantizes a complex vector in place and returns it.
 func (q Quantizer) QuantizeComplexVec(xs []complex128) []complex128 {
+	step, max := q.Step(), float64(q.maxCode())
 	for i, x := range xs {
-		xs[i] = q.QuantizeComplex(x)
+		xs[i] = complex(quantize(real(x), step, max), quantize(imag(x), step, max))
 	}
 	return xs
 }
