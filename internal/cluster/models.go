@@ -3,9 +3,6 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"strings"
@@ -89,16 +86,8 @@ func (rt *Router) handleModelRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set(serve.HeaderRequestID, reqID)
 
-	r.Body = http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			rt.answerError(w, "models", start, nil, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", rt.cfg.MaxBodyBytes))
-			return
-		}
-		rt.answerError(w, "models", start, nil, http.StatusBadRequest, "reading request body: "+err.Error())
+	body, ok := rt.readBody(w, r, "models", start, nil)
+	if !ok {
 		return
 	}
 	var spec registry.Spec

@@ -189,11 +189,8 @@ func (rt *Router) Stats() Stats {
 // registration, so by-name and inline traffic for the same weights land on
 // the same node.
 func (rt *Router) matmulKey(body []byte) (string, error) {
-	var req struct {
-		M     [][]float64 `json:"m"`
-		Model string      `json:"model"`
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
+	var req serve.MatMulRequest
+	if err := serve.DecodeMatMul(body, &req, serve.RoutingFields); err != nil {
 		return "", err
 	}
 	if req.Model != "" {
@@ -206,11 +203,8 @@ func (rt *Router) matmulKey(body []byte) (string, error) {
 // kernel per row: the backend im2cols the kernels into exactly such a
 // matrix before programming the mesh.
 func (rt *Router) conv2dKey(body []byte) (string, error) {
-	var req struct {
-		Kernels [][][][]float64 `json:"kernels"`
-		Model   string          `json:"model"`
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
+	var req serve.Conv2DRequest
+	if err := serve.DecodeConv2D(body, &req, serve.RoutingFields); err != nil {
 		return "", err
 	}
 	if req.Model != "" {
@@ -225,10 +219,8 @@ func (rt *Router) conv2dKey(body []byte) (string, error) {
 // therefore its cached programs — are the same on whichever node repeatedly
 // serves it.
 func (rt *Router) inferKey(body []byte) (string, error) {
-	var req struct {
-		Model string `json:"model"`
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
+	var req serve.InferRequest
+	if err := serve.DecodeInfer(body, &req, serve.RoutingFields); err != nil {
 		return "", err
 	}
 	if e := rt.lookupModel(req.Model); e != nil {
@@ -251,22 +243,15 @@ func (rt *Router) handleProxy(endpoint, path string, keyFn func([]byte) (string,
 		w.Header().Set(serve.HeaderRequestID, reqID)
 		tr := rt.traceFor(r, reqID)
 
-		r.Body = http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			var tooLarge *http.MaxBytesError
-			if errors.As(err, &tooLarge) {
-				rt.answerError(w, endpoint, start, tr, http.StatusRequestEntityTooLarge,
-					fmt.Sprintf("request body exceeds %d bytes", rt.cfg.MaxBodyBytes))
-				return
-			}
-			rt.answerError(w, endpoint, start, tr, http.StatusBadRequest, "reading request body: "+err.Error())
+		body, ok := rt.readBody(w, r, endpoint, start, tr)
+		if !ok {
 			return
 		}
 		key, err := keyFn(body)
 		if err != nil {
-			// Unroutable means unparseable: answer the structured 400 here
-			// rather than wasting a backend round trip.
+			// Unroutable means unparseable: the key comes from the backend's
+			// own decoder, so this is the 400 the backend would answer, given
+			// here rather than after a round trip.
 			rt.answerError(w, endpoint, start, tr, http.StatusBadRequest, "malformed JSON: "+err.Error())
 			return
 		}
@@ -274,6 +259,23 @@ func (rt *Router) handleProxy(endpoint, path string, keyFn func([]byte) (string,
 		rt.budget.onRequest()
 		rt.forward(w, r, endpoint, path, key, body, reqID, start, tr)
 	}
+}
+
+// readBody reads a request body sized by its Content-Length and bounded by
+// MaxBodyBytes, refusing with the backend's own 413 or 400 itself. The bytes
+// are not pooled: a losing hedge arm can still be sending them after the
+// handler has returned.
+func (rt *Router) readBody(w http.ResponseWriter, r *http.Request, endpoint string, start time.Time, tr *trace.Trace) ([]byte, bool) {
+	var buf bytes.Buffer
+	err := serve.ReadBody(w, r, rt.cfg.MaxBodyBytes, &buf)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		rt.answerError(w, endpoint, start, tr, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", rt.cfg.MaxBodyBytes))
+	case err != nil:
+		rt.answerError(w, endpoint, start, tr, http.StatusBadRequest, "reading request body: "+err.Error())
+	}
+	return buf.Bytes(), err == nil
 }
 
 // forward walks the preference order: definitive answers (2xx/4xx) relay
@@ -576,12 +578,22 @@ func (rt *Router) retryAfterSecs() string {
 	return strconv.Itoa(secs)
 }
 
-func (rt *Router) answerError(w http.ResponseWriter, endpoint string, start time.Time, tr *trace.Trace, code int, msg string) {
+// answerError answers an error of the router's own making. Where it stands
+// in for a backend's verdict on the body (400, 413) it carries the backend's
+// stable code; its own conditions (502, 503, 504) carry none.
+func (rt *Router) answerError(w http.ResponseWriter, endpoint string, start time.Time, tr *trace.Trace, status int, msg string) {
+	body := map[string]string{"error": msg}
+	switch status {
+	case http.StatusBadRequest:
+		body["code"] = serve.CodeBadRequest
+	case http.StatusRequestEntityTooLarge:
+		body["code"] = serve.CodeBodyTooLarge
+	}
 	wstart := time.Now()
-	writeJSON(w, code, map[string]string{"error": msg})
+	writeJSON(w, status, body)
 	tr.Add(trace.StageWrite, time.Since(wstart))
 	rt.met.observeRequest(endpoint, time.Since(start), true)
-	rt.finishTrace(tr, endpoint, code)
+	rt.finishTrace(tr, endpoint, status)
 }
 
 // --- observability ----------------------------------------------------------

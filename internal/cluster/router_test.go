@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,6 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"flumen/internal/loadgen"
+	"flumen/internal/registry"
 	"flumen/internal/serve"
 )
 
@@ -231,23 +234,50 @@ func TestRouterRejectsMalformedWithoutBackendTrip(t *testing.T) {
 
 	cases := []struct {
 		name   string
+		path   string
 		body   string
 		status int
+		code   string
 	}{
-		{"malformed", `{"m": [[1,`, http.StatusBadRequest},
-		{"wrong type", `{"m": 42}`, http.StatusBadRequest},
-		{"oversized", `{"m": [[` + strings.Repeat("1,", 2000) + `1]]}`, http.StatusRequestEntityTooLarge},
+		{"malformed", "/v1/matmul", `{"m": [[1,`, http.StatusBadRequest, serve.CodeBadRequest},
+		{"wrong type", "/v1/matmul", `{"m": 42}`, http.StatusBadRequest, serve.CodeBadRequest},
+		{"ragged m", "/v1/matmul", `{"m": [[1,2],[3]], "x": [[1],[2]]}`, http.StatusBadRequest, serve.CodeBadRequest},
+		{"ragged kernels", "/v1/conv2d", `{"input": [[[1]]], "kernels": [[[[1,2],[3]]]]}`, http.StatusBadRequest, serve.CodeBadRequest},
+		{"null row in m", "/v1/matmul", `{"m": [[1],null], "x": [[1]]}`, http.StatusBadRequest, serve.CodeBadRequest},
+		{"null kernel", "/v1/conv2d", `{"input": [[[1]]], "kernels": [[[[1]]],null]}`, http.StatusBadRequest, serve.CodeBadRequest},
+		{"trailing data", "/v1/infer", `{"model": "tiny-cnn"} {}`, http.StatusBadRequest, serve.CodeBadRequest},
+		{"oversized", "/v1/matmul", `{"m": [[` + strings.Repeat("1,", 2000) + `1]]}`, http.StatusRequestEntityTooLarge, serve.CodeBodyTooLarge},
 	}
+	// What a backend answers to the same bodies: the router must say the same.
+	scfg := serve.DefaultConfig()
+	scfg.MaxBodyBytes = cfg.MaxBodyBytes
+	backend, err := serve.New(scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer backend.Close()
 	for _, tc := range cases {
-		w := postRouter(rt, "/v1/matmul", tc.body, nil)
-		if w.Code != tc.status {
-			t.Errorf("%s: status %d, want %d", tc.name, w.Code, tc.status)
-		}
+		w := postRouter(rt, tc.path, tc.body, nil)
 		var er struct {
 			Error string `json:"error"`
+			Code  string `json:"code"`
 		}
 		if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || er.Error == "" {
 			t.Errorf("%s: error body not structured JSON: %q", tc.name, w.Body)
+		}
+		if w.Code != tc.status || er.Code != tc.code {
+			t.Errorf("%s: router answers %d %q, want %d %q", tc.name, w.Code, er.Code, tc.status, tc.code)
+		}
+		bw := httptest.NewRecorder()
+		backend.Handler().ServeHTTP(bw, httptest.NewRequest("POST", tc.path, strings.NewReader(tc.body)))
+		var ber struct {
+			Code string `json:"code"`
+		}
+		if err := json.Unmarshal(bw.Body.Bytes(), &ber); err != nil {
+			t.Fatalf("%s: backend error body: %v", tc.name, err)
+		}
+		if bw.Code != w.Code || ber.Code != er.Code {
+			t.Errorf("%s: backend answers %d %q, router %d %q", tc.name, bw.Code, ber.Code, w.Code, er.Code)
 		}
 	}
 	if hits.Load() != 0 {
@@ -389,6 +419,98 @@ func TestRouterMetricsExposition(t *testing.T) {
 	} {
 		if !strings.Contains(body, metric) {
 			t.Errorf("/metrics missing %q", metric)
+		}
+	}
+}
+
+// TestRouterKeyMatchesBackendKey: the router derives a request's routing key
+// with the backend's own decoder, so the node it picks is the node whose
+// program cache and coalescer key the request the same way. For every
+// request of the standing mixed stream the two keys are compared: inline
+// weights against the fingerprint of a full decode, by-name requests against
+// the RoutingKey of the model the backend's registry resolves.
+func TestRouterKeyMatchesBackendKey(t *testing.T) {
+	scfg := serve.DefaultConfig()
+	scfg.Addr = "127.0.0.1:0"
+	h, err := StartBackends(1, scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Stop()
+	cfg := DefaultConfig()
+	cfg.Backends = h.URLs()
+	rt := newTestRouter(t, cfg)
+	ref, err := serve.NewReference(scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for seed := int64(1); seed <= 3; seed++ {
+		lcfg := loadgen.DefaultConfig()
+		lcfg.Seed = seed
+		st, err := loadgen.NewStream(lcfg, ref.InferShapes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, spec := range st.ModelSpecs() {
+			// Each seed draws its own catalog under the same names.
+			spec.Version = fmt.Sprintf("v%d", seed)
+			body, _ := json.Marshal(spec)
+			if w := postRouter(rt, "/v1/models", string(body), nil); w.Code != http.StatusCreated {
+				t.Fatalf("registering %s: %d %s", spec.Ref(), w.Code, w.Body)
+			}
+		}
+		byName := 0
+		for i := range st.Requests {
+			r := &st.Requests[i]
+			body := r.Body
+			if r.ByName {
+				body = bytes.Replace(body, []byte(`@v1"`), []byte(fmt.Sprintf(`@v%d"`, seed)), 1)
+				byName++
+			}
+			var got, want string
+			switch r.Op {
+			case loadgen.OpMatMul:
+				var req serve.MatMulRequest
+				if err := serve.DecodeMatMul(body, &req, serve.AllFields); err != nil {
+					t.Fatal(err)
+				}
+				want = serve.WeightFingerprint(req.M)
+				if req.Model != "" {
+					mdl, err := h.Backend(0).Registry().Resolve(req.Model)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want = mdl.Spec.RoutingKey()
+					if inline := serve.WeightFingerprint(st.Matrices[r.WeightIdx]); want != inline {
+						t.Fatalf("seed %d request %d: by-name key differs from the inline key of the same weights", seed, i)
+					}
+				}
+				got, err = rt.matmulKey(body)
+			case loadgen.OpConv2D:
+				var req serve.Conv2DRequest
+				if err := serve.DecodeConv2D(body, &req, serve.AllFields); err != nil {
+					t.Fatal(err)
+				}
+				want = serve.WeightFingerprint(registry.RavelKernels(req.Kernels))
+				got, err = rt.conv2dKey(body)
+			case loadgen.OpInfer:
+				var req serve.InferRequest
+				if err := serve.DecodeInfer(body, &req, serve.AllFields); err != nil {
+					t.Fatal(err)
+				}
+				want = "model:" + req.Model
+				got, err = rt.inferKey(body)
+			}
+			if err != nil {
+				t.Fatalf("seed %d request %d (%s): router refuses a body the backend takes: %v", seed, i, r.Op, err)
+			}
+			if got != want {
+				t.Fatalf("seed %d request %d (%s): router key and backend key differ", seed, i, r.Op)
+			}
+		}
+		if byName == 0 {
+			t.Fatalf("seed %d: the stream has no by-name request to compare", seed)
 		}
 	}
 }

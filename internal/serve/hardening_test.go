@@ -2,11 +2,17 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
+	"net/http/httptest"
+	"net/http/httptrace"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestDecodeHardening exercises the request-body hardening on every
@@ -127,4 +133,144 @@ func TestRequestIdentityHeaders(t *testing.T) {
 	if got := resp.Header.Get(HeaderNode); got != "node-under-test" {
 		t.Errorf("error path dropped %s: got %q", HeaderNode, got)
 	}
+}
+
+// TestBodyLimitIgnoresContentLength: the declared length only sizes the read
+// buffer. A chunked body that declares nothing and a body longer than it
+// declared are both cut off at MaxBodyBytes with a 413.
+func TestBodyLimitIgnoresContentLength(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxBodyBytes = 1 << 10
+	s, hs := newTestServer(t, cfg)
+	big := `{"m": [[` + strings.Repeat("1,", 2000) + `1]]}`
+
+	// struct{io.Reader} hides the reader's length from net/http, which then
+	// sends the body chunked.
+	req, err := http.NewRequest("POST", hs.URL+"/v1/matmul", struct{ io.Reader }{strings.NewReader(big)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("chunked body without Content-Length: status %d, want 413", resp.StatusCode)
+	}
+
+	// net/http's server would truncate the body at the declared length, so
+	// the understating request goes to the handler directly.
+	for _, path := range []string{"/v1/matmul", "/v1/conv2d", "/v1/infer"} {
+		r := httptest.NewRequest("POST", path, strings.NewReader(big))
+		r.ContentLength = 16
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, r)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with an understated Content-Length: status %d, want 413", path, rec.Code)
+		}
+	}
+
+	// Nor does an overstating one buy memory: headers that declare the whole
+	// limit and a body that never arrives reserve at most a pooled buffer.
+	r := httptest.NewRequest("POST", "/v1/matmul", strings.NewReader(""))
+	r.ContentLength = 32 << 20
+	var buf bytes.Buffer
+	if err := ReadBody(httptest.NewRecorder(), r, 32<<20, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Cap() > 2*maxPooledBody {
+		t.Errorf("Content-Length %d with no body reserved %d bytes, want about %d", r.ContentLength, buf.Cap(), maxPooledBody)
+	}
+}
+
+// TestTimedOutJobKeepsItsOperands pins who owns what after a decode. The
+// body's bytes go back to the pool when the scan returns; the decoded floats
+// belong to the job, which can outlive its handler: await answers 504 on a
+// deadline while the job is still queued or running. So later requests — on
+// the same connection, through the same byte pool — must not be able to
+// touch the late job's operands. Run under -race.
+func TestTimedOutJobKeepsItsOperands(t *testing.T) {
+	cfg := testConfig()
+	s, hs := newTestServer(t, cfg)
+	ref, err := NewReference(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reused := 0
+	ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+		GotConn: func(info httptrace.GotConnInfo) {
+			if info.Reused {
+				reused++
+			}
+		},
+	})
+	post := func(body MatMulRequest) (int, MatMulResponse) {
+		t.Helper()
+		b, _ := json.Marshal(body)
+		req, err := http.NewRequestWithContext(ctx, "POST", hs.URL+"/v1/matmul", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := hs.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out MatMulResponse
+		if resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode, out
+	}
+
+	rng := rand.New(rand.NewSource(22))
+	m, x := testMatrix(rng, 16, 16), testMatrix(rng, 16, 3)
+	release := stallExecutor(t, s)
+	if status, _ := post(MatMulRequest{M: m, X: x, TimeoutMS: 50}); status != http.StatusGatewayTimeout {
+		t.Fatalf("request behind a stalled executor: status %d, want 504", status)
+	}
+	// The handler is gone; its job still sits in the queue. Take it, as the
+	// executor would once it gets there.
+	var late *job
+	select {
+	case late = <-s.sched.queue:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the timed-out request left no job in the queue")
+	}
+	release()
+
+	for i := 0; i < 8; i++ {
+		om, ox := testMatrix(rng, 16, 16), testMatrix(rng, 16, 3)
+		status, out := post(MatMulRequest{M: om, X: ox})
+		if status != http.StatusOK {
+			t.Fatalf("request %d after the timeout: status %d", i, status)
+		}
+		want, err := ref.MatMul(om, ox)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bitwise2D(t, out.C, want, fmt.Sprintf("request %d after the timeout", i))
+	}
+	if reused < 8 {
+		t.Errorf("%d of 9 requests reused the connection, want 8", reused)
+	}
+
+	// The late job runs now, from operands decoded nine bodies ago.
+	late.ctx, late.done = context.Background(), make(chan jobResult, 1)
+	if err := s.sched.submit(late); err != nil {
+		t.Fatal(err)
+	}
+	res := <-late.done
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	want, err := ref.MatMul(m, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitwise2D(t, res.matmul, want, "late job")
 }

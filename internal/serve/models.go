@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"flumen/internal/registry"
+	"flumen/internal/trace"
 )
 
 // The model-management API:
@@ -43,7 +44,7 @@ func (s *Server) handleModelRegister(w http.ResponseWriter, r *http.Request) {
 			writeErrorCode(w, http.StatusConflict, CodeVersionConflict, err.Error())
 			return
 		}
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeErrorCode(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
 	}
 	s.met.observeRegistration()
@@ -61,41 +62,42 @@ func (s *Server) handleModelList(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleModelDelete(w http.ResponseWriter, r *http.Request) {
 	ref := r.PathValue("ref")
 	if err := s.reg.Remove(ref); err != nil {
-		writeRegistryError(w, err)
+		status, code := registryStatus(err)
+		writeErrorCode(w, status, code, err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"removed": ref})
 }
 
 // resolveModel looks up a by-reference model for a compute endpoint,
-// answering the error response itself (404 with a stable code for unknown
+// rejecting the request itself (404 with a stable code for unknown
 // name/version, 400 kind_mismatch when the model exists but belongs to a
 // different endpoint). Returns nil if the response has been written.
-func (s *Server) resolveModel(w http.ResponseWriter, ref string, kind registry.Kind) *registry.Model {
+func (s *Server) resolveModel(w http.ResponseWriter, tr *trace.Trace, endpoint, ref string, kind registry.Kind) *registry.Model {
 	m, err := s.reg.Resolve(ref)
 	if err != nil {
-		writeRegistryError(w, err)
+		status, code := registryStatus(err)
+		s.reject(w, tr, endpoint, status, code, err.Error())
 		return nil
 	}
 	if m.Spec.Kind != kind {
-		writeErrorCode(w, http.StatusBadRequest, CodeKindMismatch,
+		s.reject(w, tr, endpoint, http.StatusBadRequest, CodeKindMismatch,
 			"model "+m.Spec.Ref()+" is kind "+string(m.Spec.Kind)+", this endpoint serves "+string(kind))
 		return nil
 	}
 	return m
 }
 
-// writeRegistryError maps registry resolution errors onto stable-code
+// registryStatus maps registry resolution errors onto stable-code
 // responses: unknown names and unknown versions are distinct 404s.
-func writeRegistryError(w http.ResponseWriter, err error) {
+func registryStatus(err error) (status int, code string) {
 	switch {
 	case errors.Is(err, registry.ErrUnknownVersion):
-		writeErrorCode(w, http.StatusNotFound, CodeVersionMismatch, err.Error())
+		return http.StatusNotFound, CodeVersionMismatch
 	case errors.Is(err, registry.ErrUnknownModel):
-		writeErrorCode(w, http.StatusNotFound, CodeUnknownModel, err.Error())
-	default:
-		writeErrorCode(w, http.StatusInternalServerError, CodeInternal, err.Error())
+		return http.StatusNotFound, CodeUnknownModel
 	}
+	return http.StatusInternalServerError, CodeInternal
 }
 
 func modelInfo(m *registry.Model) registry.Info {

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -340,4 +342,66 @@ func TestErrorPathOutcomeMetrics(t *testing.T) {
 			t.Errorf("errors_total = %d, want 1: a shed admitted request is an errored request", errors)
 		}
 	})
+}
+
+// Regression: every exit of a compute handler before admission — malformed
+// body, failed validation, unknown model, oversized body — used to return
+// without finalizing the trace, so with tracing on such a request never
+// reached /debug/requests or the stage histograms. They all go through
+// Server.reject now, which books the decode stage and finalizes.
+func TestTracedRejectsReachTheRing(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxBodyBytes = 1 << 10
+	s, hs := newTestServer(t, cfg)
+
+	cases := []struct {
+		name, endpoint, body string
+		status               int
+	}{
+		{"malformed json", "matmul", `{"m": [[1,`, http.StatusBadRequest},
+		{"model and inline m", "matmul", `{"model":"w@v1","m":[[1]],"x":[[1]]}`, http.StatusBadRequest},
+		{"failed validation", "conv2d", `{"input":[[[1]]],"kernels":[[[[1]],[[1]]]]}`, http.StatusBadRequest},
+		{"wrong input shape", "infer", `{"model":"vggfc-micro","vector":[1]}`, http.StatusBadRequest},
+		{"unknown model", "matmul", `{"model":"nope@v1","x":[[1]]}`, http.StatusNotFound},
+		{"unknown built-in", "infer", `{"model":"nope"}`, http.StatusNotFound},
+		{"oversized", "conv2d", `{"input": [[[` + strings.Repeat("1,", 2000) + `1]]]}`, http.StatusRequestEntityTooLarge},
+	}
+	for i, tc := range cases {
+		id := fmt.Sprintf("reject-%d", i)
+		req, err := http.NewRequest("POST", hs.URL+"/v1/"+tc.endpoint, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(HeaderTrace, "1")
+		req.Header.Set(HeaderRequestID, id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Fatalf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.status)
+		}
+		// The record is pushed after the response write, so the client can
+		// be ahead of it.
+		var rec trace.Record
+		waitFor(t, tc.name+" in the trace ring", func() bool {
+			for _, r := range s.ring.Snapshot() {
+				if r.ID == id {
+					rec = r
+					return true
+				}
+			}
+			return false
+		})
+		if rec.Status != tc.status || rec.Endpoint != tc.endpoint {
+			t.Errorf("%s: ring record is %s %d, want %s %d", tc.name, rec.Endpoint, rec.Status, tc.endpoint, tc.status)
+		}
+		if rec.Duration(trace.StageDecode) <= 0 {
+			t.Errorf("%s: ring record has no decode stage: %s", tc.name, rec.StageString())
+		}
+	}
+	if got := stageTotal(s, trace.StageDecode); got != int64(len(cases)) {
+		t.Errorf("decode-stage histogram holds %d observations, want %d", got, len(cases))
+	}
 }

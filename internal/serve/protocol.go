@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"math"
 
 	"flumen/internal/trace"
 	"flumen/internal/wfp"
@@ -136,68 +135,33 @@ type errorResponse struct {
 	Code  string `json:"code,omitempty"`
 }
 
-// validateMatMul checks dimensions before admission, so malformed requests
-// are rejected with 400 instead of occupying a queue slot.
+// The validate* functions check, before admission, what one field cannot
+// tell the decoder: emptiness and how the operands fit each other. That
+// every operand is rectangular and every value finite is established by the
+// decode itself (decode.go), so nothing here walks a value.
+
+// validateMatMul checks an inline request's weights and operand.
 func validateMatMul(req *MatMulRequest) error {
-	rows := len(req.M)
-	if rows == 0 || len(req.M[0]) == 0 {
+	if len(req.M) == 0 || len(req.M[0]) == 0 {
 		return fmt.Errorf("m must be a non-empty matrix")
 	}
-	inner := len(req.M[0])
-	for i, r := range req.M {
-		if len(r) != inner {
-			return fmt.Errorf("m is ragged: row %d has %d columns, row 0 has %d", i, len(r), inner)
-		}
-	}
-	if len(req.X) != inner {
-		return fmt.Errorf("dimension mismatch: m is %d×%d but x has %d rows", rows, inner, len(req.X))
-	}
-	nrhs := len(req.X[0])
-	if nrhs == 0 {
-		return fmt.Errorf("x must have at least one column")
-	}
-	for i, r := range req.X {
-		if len(r) != nrhs {
-			return fmt.Errorf("x is ragged: row %d has %d columns, row 0 has %d", i, len(r), nrhs)
-		}
-	}
-	for _, r := range append(append([][]float64{}, req.M...), req.X...) {
-		for _, v := range r {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("matrix entries must be finite")
-			}
-		}
-	}
-	return nil
+	return validateMatMulX("m is", req.M, req.X)
 }
 
-// validateMatMulX checks only the right-hand side against an
-// already-validated weight matrix — the by-reference path, where the
-// registered M was vetted (rectangular, finite) at registration time and
-// re-scanning it per request would forfeit the point of serving by name.
-func validateMatMulX(m, x [][]float64) error {
-	inner := len(m[0])
-	if len(x) != inner {
-		return fmt.Errorf("dimension mismatch: model weights are %d×%d but x has %d rows", len(m), inner, len(x))
+// validateMatMulX checks the right-hand side against a weight matrix known
+// to be sound — the inline one just checked, or a registered model's,
+// vetted at registration; what names it in the message.
+func validateMatMulX(what string, m, x [][]float64) error {
+	if len(x) != len(m[0]) {
+		return fmt.Errorf("dimension mismatch: %s %d×%d but x has %d rows", what, len(m), len(m[0]), len(x))
 	}
 	if len(x[0]) == 0 {
 		return fmt.Errorf("x must have at least one column")
 	}
-	nrhs := len(x[0])
-	for i, r := range x {
-		if len(r) != nrhs {
-			return fmt.Errorf("x is ragged: row %d has %d columns, row 0 has %d", i, len(r), nrhs)
-		}
-		for _, v := range r {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("matrix entries must be finite")
-			}
-		}
-	}
 	return nil
 }
 
-// validateConv2D rejects shapes the workload layer would panic on: ragged
+// validateConv2D rejects shapes the workload layer would panic on: empty
 // volumes, kernel/input channel mismatches, and strides/pads that leave no
 // output.
 func validateConv2D(req *Conv2DRequest) error {
@@ -205,37 +169,12 @@ func validateConv2D(req *Conv2DRequest) error {
 		return fmt.Errorf("input must be a non-empty [channel][y][x] volume")
 	}
 	inH, inW := len(req.Input[0]), len(req.Input[0][0])
-	for c := range req.Input {
-		if len(req.Input[c]) != inH {
-			return fmt.Errorf("input channel %d has %d rows, channel 0 has %d", c, len(req.Input[c]), inH)
-		}
-		for y := range req.Input[c] {
-			if len(req.Input[c][y]) != inW {
-				return fmt.Errorf("input channel %d row %d has %d columns, row 0 has %d", c, y, len(req.Input[c][y]), inW)
-			}
-		}
-	}
 	if len(req.Kernels) == 0 || len(req.Kernels[0]) == 0 || len(req.Kernels[0][0]) == 0 || len(req.Kernels[0][0][0]) == 0 {
 		return fmt.Errorf("kernels must be a non-empty [kernel][channel][ky][kx] stack")
 	}
 	kc, kh, kw := len(req.Kernels[0]), len(req.Kernels[0][0]), len(req.Kernels[0][0][0])
 	if kc != len(req.Input) {
 		return fmt.Errorf("kernel channel count %d does not match input %d", kc, len(req.Input))
-	}
-	for k := range req.Kernels {
-		if len(req.Kernels[k]) != kc {
-			return fmt.Errorf("kernel %d has %d channels, kernel 0 has %d", k, len(req.Kernels[k]), kc)
-		}
-		for c := range req.Kernels[k] {
-			if len(req.Kernels[k][c]) != kh {
-				return fmt.Errorf("kernel %d channel %d has %d rows, want %d", k, c, len(req.Kernels[k][c]), kh)
-			}
-			for y := range req.Kernels[k][c] {
-				if len(req.Kernels[k][c][y]) != kw {
-					return fmt.Errorf("kernel %d channel %d row %d has %d columns, want %d", k, c, y, len(req.Kernels[k][c][y]), kw)
-				}
-			}
-		}
 	}
 	if req.Stride <= 0 {
 		return fmt.Errorf("stride must be positive, got %d", req.Stride)

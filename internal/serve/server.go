@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -335,10 +336,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMatMul(w http.ResponseWriter, r *http.Request) {
-	hstart := time.Now()
 	tr := s.traceFor(r)
 	var req MatMulRequest
-	if !s.decode(w, r, &req) {
+	if !s.decodeBody(w, r, tr, "matmul", func(b []byte) error { return DecodeMatMul(b, &req, AllFields) }) {
 		return
 	}
 	key := ""
@@ -347,15 +347,15 @@ func (s *Server) handleMatMul(w http.ResponseWriter, r *http.Request) {
 		// model's precomputed fingerprint stands in for hashing them, so the
 		// request coalesces with inline requests carrying the same bits.
 		if req.M != nil {
-			writeError(w, http.StatusBadRequest, "pass either model or inline m, not both")
+			s.reject(w, tr, "matmul", http.StatusBadRequest, CodeBadRequest, "pass either model or inline m, not both")
 			return
 		}
-		mdl := s.resolveModel(w, req.Model, registry.KindMatMul)
+		mdl := s.resolveModel(w, tr, "matmul", req.Model, registry.KindMatMul)
 		if mdl == nil {
 			return
 		}
-		if err := validateMatMulX(mdl.Spec.M, req.X); err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
+		if err := validateMatMulX("model weights are", mdl.Spec.M, req.X); err != nil {
+			s.reject(w, tr, "matmul", http.StatusBadRequest, CodeBadRequest, err.Error())
 			return
 		}
 		req.M = mdl.Spec.M
@@ -363,61 +363,21 @@ func (s *Server) handleMatMul(w http.ResponseWriter, r *http.Request) {
 		s.met.observeByRef("matmul", mdl.Prewarmed())
 	} else {
 		if err := validateMatMul(&req); err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
+			s.reject(w, tr, "matmul", http.StatusBadRequest, CodeBadRequest, err.Error())
 			return
 		}
 		key = WeightFingerprint(req.M)
 	}
-	ctx, cancel := s.reqContext(r, req.TimeoutMS)
-	defer cancel()
-	if tr != nil {
-		// Everything up to here — body read, JSON decode, validation, model
-		// resolution — is the decode stage; the context carries the trace
-		// down to the engine's lease-wait/compute hooks.
-		tr.Add(trace.StageDecode, time.Since(hstart))
-		ctx = trace.NewContext(ctx, tr)
-	}
-
-	now := time.Now()
-	j := &job{
-		ctx:      ctx,
-		endpoint: "matmul",
-		enq:      now,
-		key:      key,
-		m:        req.M,
-		x:        req.X,
-		done:     make(chan jobResult, 1),
-		tr:       tr,
-		mark:     now,
-	}
-	if !s.admit(w, j) {
-		return
-	}
-	res, ok := s.await(w, r, ctx, j)
-	if !ok {
-		return
-	}
-	tr.SetBatched(res.batched)
-	resp := MatMulResponse{
-		C:         res.matmul,
-		Batched:   res.batched,
-		ElapsedMS: float64(time.Since(j.enq).Microseconds()) / 1000,
-	}
-	if tr != nil && wantTraceBody(r) {
-		rec := tr.Record("matmul", http.StatusOK)
-		resp.Trace = &rec
-	}
-	wstart := time.Now()
-	writeJSON(w, http.StatusOK, resp)
-	tr.Add(trace.StageWrite, time.Since(wstart))
-	s.finishTrace(tr, "matmul", http.StatusOK)
+	s.dispatch(w, r, tr, req.TimeoutMS, &job{endpoint: "matmul", key: key, m: req.M, x: req.X},
+		func(res jobResult, elapsedMS float64, rec *trace.Record) any {
+			return MatMulResponse{C: res.matmul, Batched: res.batched, ElapsedMS: elapsedMS, Trace: rec}
+		})
 }
 
 func (s *Server) handleConv2D(w http.ResponseWriter, r *http.Request) {
-	hstart := time.Now()
 	tr := s.traceFor(r)
 	var req Conv2DRequest
-	if !s.decode(w, r, &req) {
+	if !s.decodeBody(w, r, tr, "conv2d", func(b []byte) error { return DecodeConv2D(b, &req, AllFields) }) {
 		return
 	}
 	if req.Stride == 0 {
@@ -428,10 +388,10 @@ func (s *Server) handleConv2D(w http.ResponseWriter, r *http.Request) {
 		// stride and pad stay per-request knobs. Substituting before the
 		// shared validator keeps every input/kernel cross-check in force.
 		if req.Kernels != nil {
-			writeError(w, http.StatusBadRequest, "pass either model or inline kernels, not both")
+			s.reject(w, tr, "conv2d", http.StatusBadRequest, CodeBadRequest, "pass either model or inline kernels, not both")
 			return
 		}
-		mdl := s.resolveModel(w, req.Model, registry.KindConv2D)
+		mdl := s.resolveModel(w, tr, "conv2d", req.Model, registry.KindConv2D)
 		if mdl == nil {
 			return
 		}
@@ -439,55 +399,22 @@ func (s *Server) handleConv2D(w http.ResponseWriter, r *http.Request) {
 		s.met.observeByRef("conv2d", mdl.Prewarmed())
 	}
 	if err := validateConv2D(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		s.reject(w, tr, "conv2d", http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
 	}
-	ctx, cancel := s.reqContext(r, req.TimeoutMS)
-	defer cancel()
-	if tr != nil {
-		tr.Add(trace.StageDecode, time.Since(hstart))
-		ctx = trace.NewContext(ctx, tr)
+	run := func(ctx context.Context) (any, error) {
+		return s.acc.Conv2DCtx(ctx, req.Input, req.Kernels, req.Stride, req.Pad)
 	}
-
-	now := time.Now()
-	j := &job{
-		ctx:      ctx,
-		endpoint: "conv2d",
-		enq:      now,
-		done:     make(chan jobResult, 1),
-		tr:       tr,
-		mark:     now,
-		run: func(ctx context.Context) (any, error) {
-			return s.acc.Conv2DCtx(ctx, req.Input, req.Kernels, req.Stride, req.Pad)
-		},
-	}
-	if !s.admit(w, j) {
-		return
-	}
-	res, ok := s.await(w, r, ctx, j)
-	if !ok {
-		return
-	}
-	tr.SetBatched(res.batched)
-	resp := Conv2DResponse{
-		Output:    res.direct.([][][]float64),
-		ElapsedMS: float64(time.Since(j.enq).Microseconds()) / 1000,
-	}
-	if tr != nil && wantTraceBody(r) {
-		rec := tr.Record("conv2d", http.StatusOK)
-		resp.Trace = &rec
-	}
-	wstart := time.Now()
-	writeJSON(w, http.StatusOK, resp)
-	tr.Add(trace.StageWrite, time.Since(wstart))
-	s.finishTrace(tr, "conv2d", http.StatusOK)
+	s.dispatch(w, r, tr, req.TimeoutMS, &job{endpoint: "conv2d", run: run},
+		func(res jobResult, elapsedMS float64, rec *trace.Record) any {
+			return Conv2DResponse{Output: res.direct.([][][]float64), ElapsedMS: elapsedMS, Trace: rec}
+		})
 }
 
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
-	hstart := time.Now()
 	tr := s.traceFor(r)
 	var req InferRequest
-	if !s.decode(w, r, &req) {
+	if !s.decodeBody(w, r, tr, "infer", func(b []byte) error { return DecodeInfer(b, &req, AllFields) }) {
 		return
 	}
 	model, ok := s.models[req.Model]
@@ -497,16 +424,16 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		// unless they shadow a built-in).
 		mdl, err := s.reg.Resolve(req.Model)
 		if err != nil {
+			status, code := registryStatus(err)
+			msg := err.Error()
 			if errors.Is(err, registry.ErrUnknownModel) {
-				writeErrorCode(w, http.StatusNotFound, CodeUnknownModel,
-					fmt.Sprintf("unknown model %q; built-in: %v", req.Model, modelNames(s.models)))
-				return
+				msg = fmt.Sprintf("unknown model %q; built-in: %v", req.Model, modelNames(s.models))
 			}
-			writeRegistryError(w, err)
+			s.reject(w, tr, "infer", status, code, msg)
 			return
 		}
 		if mdl.Spec.Kind != registry.KindInfer {
-			writeErrorCode(w, http.StatusBadRequest, CodeKindMismatch,
+			s.reject(w, tr, "infer", http.StatusBadRequest, CodeKindMismatch,
 				"model "+mdl.Spec.Ref()+" is kind "+string(mdl.Spec.Kind)+", /v1/infer serves infer models")
 			return
 		}
@@ -514,86 +441,108 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		s.met.observeByRef("infer", mdl.Prewarmed())
 	}
 	if err := model.checkInput(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		s.reject(w, tr, "infer", http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
 	}
-	ctx, cancel := s.reqContext(r, req.TimeoutMS)
+	run := func(ctx context.Context) (any, error) { return model.infer(ctx, s.acc, &req) }
+	s.dispatch(w, r, tr, req.TimeoutMS, &job{endpoint: "infer", run: run},
+		func(res jobResult, elapsedMS float64, rec *trace.Record) any {
+			logits := res.direct.([]float64)
+			return InferResponse{Model: req.Model, Logits: logits, Class: argmax(logits), ElapsedMS: elapsedMS, Trace: rec}
+		})
+}
+
+// dispatch is the second half of every compute handler: it closes the
+// decode stage, queues the job under the request's deadline, waits for it
+// and writes the response that respond builds from the result. rec is the
+// stage breakdown for the body, non-nil only on the header opt-in and
+// snapshotted before the write.
+func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, tr *trace.Trace, timeoutMS int64, j *job,
+	respond func(res jobResult, elapsedMS float64, rec *trace.Record) any) {
+	ctx, cancel := s.reqContext(r, timeoutMS)
 	defer cancel()
 	if tr != nil {
-		tr.Add(trace.StageDecode, time.Since(hstart))
+		// Everything up to here — body read, decode, validation, model
+		// resolution — is the decode stage; the context carries the trace
+		// down to the engine's lease-wait/compute hooks.
+		tr.Add(trace.StageDecode, time.Since(tr.Start()))
 		ctx = trace.NewContext(ctx, tr)
 	}
-
 	now := time.Now()
-	j := &job{
-		ctx:      ctx,
-		endpoint: "infer",
-		enq:      now,
-		done:     make(chan jobResult, 1),
-		tr:       tr,
-		mark:     now,
-		run: func(ctx context.Context) (any, error) {
-			return model.infer(ctx, s.acc, &req)
-		},
-	}
+	j.ctx, j.enq, j.mark, j.tr, j.done = ctx, now, now, tr, make(chan jobResult, 1)
 	if !s.admit(w, j) {
 		return
 	}
-	res, ok2 := s.await(w, r, ctx, j)
-	if !ok2 {
+	res, ok := s.await(w, r, ctx, j)
+	if !ok {
 		return
 	}
 	tr.SetBatched(res.batched)
-	logits := res.direct.([]float64)
-	resp := InferResponse{
-		Model:     req.Model,
-		Logits:    logits,
-		Class:     argmax(logits),
-		ElapsedMS: float64(time.Since(j.enq).Microseconds()) / 1000,
-	}
+	var rec *trace.Record
 	if tr != nil && wantTraceBody(r) {
-		rec := tr.Record("infer", http.StatusOK)
-		resp.Trace = &rec
+		snap := tr.Record(j.endpoint, http.StatusOK)
+		rec = &snap
 	}
+	resp := respond(res, float64(time.Since(j.enq).Microseconds())/1000, rec)
 	wstart := time.Now()
 	writeJSON(w, http.StatusOK, resp)
 	tr.Add(trace.StageWrite, time.Since(wstart))
-	s.finishTrace(tr, "infer", http.StatusOK)
+	s.finishTrace(tr, j.endpoint, http.StatusOK)
 }
 
-// decode reads and unmarshals the request body, answering 400/413 itself:
-// every malformed body — empty, syntactically broken, wrongly typed,
-// carrying trailing data — gets a structured {"error": ...} JSON response,
-// never a bare 500, and oversized bodies are cut off at MaxBodyBytes with
-// a 413 before they can balloon the heap.
+// decode reads and unmarshals a registration body — the generic path, off
+// the compute endpoints' — answering 400/413 itself like decodeBody.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(dst); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes))
-			return false
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	err := dec.Decode(dst)
+	msg := "malformed JSON: trailing data after request object"
+	switch {
+	case errors.Is(err, io.EOF):
+		msg = "malformed JSON: empty request body"
+	case err != nil:
+		msg = "malformed JSON: " + err.Error()
+	default:
+		if _, err = dec.Token(); errors.Is(err, io.EOF) {
+			return true
 		}
-		if errors.Is(err, io.EOF) {
-			writeError(w, http.StatusBadRequest, "malformed JSON: empty request body")
-			return false
-		}
-		writeError(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
-		return false
 	}
-	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes))
-			return false
-		}
-		writeError(w, http.StatusBadRequest, "malformed JSON: trailing data after request object")
-		return false
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeErrorCode(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge, fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes))
+	} else {
+		writeErrorCode(w, http.StatusBadRequest, CodeBadRequest, msg)
 	}
-	return true
+	return false
+}
+
+// decodeBody reads a compute request's body into a pooled buffer and runs
+// the endpoint's wire decoder over it, rejecting with 413 or 400 itself:
+// every malformed body gets a structured {"error": ...} answer, never a bare
+// 500, and an oversized one is cut off at MaxBodyBytes before it can balloon
+// the heap. The buffer goes back to the pool as soon as decode returns:
+// nothing decoded points into it.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, tr *trace.Trace, endpoint string, decode func([]byte) error) bool {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	rerr := ReadBody(w, r, s.cfg.MaxBodyBytes, buf)
+	var derr error
+	if rerr == nil {
+		derr = decode(buf.Bytes())
+	}
+	if buf.Cap() <= maxPooledBody {
+		buf.Reset()
+		bodyPool.Put(buf)
+	}
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(rerr, &tooLarge):
+		s.reject(w, tr, endpoint, http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes))
+	case rerr != nil:
+		s.reject(w, tr, endpoint, http.StatusBadRequest, CodeBadRequest, "reading request body: "+rerr.Error())
+	case derr != nil:
+		s.reject(w, tr, endpoint, http.StatusBadRequest, CodeBadRequest, "malformed JSON: "+derr.Error())
+	}
+	return rerr == nil && derr == nil
 }
 
 // retryAfterSecs is the Retry-After hint, rounded up to whole seconds with
@@ -621,7 +570,7 @@ func (s *Server) admit(w http.ResponseWriter, j *job) bool {
 		case errors.Is(err, errNoCapacity):
 			msg, code = "fabric reclaimed for network traffic, retry later", CodeNoCapacity
 		}
-		s.answer(w, j, http.StatusServiceUnavailable, code, msg)
+		s.answer(w, j.tr, j.endpoint, http.StatusServiceUnavailable, code, msg)
 		return false
 	}
 	return true
@@ -646,10 +595,10 @@ func (s *Server) await(w http.ResponseWriter, r *http.Request, ctx context.Conte
 		// executor shed it: same 503 backpressure as an admission-time shed.
 		s.met.observeRequest(j.endpoint, elapsed, outcomeShed)
 		w.Header().Set("Retry-After", s.retryAfterSecs())
-		s.answer(w, j, http.StatusServiceUnavailable, CodeNoCapacity, "fabric reclaimed for network traffic, retry later")
+		s.answer(w, j.tr, j.endpoint, http.StatusServiceUnavailable, CodeNoCapacity, "fabric reclaimed for network traffic, retry later")
 	case errors.Is(res.err, context.DeadlineExceeded):
 		s.met.observeRequest(j.endpoint, elapsed, outcomeDeadline)
-		s.answer(w, j, http.StatusGatewayTimeout, CodeDeadline, "deadline exceeded")
+		s.answer(w, j.tr, j.endpoint, http.StatusGatewayTimeout, CodeDeadline, "deadline exceeded")
 	case errors.Is(res.err, context.Canceled):
 		// Client cancellation, not a backend failure: booked under its own
 		// outcome so it never pollutes the error counters and latency
@@ -664,17 +613,14 @@ func (s *Server) await(w http.ResponseWriter, r *http.Request, ctx context.Conte
 		// Cancelled with the client still connected (shutdown revoked
 		// in-flight work): the 504 answer still says "cancelled", and the
 		// router knows not to score it against this backend's health.
-		s.answer(w, j, http.StatusGatewayTimeout, CodeCancelled, "request cancelled")
-	case errors.Is(res.err, registry.ErrUnknownModel) || errors.Is(res.err, registry.ErrUnknownVersion):
+		s.answer(w, j.tr, j.endpoint, http.StatusGatewayTimeout, CodeCancelled, "request cancelled")
+	default:
 		// A registry resolution error that surfaced from the executor (a
 		// model removed while the job was queued) is still a structured 404
-		// with its stable code, never a plain-text 500.
+		// with its stable code; anything else is a 500 "internal".
 		s.met.observeRequest(j.endpoint, elapsed, outcomeError)
-		writeRegistryError(w, res.err)
-		s.finishTrace(j.tr, j.endpoint, http.StatusNotFound)
-	default:
-		s.met.observeRequest(j.endpoint, elapsed, outcomeError)
-		s.answer(w, j, http.StatusInternalServerError, CodeInternal, res.err.Error())
+		status, code := registryStatus(res.err)
+		s.answer(w, j.tr, j.endpoint, status, code, res.err.Error())
 	}
 	return res, false
 }
@@ -685,25 +631,6 @@ func writeJSON(w http.ResponseWriter, code int, body any) {
 	if err := json.NewEncoder(w).Encode(body); err != nil {
 		log.Printf("serve: encoding response: %v", err)
 	}
-}
-
-// writeError answers with the status's generic code; paths with a more
-// specific condition use writeErrorCode directly.
-func writeError(w http.ResponseWriter, status int, msg string) {
-	code := CodeInternal
-	switch status {
-	case http.StatusBadRequest:
-		code = CodeBadRequest
-	case http.StatusRequestEntityTooLarge:
-		code = CodeBodyTooLarge
-	case http.StatusNotFound:
-		code = CodeUnknownModel
-	case http.StatusGatewayTimeout:
-		code = CodeDeadline
-	case http.StatusServiceUnavailable:
-		code = CodeQueueFull
-	}
-	writeErrorCode(w, status, code, msg)
 }
 
 func writeErrorCode(w http.ResponseWriter, status int, code, msg string) {

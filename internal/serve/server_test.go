@@ -382,6 +382,8 @@ func TestValidationRejectsMalformedRequests(t *testing.T) {
 		{"ragged m", `{"m": [[1,2],[3]], "x": [[1],[2]]}`},
 		{"dim mismatch", `{"m": [[1,2]], "x": [[1]]}`},
 		{"nan entry", `{"m": [[1e999,0],[0,1]], "x": [[1],[2]]}`},
+		{"null row in m", `{"m": [[1],null], "x": [[1]]}`},
+		{"null row in x", `{"m": [[1,2]], "x": [[1],null]}`},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(hs.URL+"/v1/matmul", "application/json", strings.NewReader(tc.body))
@@ -402,6 +404,19 @@ func TestValidationRejectsMalformedRequests(t *testing.T) {
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("conv2d channel mismatch: status %d, want 400", resp.StatusCode)
+	}
+	for _, body := range []string{
+		`{"input":[[[1,2],[3,4]],null],"kernels":[[[[1]],[[1]]]]}`,
+		`{"input":[[[1,2],[3,4]]],"kernels":[[[[1]]],null]}`,
+	} {
+		r, err := http.Post(hs.URL+"/v1/conv2d", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if r.StatusCode != http.StatusBadRequest {
+			t.Errorf("conv2d null element %s: status %d, want 400", body, r.StatusCode)
+		}
 	}
 }
 

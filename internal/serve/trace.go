@@ -46,14 +46,25 @@ func (s *Server) finishTrace(tr *trace.Trace, endpoint string, status int) {
 	}
 }
 
-// answer writes an error response, attributing the write to the job's
+// answer writes an error response, attributing the write to the request's
 // trace and finalizing it. Success paths inline the same sequence in their
 // handlers because the response body shape differs per endpoint.
-func (s *Server) answer(w http.ResponseWriter, j *job, status int, code, msg string) {
+func (s *Server) answer(w http.ResponseWriter, tr *trace.Trace, endpoint string, status int, code, msg string) {
 	wstart := time.Now()
 	writeErrorCode(w, status, code, msg)
-	j.tr.Add(trace.StageWrite, time.Since(wstart))
-	s.finishTrace(j.tr, j.endpoint, status)
+	tr.Add(trace.StageWrite, time.Since(wstart))
+	s.finishTrace(tr, endpoint, status)
+}
+
+// reject answers a request refused before admission — unreadable or
+// malformed body, failed validation, unknown model — booking the time since
+// the trace began as its decode stage, so a traced 400, 404 or 413 reaches
+// the ring and the stage histograms like any other request.
+func (s *Server) reject(w http.ResponseWriter, tr *trace.Trace, endpoint string, status int, code, msg string) {
+	if tr != nil {
+		tr.Add(trace.StageDecode, time.Since(tr.Start()))
+	}
+	s.answer(w, tr, endpoint, status, code, msg)
 }
 
 // handleDebugRequests serves the recent-trace ring, newest first. Always
