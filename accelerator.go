@@ -303,10 +303,10 @@ func (a *Accelerator) PrewarmWeights(m [][]float64) (int, error) {
 	n := a.blockSize
 	pm := mat.PadTo(mat.FromReal(m), n)
 	pinned := 0
-	var key []byte
+	var s blockScratch
 	for c := 0; c < pm.Cols()/n; c++ {
 		for r := 0; r < pm.Rows()/n; r++ {
-			bp, err := a.programFor(pm, r, c, cache, &key)
+			bp, err := a.programFor(pm, r, c, cache, &s)
 			if err != nil {
 				return pinned, err
 			}
@@ -317,7 +317,7 @@ func (a *Accelerator) PrewarmWeights(m [][]float64) (int, error) {
 					a.kernelReuses.Add(1)
 				}
 			}
-			if cache.pin(key) {
+			if cache.pin(s.key) {
 				pinned++
 			}
 		}
@@ -524,7 +524,7 @@ func (a *Accelerator) MatMulCtx(ctx context.Context, m, x [][]float64) ([][]floa
 	if len(x) != inner {
 		return nil, fmt.Errorf("flumen: MatMul dimension mismatch: %d×%d · %d×%d", rows, inner, len(x), colsOf(x))
 	}
-	if err := checkMatrix(x); err != nil {
+	if err := checkShape(x); err != nil {
 		return nil, err
 	}
 	nrhs := len(x[0])
@@ -571,10 +571,10 @@ func (a *Accelerator) Conv2DCtx(ctx context.Context, input [][][]float64, kernel
 		}
 		kplanes = append(kplanes, kern...)
 	}
-	if err := checkPlanes(input); err != nil {
+	if err := checkPlanes(input, checkShape); err != nil {
 		return nil, fmt.Errorf("flumen: Conv2D input: %w", err)
 	}
-	if err := checkPlanes(kplanes); err != nil {
+	if err := checkPlanes(kplanes, checkMatrix); err != nil {
 		return nil, fmt.Errorf("flumen: Conv2D kernels: %w", err)
 	}
 	shape := workload.ConvShape{
@@ -678,9 +678,9 @@ func colsOf(m [][]float64) int {
 	return len(m[0])
 }
 
-// checkMatrix is the shape check every entry point that takes a row-major
-// matrix runs before touching it: non-empty and rectangular.
-func checkMatrix(m [][]float64) error {
+// checkShape is the check every entry point that takes a row-major matrix
+// runs before touching it: non-empty and rectangular.
+func checkShape(m [][]float64) error {
 	if len(m) == 0 || len(m[0]) == 0 {
 		return fmt.Errorf("flumen: empty matrix")
 	}
@@ -692,11 +692,29 @@ func checkMatrix(m [][]float64) error {
 	return nil
 }
 
-// checkPlanes checks a stack of planes (input channels, or every kernel's
-// channels): each a valid matrix, all of plane 0's shape.
-func checkPlanes(planes [][][]float64) error {
+// checkMatrix vets a weight matrix: checkShape, and every entry finite. A
+// NaN or infinite weight has no photonic program. (Inputs may be non-finite:
+// a vector never mixes with another, so it spoils only its own column.)
+func checkMatrix(m [][]float64) error {
+	if err := checkShape(m); err != nil {
+		return err
+	}
+	for i, row := range m {
+		for j, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("flumen: weight (%d,%d) is %v, not a finite number", i, j, v)
+			}
+		}
+	}
+	return nil
+}
+
+// checkPlanes checks a stack of planes (input channels with checkShape, or
+// every kernel's channels with checkMatrix): each a valid matrix, all of
+// plane 0's shape.
+func checkPlanes(planes [][][]float64, check func([][]float64) error) error {
 	for i, p := range planes {
-		if err := checkMatrix(p); err != nil {
+		if err := check(p); err != nil {
 			return fmt.Errorf("plane %d: %w", i, err)
 		}
 		if len(p) != len(planes[0]) || len(p[0]) != len(planes[0][0]) {

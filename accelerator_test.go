@@ -482,3 +482,111 @@ func TestComputeEntryPointsRejectBadShapes(t *testing.T) {
 		})
 	}
 }
+
+// TestMatMulExtremeWeightMagnitudes covers weights whose squares leave the
+// float64 range. The spectral norm of such a block used to come out +Inf or
+// 0, the block compiled to the zero map, and the product was answered with
+// zeros and no error; NaN and ±Inf weights went the same way.
+func TestMatMulExtremeWeightMagnitudes(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	logUniform := func(lo, hi float64) float64 {
+		v := math.Pow(10, lo+(hi-lo)*rng.Float64())
+		if rng.Intn(2) == 0 {
+			v = -v
+		}
+		return v
+	}
+	fill := func(rows, cols int, lo, hi float64) [][]float64 {
+		m := make([][]float64, rows)
+		for i := range m {
+			m[i] = make([]float64, cols)
+			for j := range m[i] {
+				m[i][j] = logUniform(lo, hi)
+			}
+		}
+		return m
+	}
+	huge := fill(8, 8, 155, 300)
+	huge[3][5] = 1e308
+	tiny := fill(8, 8, -300, -162)
+	tiny[2][2] = 5e-324 // subnormal
+	// Two block columns: one overflowing block beside one underflowing block,
+	// over a row of ordinary ones.
+	mixed := fill(16, 16, -1, 1)
+	for i := 0; i < 8; i++ {
+		for j := 0; j < 8; j++ {
+			mixed[i][j] = huge[i][j] * 1e-100
+			mixed[i][8+j] = tiny[i][j]
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		m    [][]float64
+	}{{"huge", huge}, {"tiny", tiny}, {"mixed", mixed}, {"1e200", fill(8, 8, 200, 200)}} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, err := NewAccelerator(16, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.SetPrecision(16)
+			x := fill(len(tc.m[0]), 3, -3, 0)
+			got, err := a.MatMul(tc.m, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, row := range tc.m {
+				// Each row is judged at its own scale: blocks of one product
+				// differ by hundreds of orders of magnitude.
+				for c := range x[0] {
+					var want float64
+					for k, w := range row {
+						want += w * x[k][c]
+					}
+					if tol := 0.05 * rowBlockScale(tc.m, x, i, c); !(math.Abs(got[i][c]-want) <= tol) {
+						t.Fatalf("C[%d][%d] = %g, digital product %g (tolerance %g)", i, c, got[i][c], want, tol)
+					}
+				}
+			}
+		})
+	}
+
+	a, err := NewAccelerator(16, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := fill(8, 2, -1, 0)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		m := fill(8, 8, -1, 1)
+		m[4][1] = bad
+		if _, err := a.MatMul(m, x); err == nil {
+			t.Fatalf("MatMul accepted a weight of %v", bad)
+		}
+		if _, err := a.PrewarmWeights(m); err == nil {
+			t.Fatalf("PrewarmWeights accepted a weight of %v", bad)
+		}
+		if _, err := a.Conv2D([][][]float64{fill(4, 4, -1, 0)}, [][][][]float64{{{{1, bad}, {0, 1}}}}, 1, 0); err == nil {
+			t.Fatalf("Conv2D accepted a kernel weight of %v", bad)
+		}
+	}
+}
+
+// rowBlockScale is the magnitude against which output (i, c) of m·x is
+// judged: each 8-wide block of row i contributes an error proportional to
+// its own spectral scale, taken here as the block's largest |entry| times
+// the largest |x| it meets.
+func rowBlockScale(m, x [][]float64, i, c int) float64 {
+	var total float64
+	for b := 0; b < len(m[i]); b += 8 {
+		var wmax, xmax float64
+		for r := i - i%8; r < i-i%8+8 && r < len(m); r++ {
+			for k := b; k < b+8 && k < len(m[r]); k++ {
+				wmax = math.Max(wmax, math.Abs(m[r][k]))
+			}
+		}
+		for k := b; k < b+8 && k < len(x); k++ {
+			xmax = math.Max(xmax, math.Abs(x[k][c]))
+		}
+		total += wmax * xmax
+	}
+	return total
+}

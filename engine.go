@@ -128,10 +128,18 @@ func (a *Accelerator) modulate(xd *mat.Dense, bj int, dac optics.Quantizer) *mod
 }
 
 // workerScratch holds one worker's reusable buffers: the states its current
-// item propagates and the fingerprint of the block it is looking up.
+// item propagates and the storage of its program lookups.
 type workerScratch struct {
 	states []complex128
-	key    []byte
+	blockScratch
+}
+
+// blockScratch is the reusable storage of programFor: the fingerprint of
+// the block being looked up and, on a miss, the block handed to the
+// compiler.
+type blockScratch struct {
+	key   []byte
+	block mat.Dense
 }
 
 // matMulCtx computes the product md·xd across the partition pool and returns
@@ -310,7 +318,10 @@ func (a *Accelerator) runRows(ctx context.Context, g, workers int, pm *mat.Dense
 	var h partHandle
 	var err error
 	defer func() { a.checkin(h) }()
-	scratch := &workerScratch{states: make([]complex128, in.nrhs*n), key: make([]byte, 0, 16+16*n*n)}
+	scratch := &workerScratch{
+		states:       make([]complex128, in.nrhs*n),
+		blockScratch: blockScratch{key: make([]byte, 0, 16+16*n*n)},
+	}
 	for c := 0; c < pm.Cols()/n; c++ {
 		for r := g; r < pm.Rows()/n; r += workers {
 			for {
@@ -387,7 +398,7 @@ func preempted(l *fabric.Lease) bool {
 // per vector in the same order, so outputs are bitwise-identical.
 func (a *Accelerator) computeItem(pidx int, s *workerScratch, pm *mat.Dense, in *modulated, out []complex128, r, c int, cfg *callConfig) error {
 	n, nrhs := a.blockSize, in.nrhs
-	bp, err := a.programFor(pm, r, c, cfg.cache, &s.key)
+	bp, err := a.programFor(pm, r, c, cfg.cache, &s.blockScratch)
 	if err != nil {
 		return err
 	}
@@ -478,24 +489,26 @@ func (a *Accelerator) detect(rows, states []complex128, scales []float64, blockS
 
 // programFor resolves the weight program of block (r, c) of the padded
 // matrix pm, through the cache when one is configured. The block's
-// fingerprint is appended into *key (worker scratch) and looked up without
-// allocating; the block itself is materialized only on a miss. Concurrent
-// misses on the same key compile independently and the last put wins;
-// compilation is deterministic, so every copy is interchangeable.
-func (a *Accelerator) programFor(pm *mat.Dense, r, c int, cache *programCache, key *[]byte) (*photonic.BlockProgram, error) {
+// fingerprint is appended into s.key and looked up without allocating; the
+// block itself is copied out (into s.block) only on a miss, and the
+// compiler works in its own pooled scratch, so a miss allocates the program
+// and its cache entry and nothing else. Concurrent misses on the same key
+// compile independently and the last put wins; compilation is
+// deterministic, so every copy is interchangeable.
+func (a *Accelerator) programFor(pm *mat.Dense, r, c int, cache *programCache, s *blockScratch) (*photonic.BlockProgram, error) {
 	n := a.blockSize
-	if cache == nil {
-		return photonic.CompileBlockScaled(mat.Block(pm, n, r, c))
+	if cache != nil {
+		s.key = mat.AppendBlockFingerprint(s.key[:0], pm, n, r, c)
+		if bp, ok := cache.get(s.key); ok {
+			return bp, nil
+		}
 	}
-	*key = mat.AppendBlockFingerprint((*key)[:0], pm, n, r, c)
-	if bp, ok := cache.get(*key); ok {
-		return bp, nil
+	mat.BlockInto(&s.block, pm, n, r, c)
+	bp, err := photonic.CompileBlockScaled(&s.block)
+	if err != nil || cache == nil {
+		return bp, err
 	}
-	bp, err := photonic.CompileBlockScaled(mat.Block(pm, n, r, c))
-	if err != nil {
-		return nil, err
-	}
-	cache.put(string(*key), bp)
+	cache.put(string(s.key), bp)
 	return bp, nil
 }
 

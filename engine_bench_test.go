@@ -1,6 +1,7 @@
 package flumen
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -54,6 +55,37 @@ func BenchmarkEngineWarmWide(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := a.MatMul(m, x); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEngineColdMatMul is the engine call the standing benchmark's
+// serve_cold workload makes on a miss: a 32×32·4 product on a 32-port,
+// block-8 accelerator, with a matrix the cache has not seen each iteration,
+// so all 16 blocks are compiled.
+func BenchmarkEngineColdMatMul(b *testing.B) {
+	a, err := NewAccelerator(32, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	x := randMatrix(rng, 32, 4)
+	ms := make([][][]float64, 64)
+	for i := range ms {
+		ms[i] = randMatrix(rng, 32, 32)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := ms[i%len(ms)]
+		for r := 0; r < 32; r += 8 { // one fresh entry per block
+			for c := 0; c < 32; c += 8 {
+				m[r][c] = float64(i + 1)
+			}
+		}
+		if _, err := a.MatMulCtx(ctx, m, x); err != nil {
 			b.Fatal(err)
 		}
 	}

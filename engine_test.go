@@ -1,7 +1,9 @@
 package flumen
 
 import (
+	"context"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -380,5 +382,96 @@ func TestWarmMatMulAllocations(t *testing.T) {
 	if extraRows := 64.0 - 32.0; wide-quarter > extraRows {
 		t.Errorf("64 items allocate %.0f, 16 items %.0f: %.0f more, only the %.0f extra result rows are allowed",
 			wide, quarter, wide-quarter, extraRows)
+	}
+}
+
+// TestColdMatMulAllocations is the cold path's allocation budget: a 32×32·4
+// product whose 16 blocks all miss the program cache (the serve_cold call).
+// With every intermediate matrix, op list and slot map allocated per block
+// the call made 2 156 allocations of 730 KB; what a miss may allocate now is
+// the program, its plan and its cache entry.
+func TestColdMatMulAllocations(t *testing.T) {
+	a := newEngineAccel(t, 32, 8)
+	rng := rand.New(rand.NewSource(22))
+	x := randMatrix(rng, 32, 4)
+	fresh := func() [][]float64 { return randMatrix(rng, 32, 32) }
+	call := func(m [][]float64) {
+		if _, err := a.MatMulCtx(context.Background(), m, x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call(fresh()) // fill the compiler pool and grow the worker scratch
+
+	const runs = 20
+	ms := make([][][]float64, runs+1) // AllocsPerRun makes one warm-up call
+	for i := range ms {
+		ms[i] = fresh()
+	}
+	next := 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, func() { call(ms[next]); next++ })
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+	if misses := a.ProgramCacheStats().Misses; misses != 16*(runs+2) {
+		t.Fatalf("%d cache misses, want every block of every call (%d)", misses, 16*(runs+2))
+	}
+	if allocs > 1000 {
+		t.Errorf("cold 32×32·4 MatMul: %.0f allocations, budget 1000", allocs)
+	}
+	if bytes > 350<<10 {
+		t.Errorf("cold 32×32·4 MatMul: %.0f KB allocated, budget 350 KB", bytes/1024)
+	}
+}
+
+// TestEngineConcurrentColdCallsBitwise runs distinct never-seen matrices
+// from 8 goroutines at once, four workers each, against a cache far smaller
+// than the working set, so that misses, compilations in pooled scratch and
+// evictions all overlap. Every result must equal the same call made alone.
+func TestEngineConcurrentColdCallsBitwise(t *testing.T) {
+	const callers, rounds = 8, 3
+	rng := rand.New(rand.NewSource(23))
+	x := randMatrix(rng, 32, 4)
+	ms := make([][][]float64, callers*rounds)
+	want := make([][][]float64, len(ms))
+	serial := newEngineAccel(t, 32, 8)
+	serial.SetWorkers(1)
+	for i := range ms {
+		ms[i] = randMatrix(rng, 32, 32)
+		var err error
+		if want[i], err = serial.MatMul(ms[i], x); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	a := newEngineAccel(t, 32, 8)
+	a.SetWorkers(4)
+	a.SetProgramCacheSize(24) // one and a half matrices
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				i := g*rounds + r
+				got, err := a.MatMul(ms[i], x)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for row := range got {
+					for col := range got[row] {
+						if got[row][col] != want[i][row][col] {
+							t.Errorf("matrix %d: element (%d,%d) = %v, alone %v", i, row, col, got[row][col], want[i][row][col])
+							return
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := a.ProgramCacheStats(); st.Evictions == 0 {
+		t.Fatalf("no evictions (%+v): the cache held the working set", st)
 	}
 }

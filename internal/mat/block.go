@@ -49,15 +49,23 @@ func ceilMultiple(x, n int) int {
 // Block extracts the n×n sub-block at block-row bi, block-col bj of a
 // matrix whose dimensions are multiples of n.
 func Block(m *Dense, n, bi, bj int) *Dense {
+	out := new(Dense)
+	BlockInto(out, m, n, bi, bj)
+	return out
+}
+
+// BlockInto is Block written into dst, keeping dst's storage when it is
+// large enough.
+func BlockInto(dst, m *Dense, n, bi, bj int) {
 	if m.rows%n != 0 || m.cols%n != 0 {
 		panic("mat: Block requires dimensions aligned to the block size")
 	}
-	out := New(n, n)
+	dst.rows, dst.cols = n, n
+	dst.data = grow(dst.data, n*n)
 	for i := 0; i < n; i++ {
 		src := (bi*n+i)*m.cols + bj*n
-		copy(out.data[i*n:(i+1)*n], m.data[src:src+n])
+		copy(dst.data[i*n:(i+1)*n], m.data[src:src+n])
 	}
-	return out
 }
 
 // Fingerprint returns an exact content key for the matrix: its dimensions

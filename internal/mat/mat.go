@@ -108,6 +108,14 @@ func (m *Dense) Clone() *Dense {
 	return c
 }
 
+// CopyFrom makes m a deep copy of src, keeping m's storage when it is large
+// enough.
+func (m *Dense) CopyFrom(src *Dense) {
+	m.rows, m.cols = src.rows, src.cols
+	m.data = grow(m.data, len(src.data))
+	copy(m.data, src.data)
+}
+
 // Row returns a copy of row i.
 func (m *Dense) Row(i int) []complex128 {
 	out := make([]complex128, m.cols)
@@ -183,13 +191,21 @@ func MulVec(a *Dense, x []complex128) []complex128 {
 
 // Adjoint returns the conjugate transpose a*.
 func (m *Dense) Adjoint() *Dense {
-	out := New(m.cols, m.rows)
+	out := new(Dense)
+	m.AdjointInto(out)
+	return out
+}
+
+// AdjointInto writes the conjugate transpose a* into dst, keeping dst's
+// storage when it is large enough. dst may not be m.
+func (m *Dense) AdjointInto(dst *Dense) {
+	dst.rows, dst.cols = m.cols, m.rows
+	dst.data = grow(dst.data, len(m.data))
 	for i := 0; i < m.rows; i++ {
 		for j := 0; j < m.cols; j++ {
-			out.data[j*out.cols+i] = cmplx.Conj(m.data[i*m.cols+j])
+			dst.data[j*dst.cols+i] = cmplx.Conj(m.data[i*m.cols+j])
 		}
 	}
-	return out
 }
 
 // Transpose returns the (non-conjugated) transpose.
@@ -238,11 +254,19 @@ func Sub(a, b *Dense) *Dense {
 
 // Scale returns s·a.
 func Scale(s complex128, a *Dense) *Dense {
-	out := New(a.rows, a.cols)
-	for i := range a.data {
-		out.data[i] = s * a.data[i]
-	}
+	out := new(Dense)
+	ScaleInto(out, s, a)
 	return out
+}
+
+// ScaleInto writes s·a into dst, keeping dst's storage when it is large
+// enough. dst may be a.
+func ScaleInto(dst *Dense, s complex128, a *Dense) {
+	dst.rows, dst.cols = a.rows, a.cols
+	dst.data = grow(dst.data, len(a.data))
+	for i, v := range a.data {
+		dst.data[i] = s * v
+	}
 }
 
 // MaxAbsDiff returns max_ij |a_ij - b_ij|.
@@ -268,11 +292,49 @@ func EqualApprox(a, b *Dense, tol float64) bool {
 }
 
 // IsUnitary reports whether m*·m ≈ I within tol.
-func (m *Dense) IsUnitary(tol float64) bool {
+func (m *Dense) IsUnitary(tol float64) bool { return new(Scratch).IsUnitary(m, tol) }
+
+// IsUnitary is Dense.IsUnitary with the product m*·m held in the scratch:
+// the same sums in the same order as Mul(m.Adjoint(), m), compared with the
+// identity as MaxAbsDiff does.
+func (s *Scratch) IsUnitary(m *Dense, tol float64) bool {
 	if m.rows != m.cols {
 		return false
 	}
-	return EqualApprox(Mul(m.Adjoint(), m), Identity(m.rows), tol)
+	n := m.rows
+	s.prod.Reset(n, n)
+	for i := 0; i < n; i++ {
+		orow := s.prod.data[i*n:][:n]
+		for k := 0; k < n; k++ {
+			av := cmplx.Conj(m.data[k*n+i])
+			if av == 0 {
+				continue
+			}
+			for j, bv := range m.data[k*n:][:n] {
+				orow[j] += av * bv
+			}
+		}
+	}
+	for i, v := range s.prod.data {
+		var id complex128
+		if i/n == i%n {
+			id = 1
+		}
+		if AbsExceeds(v-id, tol) {
+			return false
+		}
+	}
+	return tol >= 0 // as MaxAbsDiff's maximum, which starts at 0, would compare
+}
+
+// AbsExceeds reports cmplx.Abs(v) > tol. Entries far inside the tolerance —
+// every entry of a matrix that passes a residual or unitarity check — are
+// decided from their parts, since |v| ≤ |re| + |im|, without the hypot.
+func AbsExceeds(v complex128, tol float64) bool {
+	if math.Abs(real(v)) <= tol/2 && math.Abs(imag(v)) <= tol/2 {
+		return false
+	}
+	return cmplx.Abs(v) > tol
 }
 
 // FrobeniusNorm returns sqrt(sum |a_ij|²).
@@ -293,6 +355,31 @@ func (m *Dense) MaxAbs() float64 {
 		}
 	}
 	return max
+}
+
+// MaxAbsPart returns the largest |real| or |imaginary| part of any element:
+// unlike MaxAbs it never squares, so it is exact at every magnitude. A NaN
+// part makes the result NaN, an infinite one +Inf.
+func (m *Dense) MaxAbsPart() float64 {
+	var max float64
+	for _, v := range m.data {
+		for _, a := range [2]float64{math.Abs(real(v)), math.Abs(imag(v))} {
+			if a > max || a != a {
+				max = a
+			}
+		}
+	}
+	return max
+}
+
+// LdexpInto writes a·2^exp into dst, exact but for parts that leave the
+// float64 range, keeping dst's storage when it is large enough.
+func LdexpInto(dst, a *Dense, exp int) {
+	dst.rows, dst.cols = a.rows, a.cols
+	dst.data = grow(dst.data, len(a.data))
+	for i, v := range a.data {
+		dst.data[i] = complex(math.Ldexp(real(v), exp), math.Ldexp(imag(v), exp))
+	}
 }
 
 // String renders the matrix for debugging.

@@ -1,6 +1,9 @@
 package photonic
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Compiled propagation kernels: instead of interpreting a mesh device by
 // device — chasing per-slot *MZI pointers and re-deriving each 2×2 transfer
@@ -124,8 +127,20 @@ type planBuilder struct {
 	runStart int32
 }
 
-func newPlanBuilder(n int) *planBuilder {
-	return &planBuilder{plan: CompiledPlan{n: n}}
+// newPlanBuilder starts a plan over n wires with room for ops MZI
+// applications (more may be added) and four stages, the coefficient arrays
+// cut from one allocation.
+func newPlanBuilder(n, ops int) *planBuilder {
+	coef := make([]complex128, 4*ops)
+	return &planBuilder{plan: CompiledPlan{
+		n:     n,
+		segs:  make([]planSeg, 0, 4),
+		wires: make([]int32, 0, ops),
+		t00:   coef[0:0:ops],
+		t01:   coef[ops : ops : 2*ops],
+		t10:   coef[2*ops : 2*ops : 3*ops],
+		t11:   coef[3*ops : 3*ops : 4*ops],
+	}}
 }
 
 // addOp appends one MZI application on wire pair (w, w+1).
@@ -146,15 +161,14 @@ func (b *planBuilder) closeRun() {
 	}
 }
 
-// addDiag appends a pointwise per-wire stage (the slice is copied).
+// addDiag appends a pointwise per-wire stage. The plan keeps d, which must
+// not change afterwards.
 func (b *planBuilder) addDiag(d []complex128) {
 	if len(d) != b.plan.n {
 		panic("photonic: plan diagonal length mismatch")
 	}
 	b.closeRun()
-	cp := make([]complex128, len(d))
-	copy(cp, d)
-	b.plan.segs = append(b.plan.segs, planSeg{diag: cp})
+	b.plan.segs = append(b.plan.segs, planSeg{diag: d})
 }
 
 func (b *planBuilder) build() *CompiledPlan {
@@ -194,7 +208,7 @@ func (m *Mesh) appendRange(b *planBuilder, c0, c1 int) {
 // phase screen) into a fresh plan, bitwise-equivalent to ForwardRange over
 // the same columns.
 func (m *Mesh) CompileRange(c0, c1 int) *CompiledPlan {
-	b := newPlanBuilder(m.n)
+	b := newPlanBuilder(m.n, (c1-c0)*m.n/2)
 	m.appendRange(b, c0, c1)
 	return b.build()
 }
@@ -215,9 +229,9 @@ func (m *Mesh) CompilePlan() *CompiledPlan {
 	if mp := m.plan.Load(); mp != nil && mp.gen == gen {
 		return mp.plan
 	}
-	b := newPlanBuilder(m.n)
+	b := newPlanBuilder(m.n, m.NumMZIs())
 	m.appendRange(b, 0, m.depth)
-	b.addDiag(m.outPhase)
+	b.addDiag(slices.Clone(m.outPhase))
 	pl := b.build()
 	m.plan.Store(&meshPlan{gen: gen, plan: pl})
 	return pl
@@ -238,7 +252,7 @@ func (f *FlumenMesh) plan() *CompiledPlan {
 	if fp := f.planCache.Load(); fp != nil && fp.meshGen == mg && fp.attenGen == ag {
 		return fp.plan
 	}
-	b := newPlanBuilder(f.n)
+	b := newPlanBuilder(f.n, f.mesh.NumMZIs())
 	f.mesh.appendRange(b, 0, f.n/2)
 	amp := make([]complex128, f.n)
 	for i := range amp {
@@ -246,7 +260,7 @@ func (f *FlumenMesh) plan() *CompiledPlan {
 	}
 	b.addDiag(amp)
 	f.mesh.appendRange(b, f.n/2, f.n)
-	b.addDiag(f.mesh.outPhase)
+	b.addDiag(slices.Clone(f.mesh.outPhase))
 	pl := b.build()
 	f.planCache.Store(&fabricPlan{meshGen: mg, attenGen: ag, plan: pl})
 	return pl

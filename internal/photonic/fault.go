@@ -69,7 +69,8 @@ type FaultInjector struct {
 }
 
 // latticeSlots enumerates the MZI slot keys {column, topWire} of a
-// size-input lattice in the physical application order of compileOps.
+// size-input lattice in physical application order, the order of a
+// BlockProgram's op lists.
 func latticeSlots(size int) [][2]int {
 	var slots [][2]int
 	for c := 0; c < size; c++ {
@@ -186,16 +187,13 @@ func (d *deviceFault) faultedTransfer(op MZI) [2][2]complex128 {
 	}
 }
 
-// corruptOps rebuilds a lattice's op list with the current fault state
-// applied, in the same physical order compileOps uses.
-func corruptOps(slots map[[2]int]MZI, faults map[[2]int]*deviceFault, size int) []progOp {
-	ops := make([]progOp, 0, len(slots))
+// corruptOps rebuilds a lattice's op list from its flat slot settings with
+// the current fault state applied, in the physical order of the program's
+// own op lists.
+func corruptOps(slots []MZI, faults map[[2]int]*deviceFault, size int) []progOp {
+	ops := make([]progOp, 0, size*(size-1)/2)
 	for _, s := range latticeSlots(size) {
-		op, ok := slots[s]
-		if !ok {
-			continue
-		}
-		ops = append(ops, progOp{w: s[1], t: faults[s].faultedTransfer(op)})
+		ops = append(ops, progOp{w: s[1], t: faults[s].faultedTransfer(slots[s[0]*size+s[1]])})
 	}
 	return ops
 }
@@ -260,15 +258,9 @@ func (fi *FaultInjector) Recalibrate(ref *BlockProgram, passes int) float64 {
 	}
 	inf := math.Inf(1)
 	for pass := 0; pass < passes; pass++ {
-		for _, lat := range []struct {
-			slots  map[[2]int]MZI
-			faults map[[2]int]*deviceFault
-		}{{ref.vSlots, fi.v}, {ref.uSlots, fi.u}} {
+		for _, faults := range []map[[2]int]*deviceFault{fi.v, fi.u} {
 			for _, s := range latticeSlots(fi.size) {
-				if _, ok := lat.slots[s]; !ok {
-					continue
-				}
-				d := lat.faults[s]
+				d := faults[s]
 				if d.stuck || d.dead {
 					continue
 				}

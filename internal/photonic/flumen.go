@@ -342,7 +342,6 @@ func (p *Partition) Apply(bp *BlockProgram) error {
 	if bp.Size != p.Size {
 		return fmt.Errorf("photonic: partition is %d-input, program is %d-input", p.Size, bp.Size)
 	}
-	vSlots, uSlots := bp.vSlots, bp.uSlots
 	n := p.f.n
 	cV0 := n/2 - p.Size
 	cU0 := n / 2
@@ -371,9 +370,9 @@ func (p *Partition) Apply(bp *BlockProgram) error {
 			var programmable bool
 			switch {
 			case c >= cV0 && c < cV0+p.Size:
-				op, programmable = vSlots[[2]int{c - cV0, r}], true
+				op, programmable = bp.vSlots[(c-cV0)*p.Size+r], true
 			case c >= cU0 && c < cU0+p.Size:
-				op, programmable = uSlots[[2]int{c - cU0, r}], true
+				op, programmable = bp.uSlots[(c-cU0)*p.Size+r], true
 			}
 			if programmable {
 				q1, q2, phys := absorbPending(op, pend[r], pend[r+1])
@@ -428,7 +427,8 @@ func absorbPending(op MZI, pTop, pBot complex128) (q1, q2 complex128, phys MZI) 
 	t := op.Transfer()
 	cpt := cmplx.Conj(pTop)
 	cpb := cmplx.Conj(pBot)
-	return solveDiagT(t[0][0]*cpt, t[0][1]*cpb, t[1][0]*cpt, t[1][1]*cpb)
+	q1, q2, phys, _ = solveDiagT(t[0][0]*cpt, t[0][1]*cpb, t[1][0]*cpt, t[1][1]*cpb)
+	return q1, q2, phys
 }
 
 // Forward propagates a Size-length input vector through the partition and

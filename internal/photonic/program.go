@@ -2,6 +2,8 @@ package photonic
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync/atomic"
 
 	"flumen/internal/mat"
@@ -14,6 +16,12 @@ import (
 // column, U's output phase screen and the spectral pre-scale — so the same
 // weights can be re-applied to any same-size partition (Partition.Apply)
 // or evaluated directly (Forward/MVM) without re-deriving phases.
+//
+// A compilation works in a pooled compiler's scratch (clements.go) and
+// allocates only what the program keeps, each array at its final size: a
+// lattice's settings are a flat slice indexed column·Size + topWire, its op
+// list the same slots in physical order with the transfer each op was
+// solved with.
 //
 // BlockProgram.Forward propagates E-fields through exactly the SVD-mesh
 // lattice of Fig. 4 (V* columns → Σ attenuators → U columns → phase
@@ -43,9 +51,10 @@ type BlockProgram struct {
 	// Sigma holds the singular values of the normalized block.
 	Sigma []float64
 
-	// Placed MZI settings for the V* and U lattices, keyed
-	// {relativeColumn, relativeTopWire}; consumed by Partition.Apply.
-	vSlots, uSlots map[[2]int]MZI
+	// Placed MZI settings for the V* and U lattices, indexed
+	// relativeColumn·Size + relativeTopWire (meaningful where the two share
+	// parity and the wire is not the last); consumed by Partition.Apply.
+	vSlots, uSlots []MZI
 	// alpha is the attenuator column: Σ_i·dV_i (V*'s phase screen folded
 	// into the Σ stage, as the physical fabric realizes it).
 	alpha []complex128
@@ -61,19 +70,53 @@ type BlockProgram struct {
 	plan atomic.Pointer[CompiledPlan]
 }
 
-// compileOps flattens a slot map into the physical column-major application
-// order with precomputed transfer matrices. Ops within one column act on
-// disjoint wire pairs, so this order realizes the lattice exactly.
-func compileOps(slots map[[2]int]MZI, size int) []progOp {
-	ops := make([]progOp, 0, len(slots))
+// newBlockProgram allocates a size-input program with every array at its
+// final length, the two lattices sharing one backing array per kind.
+func newBlockProgram(size int) *BlockProgram {
+	slots := make([]MZI, 2*size*size)
+	nOps := size * (size - 1) / 2
+	ops := make([]progOp, 2*nOps)
+	screens := make([]complex128, 2*size)
+	return &BlockProgram{
+		Size:   size,
+		Scale:  1,
+		Sigma:  make([]float64, size),
+		vSlots: slots[: size*size : size*size],
+		uSlots: slots[size*size:],
+		alpha:  screens[:size:size],
+		du:     screens[size:],
+		vOps:   ops[:nOps:nOps],
+		uOps:   ops[nOps:],
+	}
+}
+
+// lattice decomposes the unitary u and writes its lattice into a program:
+// the slot settings into slots and the op list, with the transfers the
+// decomposition already derived, into ops. It returns u's output phase
+// screen, which lives in the compiler's scratch.
+func (cp *compiler) lattice(u *mat.Dense, slots []MZI, ops []progOp) ([]complex128, error) {
+	placed, d, err := cp.decompose(u)
+	if err != nil {
+		return nil, err
+	}
+	size := u.Rows()
+	cp.frontier = slices.Grow(cp.frontier[:0], size)[:size]
+	cp.at = slices.Grow(cp.at[:0], size*size)[:size*size]
+	if err := packSlots(placed, size, cp.frontier, cp.at); err != nil {
+		return nil, err
+	}
+	// Ops within one column act on disjoint wire pairs, so column-major
+	// order realizes the lattice exactly.
+	k := 0
 	for c := 0; c < size; c++ {
 		for w := c % 2; w <= size-2; w += 2 {
-			if op, ok := slots[[2]int{c, w}]; ok {
-				ops = append(ops, progOp{w: w, t: op.Transfer()})
-			}
+			op := &placed[cp.at[c*size+w]-1]
+			slots[c*size+w] = op.MZI
+			ops[k] = progOp{w: w, t: op.T}
+			k++
 		}
 	}
-	return ops
+	return d, nil
 }
 
 // CompileBlock decomposes the Size×Size matrix m (whose singular values
@@ -81,59 +124,89 @@ func compileOps(slots map[[2]int]MZI, size int) []progOp {
 // exactly up to numerical precision when applied to a partition or
 // evaluated with Forward.
 func CompileBlock(m *mat.Dense) (*BlockProgram, error) {
+	cp := compilers.Get().(*compiler)
+	defer compilers.Put(cp)
+	return cp.compile(m)
+}
+
+func (cp *compiler) compile(m *mat.Dense) (*BlockProgram, error) {
 	n := m.Rows()
 	if m.Cols() != n {
 		return nil, fmt.Errorf("photonic: CompileBlock requires a square matrix, got %d×%d", n, m.Cols())
 	}
-	svd := mat.SVD(m)
+	svd := cp.svd.SVD(m)
 	for _, sv := range svd.Sigma {
 		if sv > 1+1e-9 {
 			return nil, fmt.Errorf("photonic: singular value %g > 1; use CompileBlockScaled", sv)
 		}
 	}
-	vSlots, dV, err := decomposeToSlots(svd.V.Adjoint(), n)
+	bp := newBlockProgram(n)
+	copy(bp.Sigma, svd.Sigma)
+	svd.V.AdjointInto(&cp.vAdj)
+	dV, err := cp.lattice(&cp.vAdj, bp.vSlots, bp.vOps)
 	if err != nil {
 		return nil, fmt.Errorf("photonic: V* decomposition: %w", err)
 	}
-	uSlots, dU, err := decomposeToSlots(svd.U, n)
+	for i := range bp.alpha {
+		bp.alpha[i] = complex(bp.Sigma[i], 0) * dV[i]
+	}
+	dU, err := cp.lattice(svd.U, bp.uSlots, bp.uOps)
 	if err != nil {
 		return nil, fmt.Errorf("photonic: U decomposition: %w", err)
 	}
-	alpha := make([]complex128, n)
-	for i := range alpha {
-		alpha[i] = complex(svd.Sigma[i], 0) * dV[i]
-	}
-	return &BlockProgram{
-		Size:   n,
-		Scale:  1,
-		Sigma:  svd.Sigma,
-		vSlots: vSlots,
-		uSlots: uSlots,
-		alpha:  alpha,
-		du:     dU,
-		vOps:   compileOps(vSlots, n),
-		uOps:   compileOps(uSlots, n),
-	}, nil
+	copy(bp.du, dU)
+	return bp, nil
 }
+
+// Blocks whose largest part lies outside [bandLo, bandHi] are brought to
+// unit magnitude by an exact power of two before the spectral norm is
+// taken. The Jacobi sweeps square every entry: beyond 2^±511 the square of
+// the largest one is +Inf or 0, and already below 2^-458 the squares of
+// entries 53 bits smaller underflow, so that the norm comes out short and
+// the scaled block keeps a singular value above 1.
+const (
+	bandLo = 0x1p-400
+	bandHi = 0x1p+400
+)
 
 // CompileBlockScaled compiles m/‖m‖₂ and records the scale in Scale;
 // callers multiply MVM outputs by Scale (Sec 3.3.1). An all-zero block
-// compiles the zero map with Scale 0.
+// compiles the zero map with Scale 0. It returns an error for a block with
+// a NaN or infinite entry, or whose spectral norm exceeds the float64 range.
 func CompileBlockScaled(m *mat.Dense) (*BlockProgram, error) {
-	scale := mat.SpectralNorm(m)
-	if scale == 0 {
-		bp, err := CompileBlock(mat.New(m.Rows(), m.Cols()))
-		if err != nil {
-			return nil, err
-		}
-		bp.Scale = 0
-		return bp, nil
+	cp := compilers.Get().(*compiler)
+	defer compilers.Put(cp)
+	return cp.compileScaled(m)
+}
+
+func (cp *compiler) compileScaled(m *mat.Dense) (*BlockProgram, error) {
+	peak := m.MaxAbsPart()
+	if math.IsNaN(peak) || math.IsInf(peak, 0) {
+		return nil, fmt.Errorf("photonic: CompileBlockScaled: block has a non-finite entry")
 	}
-	bp, err := CompileBlock(mat.Scale(complex(1/scale, 0), m))
+	exp := 0
+	if peak != 0 && (peak < bandLo || peak > bandHi) {
+		_, exp = math.Frexp(peak)
+		mat.LdexpInto(&cp.scaled, m, -exp)
+		m = &cp.scaled
+	}
+	scale := cp.svd.SpectralNorm(m)
+	if scale == 0 {
+		cp.scaled.Reset(m.Rows(), m.Cols())
+	} else {
+		mat.ScaleInto(&cp.scaled, complex(1/scale, 0), m)
+	}
+	bp, err := cp.compile(&cp.scaled)
 	if err != nil {
 		return nil, err
 	}
 	bp.Scale = scale
+	if exp != 0 {
+		bp.Scale = math.Ldexp(scale, exp)
+		if math.IsInf(bp.Scale, 0) {
+			return nil, fmt.Errorf("photonic: CompileBlockScaled: spectral norm of the block exceeds the float64 range")
+		}
+	}
 	return bp, nil
 }
 
@@ -193,7 +266,7 @@ func (bp *BlockProgram) Plan() (*CompiledPlan, bool) {
 	if pl := bp.plan.Load(); pl != nil {
 		return pl, false
 	}
-	b := newPlanBuilder(bp.Size)
+	b := newPlanBuilder(bp.Size, len(bp.vOps)+len(bp.uOps))
 	for _, op := range bp.vOps {
 		b.addOp(op.w, op.t)
 	}

@@ -1,6 +1,7 @@
 package photonic
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -85,6 +86,53 @@ func TestCompileBlockScaledZero(t *testing.T) {
 	}
 }
 
+// TestCompileBlockScaledOutOfBand compiles blocks whose entries' squares
+// overflow or underflow float64: the power-of-two pre-scale must be folded
+// back into Scale, and what cannot be represented must be an error, never a
+// silent zero map.
+func TestCompileBlockScaledOutOfBand(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for _, exp := range []int{-1060, -600, -401, 401, 600, 1015} {
+		m := mat.New(6, 6)
+		for r := 0; r < 6; r++ {
+			for c := 0; c < 6; c++ {
+				m.Set(r, c, complex(math.Ldexp(2*rng.Float64()-1, exp), 0))
+			}
+		}
+		bp, err := CompileBlockScaled(m)
+		if err != nil {
+			t.Fatalf("2^%d: %v", exp, err)
+		}
+		if bp.Scale <= 0 || math.IsInf(bp.Scale, 0) {
+			t.Fatalf("2^%d: Scale = %g", exp, bp.Scale)
+		}
+		tol := 1e-9 * bp.Scale
+		if exp < -1000 {
+			tol = math.Ldexp(1, -1073) // the entries are subnormal: a few ulps of 2^-1074
+		}
+		if d := mat.MaxAbsDiff(mat.Scale(complex(bp.Scale, 0), bp.Matrix()), m); !(d <= tol) {
+			t.Fatalf("2^%d: Scale·Matrix() off by %g (Scale %g)", exp, d, bp.Scale)
+		}
+	}
+	for _, bad := range []complex128{complex(math.NaN(), 0), complex(0, math.Inf(1)), complex(math.Inf(-1), 0)} {
+		m := mat.RandomReal(4, 4, rng)
+		m.Set(2, 1, bad)
+		if _, err := CompileBlockScaled(m); err == nil {
+			t.Fatalf("CompileBlockScaled accepted an entry of %v", bad)
+		}
+	}
+	// Every entry at the top of the range: ‖m‖₂ = 4·MaxFloat64 has no float64.
+	m := mat.New(4, 4)
+	for r := 0; r < 4; r++ {
+		for c := 0; c < 4; c++ {
+			m.Set(r, c, complex(math.MaxFloat64, 0))
+		}
+	}
+	if _, err := CompileBlockScaled(m); err == nil {
+		t.Fatal("CompileBlockScaled accepted a block whose spectral norm overflows")
+	}
+}
+
 // TestCompileBlockRejectsExpandingMatrix checks CompileBlock refuses
 // singular values above 1 (the attenuator column cannot amplify).
 func TestCompileBlockRejectsExpandingMatrix(t *testing.T) {
@@ -122,6 +170,24 @@ func TestBlockProgramDeterministicCompile(t *testing.T) {
 	for i := range o1 {
 		if o1[i] != o2[i] {
 			t.Fatalf("independent compiles diverge at %d: %v vs %v", i, o1[i], o2[i])
+		}
+	}
+}
+
+// BenchmarkCompileBlockScaled is the cold path's unit of work: one real 8×8
+// block (the serving block size) through the spectral norm, the SVD, two
+// Clements decompositions and slot packing.
+func BenchmarkCompileBlockScaled(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	blocks := make([]*mat.Dense, 64)
+	for i := range blocks {
+		blocks[i] = mat.RandomReal(8, 8, rng)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := CompileBlockScaled(blocks[i%len(blocks)]); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

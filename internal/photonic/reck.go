@@ -70,8 +70,9 @@ func (m *ReckMesh) ProgramUnitary(u *mat.Dense) {
 		for c := 0; c < r; c++ {
 			theta, phi := solveRightNull(w, r, c)
 			z := MZI{Theta: theta, Phi: phi}
-			applyRightAdjoint(w, c, z)
-			m.ops = append(m.ops, placedOp{Mode: c, MZI: z})
+			t := z.Transfer()
+			applyRightAdjoint(w, c, t)
+			m.ops = append(m.ops, placedOp{Mode: c, MZI: z, T: t})
 		}
 	}
 	m.outPhase = m.outPhase[:0]

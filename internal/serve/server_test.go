@@ -581,3 +581,33 @@ func TestWeightFingerprint(t *testing.T) {
 		t.Fatal("±0 collapsed into one fingerprint")
 	}
 }
+
+// TestMatMulEndpointExtremeWeights posts weights that are legal JSON numbers
+// but whose squares overflow or underflow float64: the answer used to be 200
+// with a matrix of zeros.
+func TestMatMulEndpointExtremeWeights(t *testing.T) {
+	_, hs := newTestServer(t, testConfig())
+	for _, w := range []float64{1e200, -3e-200} {
+		req := MatMulRequest{M: make([][]float64, 8), X: make([][]float64, 8)}
+		for i := range req.M {
+			req.M[i] = make([]float64, 8)
+			req.M[i][i] = w
+			req.M[i][(i+3)%8] = w / 2
+			req.X[i] = []float64{float64(i + 1)}
+		}
+		resp, data := postJSON(t, hs.URL+"/v1/matmul", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("w=%g: status %d: %s", w, resp.StatusCode, data)
+		}
+		var out MatMulResponse
+		if err := json.Unmarshal(data, &out); err != nil {
+			t.Fatal(err)
+		}
+		for i := range req.M {
+			want := w*float64(i+1) + w/2*float64((i+3)%8+1)
+			if got := out.C[i][0]; !(math.Abs(got-want) <= 0.05*math.Abs(w)*8) {
+				t.Fatalf("w=%g: C[%d] = %g, want %g", w, i, got, want)
+			}
+		}
+	}
+}
