@@ -429,26 +429,33 @@ func BenchmarkSVD(b *testing.B) {
 	}
 }
 
-// BenchmarkNoCCycle measures the cost of one simulated cycle of the MZIM
-// NoP under moderate traffic.
+// BenchmarkNoCCycle measures the host cost of one simulated cycle of each
+// NoP alone, Bernoulli injection included, well below saturation (0.02
+// packets per node per cycle: the cycle is mostly empty) and at or past it
+// (0.3; a refused injection is dropped, so the load stays bounded).
 func BenchmarkNoCCycle(b *testing.B) {
-	net := noc.NewMZIM(16, 256, 3)
-	rng := rand.New(rand.NewSource(5))
-	var id int64
-	var cycle int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rng.Float64() < 0.3 {
-			src := rng.Intn(16)
-			dst := rng.Intn(15)
-			if dst >= src {
-				dst++
-			}
-			net.Inject(&noc.Packet{ID: id, Src: src, Dst: dst, Bits: 640}, cycle)
-			id++
+	np := core.DefaultNetworkParams()
+	for _, kind := range []core.TopologyKind{core.TopoRing, core.TopoMesh, core.TopoOptBus, core.TopoFlumenI} {
+		for _, rate := range []float64{0.02, 0.3} {
+			b.Run(fmt.Sprintf("%s/rate=%g", kind, rate), func(b *testing.B) {
+				net := core.BuildNetwork(kind, np)
+				pat := noc.Uniform(np.Nodes)
+				rng := rand.New(rand.NewSource(5))
+				var id int64
+				b.ReportAllocs()
+				b.ResetTimer()
+				for cycle := int64(0); cycle < int64(b.N); cycle++ {
+					for src := 0; src < np.Nodes; src++ {
+						if rng.Float64() < rate {
+							net.Inject(&noc.Packet{ID: id, Src: src, Dst: pat.Dest(src, rng), Bits: 640}, cycle)
+							id++
+						}
+					}
+					net.Step(cycle)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/cycle")
+			})
 		}
-		net.Step(cycle)
-		cycle++
 	}
 }
 

@@ -102,6 +102,12 @@ type System struct {
 	mcFree    map[int]int64 // per-memory-controller next-free cycle
 	inFlight  int
 
+	// Core census, updated where a core changes state, so that Run asks
+	// three counters each cycle and does not scan the cores three times.
+	running   int // cores whose stream has not ended
+	atBarrier int // running cores waiting at a barrier
+	suspended int // running cores blocked on memory or on an offload
+
 	stats    Stats
 	samples  []float64
 	lastBusy int64
@@ -227,6 +233,7 @@ func NewSystem(cfg Config, net noc.Network) *System {
 	for ch := 0; ch < cfg.Chiplets; ch++ {
 		s.l3 = append(s.l3, NewCache(cfg.L3SliceBytes, cfg.L3Ways, cfg.LineBytes))
 	}
+	s.running = len(s.cores)
 	net.SetSink(s.onDeliver)
 	return s
 }
@@ -295,7 +302,7 @@ func (s *System) onDeliver(p *noc.Packet, now int64) {
 // Run executes all op streams to completion and returns the statistics.
 func (s *System) Run() Stats {
 	for {
-		if s.allDone() && s.inFlight == 0 && len(s.events) == 0 {
+		if s.running == 0 && s.inFlight == 0 && len(s.events) == 0 {
 			break
 		}
 		if s.now >= s.cfg.MaxCycles {
@@ -345,15 +352,12 @@ func (s *System) fastForward() {
 			return
 		}
 	}
+	if s.suspended > 0 || s.atBarrier > 0 {
+		return // waiting on something event-driven; don't skip
+	}
 	next := int64(1 << 62)
 	for _, c := range s.cores {
-		if c.done {
-			continue
-		}
-		if c.blockedOn > 0 || c.offload || c.atBarrier {
-			return // waiting on something event-driven; don't skip
-		}
-		if c.readyAt < next {
+		if !c.done && c.readyAt < next {
 			next = c.readyAt
 		}
 	}
@@ -370,33 +374,16 @@ func (s *System) fastForward() {
 	}
 }
 
-func (s *System) allDone() bool {
-	for _, c := range s.cores {
-		if !c.done {
-			return false
-		}
-	}
-	return true
-}
-
+// releaseBarrier opens the barrier once every core still running has
+// arrived at it.
 func (s *System) releaseBarrier() {
-	arrived := 0
-	waiting := 0
+	if s.atBarrier == 0 || s.atBarrier < s.running {
+		return
+	}
 	for _, c := range s.cores {
-		if c.done {
-			arrived++
-			continue
-		}
-		if c.atBarrier {
-			arrived++
-			waiting++
-		}
+		c.atBarrier = false
 	}
-	if waiting > 0 && arrived == len(s.cores) {
-		for _, c := range s.cores {
-			c.atBarrier = false
-		}
-	}
+	s.atBarrier = 0
 }
 
 func (s *System) stepCore(c *coreState) {
@@ -406,6 +393,7 @@ func (s *System) stepCore(c *coreState) {
 			if !ok {
 				c.done = true
 				c.doneAt = s.now
+				s.running--
 				return
 			}
 			c.cur = op
@@ -450,6 +438,7 @@ func (s *System) execOp(c *coreState) {
 		s.execBlock(c)
 	case KindBarrier:
 		c.atBarrier = true
+		s.atBarrier++
 		c.curValid = false
 	case KindOffload:
 		s.stats.OffloadsRequested++
@@ -459,6 +448,7 @@ func (s *System) execOp(c *coreState) {
 		c.offloadBlockedSince = s.now
 		accepted := s.handler(c.id, op.Job, s.now, func() {
 			c.offload = false
+			s.suspended--
 			c.readyAt = s.now
 			c.offloadStallCycles += s.now - c.offloadBlockedSince
 		})
@@ -466,6 +456,7 @@ func (s *System) execOp(c *coreState) {
 		if accepted {
 			s.stats.OffloadsAccepted++
 			c.offload = true
+			s.suspended++
 		} else if fb, ok := op.Job.(FallbackJob); ok {
 			// Rejected: execute the equivalent MACs locally.
 			c.cur = Op{Kind: KindMAC, N: fb.FallbackMACs()}
@@ -534,13 +525,14 @@ func (s *System) launchLineTxn(c *coreState, addr uint64) {
 	line := addr / uint64(cfg.LineBytes)
 	home := int(line % uint64(cfg.Chiplets))
 	c.blockedOn++
-
-	if c.blockedOn == 0 {
+	if c.blockedOn == 1 {
 		c.memBlockedSince = s.now
+		s.suspended++
 	}
 	finish := func(now int64) {
 		c.blockedOn--
 		if c.blockedOn == 0 {
+			s.suspended--
 			if c.readyAt < now {
 				c.readyAt = now
 			}

@@ -202,6 +202,27 @@ func TestStallAttribution(t *testing.T) {
 	}
 }
 
+// TestMemStallCountsFromTheFirstOutstandingLine pins the start of a memory
+// stall: a core that computes for 10 000 cycles and then takes one cold
+// 64-line load is stalled for the load, not for the whole run.
+func TestMemStallCountsFromTheFirstOutstandingLine(t *testing.T) {
+	load := []Op{{Kind: KindLoadBlock, Addr: 1 << 22, Lines: 64}}
+	alone := smallSystem(smallConfig())
+	alone.SetStream(0, NewSliceStream(load))
+	loadCycles := alone.Run().Cycles
+
+	s := smallSystem(smallConfig())
+	s.SetStream(0, NewSliceStream(append([]Op{{Kind: KindCompute, N: 10_000}}, load...)))
+	st := s.Run()
+	if st.Cycles < 10_000+loadCycles/2 {
+		t.Fatalf("run of %d cycles did not wait for a %d-cycle load", st.Cycles, loadCycles)
+	}
+	if st.MemStallCycles < loadCycles/2 || st.MemStallCycles > loadCycles {
+		t.Fatalf("memory stall %d cycles after 10 000 cycles of compute, want about the load alone (%d cycles)",
+			st.MemStallCycles, loadCycles)
+	}
+}
+
 func TestSystemAccessors(t *testing.T) {
 	cfg := smallConfig()
 	s := smallSystem(cfg)

@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"flumen/internal/chip"
@@ -133,6 +134,7 @@ type ControlUnit struct {
 	partitions []*partition
 	freePorts  []int
 	lastBeta   float64
+	occ        []int // buffer occupancies, refilled at every β sample
 
 	stats ControlStats
 }
@@ -202,8 +204,9 @@ func (cu *ControlUnit) handleOffload(coreID int, jobAny any, now int64, done fun
 // prevents hot node pairs from being washed out by a global average
 // (Sec 3.4).
 func (cu *ControlUnit) beta() float64 {
-	occ := cu.net.BufferOccupancy()
-	sort.Sort(sort.Reverse(sort.IntSlice(occ)))
+	cu.occ = cu.net.BufferOccupancy(cu.occ)
+	occ := cu.occ
+	slices.Sort(occ)
 	k := int(float64(len(occ))*cu.params.Zeta + 0.999)
 	if k < 1 {
 		k = 1
@@ -212,7 +215,7 @@ func (cu *ControlUnit) beta() float64 {
 		k = len(occ)
 	}
 	var sum int
-	for _, o := range occ[:k] {
+	for _, o := range occ[len(occ)-k:] {
 		sum += o
 	}
 	return float64(sum) / float64(k*cu.net.BufferCapacity())

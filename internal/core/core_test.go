@@ -6,6 +6,7 @@ import (
 	"flumen/internal/chip"
 	"flumen/internal/energy"
 	"flumen/internal/noc"
+	"flumen/internal/workload"
 )
 
 // testJob implements ComputeJob.
@@ -241,4 +242,32 @@ func TestSchedulerParamsValidation(t *testing.T) {
 		}
 	}()
 	NewControlUnit(sys, net, bad, energy.Default())
+}
+
+// TestStallAttributionFitsTheRun runs the paper's benchmarks at 1/16 scale
+// on every topology and holds the per-kind stall totals to the time there
+// was: no core can be blocked for longer than the run.
+func TestStallAttributionFitsTheRun(t *testing.T) {
+	ccfg := chip.DefaultConfig()
+	np := DefaultNetworkParams()
+	for _, w := range workload.ScaledAll(16) {
+		for _, kind := range AllTopologies() {
+			net := BuildNetwork(kind, np)
+			sys := chip.NewSystem(ccfg, net)
+			streams := w.DigitalStreams(ccfg.Cores)
+			if kind == TopoFlumenA {
+				sp := DefaultSchedulerParams()
+				NewControlUnit(sys, net.(*noc.MZIMNet), sp, energy.Default())
+				streams = w.OffloadStreams(ccfg.Cores, 8, sp.ComputeLambdas)
+			}
+			for i, s := range streams {
+				sys.SetStream(i, s)
+			}
+			st := sys.Run()
+			if blocked, avail := st.MemStallCycles+st.OffloadStallCycles, int64(ccfg.Cores)*st.Cycles; blocked > avail {
+				t.Errorf("%s on %s: %d memory + %d offload stall cycles in a run of %d cores × %d cycles",
+					w.Name(), kind, st.MemStallCycles, st.OffloadStallCycles, ccfg.Cores, st.Cycles)
+			}
+		}
+	}
 }

@@ -345,13 +345,12 @@ func Run(o Options) (*Result, error) {
 // partition i occupies endpoint port i, withdrawn from the communication
 // pool while under lease and restored otherwise.
 func ApplyPortWithdrawal(net *noc.MZIMNet, held []int, nodes int) {
-	heldSet := make(map[int]bool, len(held))
+	for port := 0; port < nodes; port++ {
+		net.SetPortAvailable(port, true)
+	}
 	for _, p := range held {
 		if p < nodes {
-			heldSet[p] = true
+			net.SetPortAvailable(p, false)
 		}
-	}
-	for port := 0; port < nodes; port++ {
-		net.SetPortAvailable(port, !heldSet[port])
 	}
 }

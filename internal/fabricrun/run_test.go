@@ -87,7 +87,7 @@ func TestApplyPortWithdrawal(t *testing.T) {
 	for c := int64(0); c < 20; c++ {
 		net.Step(c)
 	}
-	occ := net.BufferOccupancy()
+	occ := net.BufferOccupancy(nil)
 	if occ[1] != 1 {
 		t.Fatalf("withdrawn port 1 drained its packet: occupancy %v", occ)
 	}
@@ -99,7 +99,7 @@ func TestApplyPortWithdrawal(t *testing.T) {
 	for c := int64(20); c < 40; c++ {
 		net.Step(c)
 	}
-	if occ := net.BufferOccupancy(); occ[1] != 0 {
+	if occ := net.BufferOccupancy(nil); occ[1] != 0 {
 		t.Fatalf("restored port 1 still stuck: occupancy %v", occ)
 	}
 }

@@ -1,5 +1,10 @@
 package noc
 
+import (
+	"fmt"
+	"math/bits"
+)
+
 // MZIMNet models the Flumen photonic fabric as a NoP: a non-blocking
 // crossbar of endpoint ports scheduled by the MZIM control unit's wavefront
 // arbiter. Establishing a connection reprograms MZI phases (the 1 ns ≈ 3
@@ -13,32 +18,36 @@ type MZIMNet struct {
 	setupCycles int64
 	bufCap      int
 
-	queues  [][]*Packet
-	arb     *WavefrontArbiter
-	conns   []mzimConn
-	dstBusy []bool
-	portOK  []bool
-	rrMC    int
+	queues []fifo[*Packet]
+	arb    *WavefrontArbiter
+	conns  []mzimConn
+	rrMC   int
+
+	// Port sets, one bit per endpoint: what a cycle does is found by
+	// intersecting them, so a Step costs what the packets present cost.
+	nonEmpty uint64 // request buffer holds a packet
+	sending  uint64 // source of a live connection
+	dstBusy  uint64 // destination of a live connection
+	portOK   uint64 // in the communication pool
 
 	// lookahead is the per-endpoint request-buffer scan depth of the
 	// arbiter (1 = pure FIFO with head-of-line blocking).
 	lookahead int
 
-	// Scratch buffers reused across cycles.
-	req         [][]bool
-	busyRow     []bool
-	busyCol     []bool
+	req    []uint64 // per-source request masks, rebuilt for the sources that bid
+	grants []int
+
 	queued      int // total queued packets (skip arbitration when zero)
-	active      int // active connections
+	queuedMC    int // of which multicast (skip the multicast pass when zero)
 	injectedNow int // packets injected since the last CycleTelemetry read
 
 	sink     func(*Packet, int64)
 	counters Counters
 }
 
+// mzimConn is a source port's connection; it is live while the port's bit
+// in MZIMNet.sending is set.
 type mzimConn struct {
-	active bool
-	dsts   []int
 	doneAt int64
 	p      *Packet
 	// lastDoneAt records when the port's previous transfer completed; a
@@ -49,32 +58,25 @@ type mzimConn struct {
 	lastDoneAt int64
 }
 
-// NewMZIM builds a Flumen MZIM NoP with the given endpoint count, per-port
-// width (bits/cycle) and connection setup latency in cycles.
+// NewMZIM builds a Flumen MZIM NoP with the given endpoint count (at most
+// 64, the arbiter's width), per-port width (bits/cycle) and connection
+// setup latency in cycles.
 func NewMZIM(nodes, widthBits int, setupCycles int64) *MZIMNet {
 	if nodes < 2 {
 		panic("noc: MZIM needs at least 2 nodes")
 	}
-	m := &MZIMNet{
+	arb := NewWavefrontArbiter(nodes)
+	return &MZIMNet{
 		nodes: nodes, widthBits: widthBits, setupCycles: setupCycles,
-		bufCap:  16,
-		queues:  make([][]*Packet, nodes),
-		arb:     NewWavefrontArbiter(nodes),
-		conns:   make([]mzimConn, nodes),
-		dstBusy: make([]bool, nodes),
-		portOK:  make([]bool, nodes),
+		bufCap:    16,
+		queues:    make([]fifo[*Packet], nodes),
+		arb:       arb,
+		conns:     make([]mzimConn, nodes),
+		portOK:    arb.ports,
+		lookahead: 2,
+		req:       make([]uint64, nodes),
+		grants:    make([]int, nodes),
 	}
-	for i := range m.portOK {
-		m.portOK[i] = true
-	}
-	m.req = make([][]bool, nodes)
-	for i := range m.req {
-		m.req[i] = make([]bool, nodes)
-	}
-	m.busyRow = make([]bool, nodes)
-	m.busyCol = make([]bool, nodes)
-	m.lookahead = 2
-	return m
 }
 
 // SetLookahead configures the arbiter's request-buffer scan depth (≥1).
@@ -101,18 +103,26 @@ func (m *MZIMNet) Counters() Counters {
 // SetPortAvailable adds or removes a port from the communication pool
 // (removed ports belong to an active compute partition).
 func (m *MZIMNet) SetPortAvailable(port int, ok bool) {
-	m.portOK[port] = ok
+	if port < 0 || port >= m.nodes {
+		panic(fmt.Sprintf("noc: MZIM port %d out of range", port))
+	}
+	if ok {
+		m.portOK |= 1 << uint(port)
+	} else {
+		m.portOK &^= 1 << uint(port)
+	}
 }
 
-// BufferOccupancy returns the current per-endpoint request buffer depths,
+// BufferOccupancy appends the current per-endpoint request buffer depths,
 // which the Flumen scheduler's Partitioner inspects (RegBuffUtil,
-// Algorithm 1).
-func (m *MZIMNet) BufferOccupancy() []int {
-	occ := make([]int, m.nodes)
-	for i, q := range m.queues {
-		occ[i] = len(q)
+// Algorithm 1), to buf[:0] and returns it; a caller that reads them every
+// evaluation period passes its previous result back.
+func (m *MZIMNet) BufferOccupancy(buf []int) []int {
+	buf = buf[:0]
+	for i := range m.queues {
+		buf = append(buf, m.queues[i].len())
 	}
-	return occ
+	return buf
 }
 
 // BufferCapacity returns the per-endpoint buffer capacity.
@@ -120,12 +130,17 @@ func (m *MZIMNet) BufferCapacity() int { return m.bufCap }
 
 func (m *MZIMNet) Inject(p *Packet, now int64) bool {
 	validatePacket(p, m.nodes)
-	if len(m.queues[p.Src]) >= m.bufCap {
+	q := &m.queues[p.Src]
+	if q.len() >= m.bufCap {
 		return false
 	}
 	p.InjectCycle = now
-	m.queues[p.Src] = append(m.queues[p.Src], p)
+	q.push(p)
+	m.nonEmpty |= 1 << uint(p.Src)
 	m.queued++
+	if p.Multicast != nil {
+		m.queuedMC++
+	}
 	m.injectedNow++
 	m.counters.InjectedPackets++
 	return true
@@ -141,137 +156,141 @@ func (m *MZIMNet) CycleTelemetry() (injected, queued int) {
 	return injected, m.queued
 }
 
-func (m *MZIMNet) deliver(p *Packet, dst int, now int64) {
-	dp := *p
-	dp.Dst = dst
-	dp.Multicast = nil
-	dp.RecvCycle = now
+// dstMask is the set of ports a packet is addressed to.
+func dstMask(p *Packet) uint64 {
+	if p.Multicast == nil {
+		return 1 << uint(p.Dst)
+	}
+	var m uint64
+	for _, d := range p.Multicast {
+		m |= 1 << uint(d)
+	}
+	return m
+}
+
+// connect takes the k-th queued packet of source s out of its buffer and
+// sets up its path. A unicast is later delivered as the packet itself;
+// p.Multicast must not change while p is in the network.
+func (m *MZIMNet) connect(s, k int, now int64) {
+	q := &m.queues[s]
+	p := q.remove(k)
+	if q.len() == 0 {
+		m.nonEmpty &^= 1 << uint(s)
+	}
+	m.queued--
+	if p.Multicast != nil {
+		m.queuedMC--
+	}
+	c := &m.conns[s]
+	ser := serCycles(p.Bits, m.widthBits)
+	setup := m.setupCycles
+	if now <= c.lastDoneAt+1 {
+		// Back-to-back grant: the next path's MZI phases were programmed
+		// while the previous transfer drained.
+		setup = 0
+	}
+	c.p, c.doneAt = p, now+setup+ser
+	m.sending |= 1 << uint(s)
+	m.dstBusy |= dstMask(p)
+	m.counters.Reconfigurations++
+	m.counters.PhotonicBits += int64(p.Bits)
+	m.counters.LinkBusyCycles += ser
+}
+
+func (m *MZIMNet) deliver(p *Packet, now int64) {
+	p.RecvCycle = now
 	m.counters.DeliveredPackets++
 	if m.sink != nil {
-		m.sink(&dp, now)
+		m.sink(p, now)
 	}
 }
 
 func (m *MZIMNet) Step(now int64) {
 	// 1. Complete connections.
-	if m.active > 0 {
-		for s := range m.conns {
-			c := &m.conns[s]
-			if !c.active || c.doneAt > now {
-				continue
-			}
-			for _, d := range c.dsts {
-				m.deliver(c.p, d, now)
-				m.dstBusy[d] = false
-			}
-			c.active = false
-			c.p = nil
-			c.lastDoneAt = now
-			m.active--
+	for live := m.sending; live != 0; live &= live - 1 {
+		s := bits.TrailingZeros64(live)
+		c := &m.conns[s]
+		if c.doneAt > now {
+			continue
 		}
+		p := c.p
+		m.dstBusy &^= dstMask(p)
+		if p.Multicast == nil {
+			m.deliver(p, now)
+		} else {
+			// One transmission, heard at every drop: each gets its copy.
+			for _, d := range p.Multicast {
+				dp := *p
+				dp.Dst = d
+				dp.Multicast = nil
+				m.deliver(&dp, now)
+			}
+		}
+		c.p = nil
+		c.lastDoneAt = now
+		m.sending &^= 1 << uint(s)
 	}
 	if m.queued == 0 {
 		return
 	}
 	// 2. Grant multicast/broadcast heads first: a multicast needs every
 	// destination port simultaneously (physical splitting tree).
-	for k := 0; k < m.nodes; k++ {
-		s := (m.rrMC + k) % m.nodes
-		if m.conns[s].active || !m.portOK[s] || len(m.queues[s]) == 0 {
-			continue
-		}
-		p := m.queues[s][0]
-		if p.Multicast == nil {
-			continue
-		}
-		ok := true
-		for _, d := range p.Multicast {
-			if m.dstBusy[d] || !m.portOK[d] {
-				ok = false
-				break
+	if m.queuedMC > 0 {
+		for k := 0; k < m.nodes; k++ {
+			s := (m.rrMC + k) % m.nodes
+			if (m.nonEmpty&m.portOK&^m.sending)>>uint(s)&1 == 0 {
+				continue
 			}
+			p := m.queues[s].at(0)
+			if p.Multicast == nil {
+				continue
+			}
+			if dstMask(p)&(m.dstBusy|^m.portOK) != 0 {
+				continue
+			}
+			m.connect(s, 0, now)
+			m.rrMC = (s + 1) % m.nodes
 		}
-		if !ok {
-			continue
-		}
-		m.queues[s] = m.queues[s][1:]
-		m.queued--
-		m.establish(s, append([]int(nil), p.Multicast...), p, now)
-		m.rrMC = (s + 1) % m.nodes
 	}
 	// 3. Wavefront arbitration for unicast heads, with request-buffer
 	// lookahead: the control unit can see the first few queued requests
 	// per endpoint, relieving FIFO head-of-line blocking when the head's
 	// destination is busy.
-	lookahead := m.lookahead
+	bidders := m.nonEmpty & m.portOK &^ m.sending
 	anyReq := false
-	for s := 0; s < m.nodes; s++ {
-		row := m.req[s]
-		for d := range row {
-			row[d] = false
-		}
-		m.busyRow[s] = m.conns[s].active || !m.portOK[s]
-		if m.busyRow[s] || len(m.queues[s]) == 0 {
-			continue
-		}
-		if m.queues[s][0].Multicast != nil {
-			continue // waits for its destinations to free up
-		}
-		for k := 0; k < lookahead && k < len(m.queues[s]); k++ {
-			p := m.queues[s][k]
+	for rest := bidders; rest != 0; rest &= rest - 1 {
+		s := bits.TrailingZeros64(rest)
+		q := &m.queues[s]
+		var row uint64
+		for k := 0; k < m.lookahead && k < q.len(); k++ {
+			p := q.at(k)
 			if p.Multicast != nil {
-				break // do not reorder around a multicast
+				// A multicast head waits for its destinations to free
+				// up; one further back is not reordered around.
+				break
 			}
-			if m.portOK[p.Dst] {
-				row[p.Dst] = true
-				anyReq = true
-			}
+			row |= 1 << uint(p.Dst)
 		}
+		row &= m.portOK
+		m.req[s] = row
+		anyReq = anyReq || row != 0
 	}
 	if !anyReq {
 		return
 	}
-	for d := 0; d < m.nodes; d++ {
-		m.busyCol[d] = m.dstBusy[d] || !m.portOK[d]
-	}
-	grants := m.arb.Arbitrate(m.req, m.busyRow, m.busyCol)
-	for s, d := range grants {
+	m.arb.Arbitrate(m.req, ^bidders, m.dstBusy|^m.portOK, m.grants)
+	for rest := bidders; rest != 0; rest &= rest - 1 {
+		s := bits.TrailingZeros64(rest)
+		d := m.grants[s]
 		if d < 0 {
 			continue
 		}
-		for k := 0; k < lookahead && k < len(m.queues[s]); k++ {
-			if m.queues[s][k].Dst == d && m.queues[s][k].Multicast == nil {
-				p := m.queues[s][k]
-				m.queues[s] = append(m.queues[s][:k], m.queues[s][k+1:]...)
-				m.queued--
-				m.establish(s, []int{d}, p, now)
+		q := &m.queues[s]
+		for k := 0; k < m.lookahead && k < q.len(); k++ {
+			if p := q.at(k); p.Dst == d && p.Multicast == nil {
+				m.connect(s, k, now)
 				break
 			}
 		}
 	}
-}
-
-func (m *MZIMNet) establish(src int, dsts []int, p *Packet, now int64) {
-	ser := serCycles(p.Bits, m.widthBits)
-	setup := m.setupCycles
-	if now <= m.conns[src].lastDoneAt+1 {
-		// Back-to-back grant: the next path's MZI phases were programmed
-		// while the previous transfer drained.
-		setup = 0
-	}
-	last := m.conns[src].lastDoneAt
-	m.conns[src] = mzimConn{
-		active:     true,
-		dsts:       dsts,
-		doneAt:     now + setup + ser,
-		p:          p,
-		lastDoneAt: last,
-	}
-	for _, d := range dsts {
-		m.dstBusy[d] = true
-	}
-	m.active++
-	m.counters.Reconfigurations++
-	m.counters.PhotonicBits += int64(p.Bits)
-	m.counters.LinkBusyCycles += ser
 }

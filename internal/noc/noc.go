@@ -75,6 +75,11 @@ func validatePacket(p *Packet, nodes int) {
 	if p.Multicast == nil && (p.Dst < 0 || p.Dst >= nodes) {
 		panic(fmt.Sprintf("noc: packet dst %d out of range", p.Dst))
 	}
+	for _, d := range p.Multicast {
+		if d < 0 || d >= nodes {
+			panic(fmt.Sprintf("noc: packet multicast dst %d out of range", d))
+		}
+	}
 	if p.Bits <= 0 {
 		panic("noc: packet must carry at least one bit")
 	}

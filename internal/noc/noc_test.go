@@ -3,7 +3,6 @@ package noc
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 // deliverAll drives a network until all injected packets are delivered or
@@ -176,101 +175,6 @@ func TestOptBusMulticastDeliversToAll(t *testing.T) {
 	}
 }
 
-func TestWavefrontArbiterGrantsAreMatching(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(15)
-		arb := NewWavefrontArbiter(n)
-		req := make([][]bool, n)
-		for i := range req {
-			req[i] = make([]bool, n)
-			for j := range req[i] {
-				req[i][j] = rng.Float64() < 0.4
-			}
-		}
-		grants := arb.Arbitrate(req, nil, nil)
-		usedCol := make([]bool, n)
-		for s, d := range grants {
-			if d < 0 {
-				continue
-			}
-			if !req[s][d] {
-				return false // granted a non-request
-			}
-			if usedCol[d] {
-				return false // output granted twice
-			}
-			usedCol[d] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestWavefrontArbiterMaximalOnDiagonal(t *testing.T) {
-	// A full request matrix must yield a perfect matching.
-	n := 8
-	arb := NewWavefrontArbiter(n)
-	req := make([][]bool, n)
-	for i := range req {
-		req[i] = make([]bool, n)
-		for j := range req[i] {
-			req[i][j] = true
-		}
-	}
-	grants := arb.Arbitrate(req, nil, nil)
-	for s, d := range grants {
-		if d < 0 {
-			t.Fatalf("source %d ungranted under full requests", s)
-		}
-	}
-}
-
-func TestWavefrontArbiterRespectsBusy(t *testing.T) {
-	arb := NewWavefrontArbiter(4)
-	req := [][]bool{
-		{true, false, false, false},
-		{true, false, false, false},
-		{false, false, true, false},
-		{false, false, false, true},
-	}
-	busyRow := []bool{false, false, true, false}
-	busyCol := []bool{false, false, false, true}
-	grants := arb.Arbitrate(req, busyRow, busyCol)
-	if grants[2] != -1 {
-		t.Fatal("busy row granted")
-	}
-	if grants[3] != -1 {
-		t.Fatal("busy column granted")
-	}
-	if grants[0] != 0 && grants[1] != 0 {
-		t.Fatal("column 0 should be granted to someone")
-	}
-	if grants[0] == 0 && grants[1] == 0 {
-		t.Fatal("column 0 double-granted")
-	}
-}
-
-func TestWavefrontArbiterFairnessRotates(t *testing.T) {
-	// Two sources contending for one destination should alternate.
-	arb := NewWavefrontArbiter(2)
-	req := [][]bool{{true, false}, {true, false}}
-	winners := map[int]int{}
-	for i := 0; i < 10; i++ {
-		g := arb.Arbitrate(req, nil, nil)
-		for s, d := range g {
-			if d == 0 {
-				winners[s]++
-			}
-		}
-	}
-	if winners[0] == 0 || winners[1] == 0 {
-		t.Fatalf("arbiter starved a source: %v", winners)
-	}
-}
-
 func TestMZIMDelivers(t *testing.T) {
 	net := NewMZIM(16, 256, 3)
 	p := &Packet{ID: 1, Src: 2, Dst: 9, Bits: 640}
@@ -353,7 +257,7 @@ func TestMZIMBufferOccupancy(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		net.Inject(&Packet{ID: int64(i), Src: 1, Dst: 2, Bits: 640}, 0)
 	}
-	occ := net.BufferOccupancy()
+	occ := net.BufferOccupancy(nil)
 	if occ[1] != 3 {
 		t.Fatalf("occupancy %v", occ)
 	}

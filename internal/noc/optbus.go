@@ -16,8 +16,9 @@ type optBus struct {
 	propCycles int64
 	injectCap  int
 
-	queues   [][]*Packet // per-node FIFO awaiting a channel
-	busy     []int64     // per channel: cycle at which it frees
+	queues   []fifo[*Packet] // per-node FIFO awaiting a channel
+	queued   int             // packets in queues (skip the grant scan when zero)
+	busy     []int64         // per channel: cycle at which it frees
 	inFlight []busTx
 	rrNode   int // round-robin grant pointer
 	sink     func(*Packet, int64)
@@ -40,7 +41,7 @@ func NewOptBus(nodes, channels, widthBits int) Network {
 		// Waveguide propagation plus the shared-medium arbitration round
 		// trip (token/grant on the arbitration waveguide).
 		propCycles: 4, injectCap: 16,
-		queues: make([][]*Packet, nodes),
+		queues: make([]fifo[*Packet], nodes),
 		busy:   make([]int64, channels),
 	}
 }
@@ -57,11 +58,12 @@ func (b *optBus) Counters() Counters {
 
 func (b *optBus) Inject(p *Packet, now int64) bool {
 	validatePacket(p, b.nodes)
-	if len(b.queues[p.Src]) >= b.injectCap {
+	if b.queues[p.Src].len() >= b.injectCap {
 		return false
 	}
 	p.InjectCycle = now
-	b.queues[p.Src] = append(b.queues[p.Src], p)
+	b.queues[p.Src].push(p)
+	b.queued++
 	b.counters.InjectedPackets++
 	return true
 }
@@ -72,54 +74,63 @@ func (b *optBus) homeChannel(dst int) int { return dst % b.channels }
 
 func (b *optBus) Step(now int64) {
 	// Deliver completed transmissions.
-	kept := b.inFlight[:0]
-	for _, tx := range b.inFlight {
-		if tx.arrives <= now {
-			tx.p.RecvCycle = now
-			b.counters.DeliveredPackets++
-			if b.sink != nil {
-				b.sink(tx.p, now)
+	if len(b.inFlight) > 0 {
+		kept := b.inFlight[:0]
+		for _, tx := range b.inFlight {
+			if tx.arrives <= now {
+				tx.p.RecvCycle = now
+				b.counters.DeliveredPackets++
+				if b.sink != nil {
+					b.sink(tx.p, now)
+				}
+			} else {
+				kept = append(kept, tx)
 			}
-		} else {
-			kept = append(kept, tx)
 		}
+		b.inFlight = kept
 	}
-	b.inFlight = kept
 	// Grant free channels round-robin across waiting nodes. A unicast must
 	// ride its destination's home channel (MWSR); a multicast is a single
 	// transmission heard at every drop, so it may use any free channel.
-	for ch := 0; ch < b.channels; ch++ {
+	for ch := 0; ch < b.channels && b.queued > 0; ch++ {
 		if b.busy[ch] > now {
 			continue
 		}
-		granted := false
-		for k := 0; k < b.nodes && !granted; k++ {
-			node := (b.rrNode + k) % b.nodes
-			if len(b.queues[node]) == 0 {
+		for k := 0; k < b.nodes; k++ {
+			node := b.rrNode + k
+			if node >= b.nodes {
+				node -= b.nodes
+			}
+			q := &b.queues[node]
+			if q.len() == 0 {
 				continue
 			}
-			p := b.queues[node][0]
+			p := q.at(0)
 			if p.Multicast == nil && b.homeChannel(p.Dst) != ch {
 				continue
 			}
-			b.queues[node] = b.queues[node][1:]
+			q.pop()
+			b.queued--
 			ser := serCycles(p.Bits, b.widthBits)
 			b.busy[ch] = now + ser
 			b.counters.LinkBusyCycles += ser
 			b.counters.PhotonicBits += int64(p.Bits)
+			arrives := now + ser + b.propCycles
 			if p.Multicast != nil {
 				for _, d := range p.Multicast {
 					cp := *p
 					cp.Dst = d
 					cp.Multicast = nil
-					pc := cp
-					b.inFlight = append(b.inFlight, busTx{p: &pc, arrives: now + ser + b.propCycles})
+					b.inFlight = append(b.inFlight, busTx{p: &cp, arrives: arrives})
 				}
 			} else {
-				b.inFlight = append(b.inFlight, busTx{p: p, arrives: now + ser + b.propCycles})
+				b.inFlight = append(b.inFlight, busTx{p: p, arrives: arrives})
 			}
-			b.rrNode = (node + 1) % b.nodes
-			granted = true
+			b.rrNode = node + 1
+			if b.rrNode == b.nodes {
+				b.rrNode = 0
+			}
+			break
 		}
 	}
 }

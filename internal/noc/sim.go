@@ -3,7 +3,7 @@ package noc
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // RunConfig parameterizes a synthetic-traffic run.
@@ -69,28 +69,37 @@ func (r RunResult) String() string {
 func RunSynthetic(net Network, pat Pattern, injectRate float64, cfg RunConfig) RunResult {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := net.Nodes()
-	srcQ := make([][]*Packet, n) // unbounded source-side queues
+	srcQ := make([]fifo[*Packet], n) // unbounded source-side queues
 	var nextID int64
-	var measured, deliveredMeasured int64
+	var deliveredMeasured int64
 	var latSum, latMax int64
 	var measuredBits int64
 	genStart := cfg.WarmupCycles
 	genEnd := cfg.WarmupCycles + cfg.MeasureCycles
 
-	measuredSet := make(map[int64]int64) // id -> generation cycle
-	var latencies []int64
+	// Measured packets are generated back to back, so their IDs are
+	// consecutive: genCycle[id-firstMeasured] is the generation cycle of a
+	// measured packet still on its way, -1 once it has arrived.
+	expect := max(0, int(min(injectRate, 1)*float64(n)*float64(cfg.MeasureCycles)*1.05)) + 16
+	genCycle := make([]int64, 0, expect)
+	latencies := make([]int64, 0, expect)
+	var firstMeasured int64
+	outstanding := 0
 	net.SetSink(func(p *Packet, now int64) {
-		if gen, ok := measuredSet[p.ID]; ok {
-			lat := now - gen
-			latSum += lat
-			latencies = append(latencies, lat)
-			if lat > latMax {
-				latMax = lat
-			}
-			deliveredMeasured++
-			measuredBits += int64(p.Bits)
-			delete(measuredSet, p.ID)
+		i := p.ID - firstMeasured
+		if i < 0 || i >= int64(len(genCycle)) || genCycle[i] < 0 {
+			return
 		}
+		lat := now - genCycle[i]
+		genCycle[i] = -1
+		outstanding--
+		latSum += lat
+		latencies = append(latencies, lat)
+		if lat > latMax {
+			latMax = lat
+		}
+		deliveredMeasured++
+		measuredBits += int64(p.Bits)
 	})
 
 	total := cfg.WarmupCycles + cfg.MeasureCycles + cfg.DrainCycles
@@ -109,19 +118,23 @@ func RunSynthetic(net Network, pat Pattern, injectRate float64, cfg RunConfig) R
 					}
 					nextID++
 					if cycle >= genStart {
-						measured++
-						measuredSet[p.ID] = cycle
+						if len(genCycle) == 0 {
+							firstMeasured = p.ID
+						}
+						genCycle = append(genCycle, cycle)
+						outstanding++
 					}
-					srcQ[s] = append(srcQ[s], p)
+					srcQ[s].push(p)
 				}
 			}
 		}
 		// Drain source queues into the network.
 		for s := 0; s < n; s++ {
-			for len(srcQ[s]) > 0 && net.Inject(srcQ[s][0], cycle) {
-				srcQ[s] = srcQ[s][1:]
+			q := &srcQ[s]
+			for q.len() > 0 && net.Inject(q.at(0), cycle) {
+				q.pop()
 			}
-			if len(srcQ[s]) > 1000 {
+			if q.len() > 1000 {
 				saturated = true
 			}
 		}
@@ -129,19 +142,21 @@ func RunSynthetic(net Network, pat Pattern, injectRate float64, cfg RunConfig) R
 		if cfg.OnCycle != nil {
 			cfg.OnCycle(cycle, net)
 		}
-		if !generating && len(measuredSet) == 0 {
+		if !generating && outstanding == 0 {
 			cycle++
 			break
 		}
 	}
-	if len(measuredSet) > 0 {
+	if outstanding > 0 {
 		saturated = true
 		// Charge undelivered measured packets at least their age so the
 		// latency curve blows up visibly at saturation.
-		for _, gen := range measuredSet {
-			latSum += cycle - gen
-			latencies = append(latencies, cycle-gen)
-			deliveredMeasured++
+		for _, gen := range genCycle {
+			if gen >= 0 {
+				latSum += cycle - gen
+				latencies = append(latencies, cycle-gen)
+				deliveredMeasured++
+			}
 		}
 	}
 	avg := 0.0
@@ -150,7 +165,7 @@ func RunSynthetic(net Network, pat Pattern, injectRate float64, cfg RunConfig) R
 	}
 	var p50, p99 int64
 	if len(latencies) > 0 {
-		sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
+		slices.Sort(latencies)
 		p50 = latencies[len(latencies)/2]
 		p99 = latencies[len(latencies)*99/100]
 	}

@@ -135,7 +135,7 @@ func TestChattyPairsSkewMZIMBuffers(t *testing.T) {
 		}
 		net.Step(cycle)
 	}
-	occ := net.BufferOccupancy()
+	occ := net.BufferOccupancy(nil)
 	sum := 0
 	for _, o := range occ {
 		sum += o
