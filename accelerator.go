@@ -52,14 +52,6 @@ type Accelerator struct {
 	cache     *programCache
 	noiseOn   bool
 	noiseSeed int64
-	// compiled enables the batched compiled-kernel propagation path in the
-	// engine (default true; see SetCompiledKernels).
-	compiled bool
-
-	// Compiled-kernel counters (see KernelStats).
-	kernelCompiles  atomic.Int64
-	kernelReuses    atomic.Int64
-	kernelFallbacks atomic.Int64
 
 	// partIdx maps each partition back to its index so pool-mode checkouts
 	// know which health/fault record they hold; rebuilt with partitions.
@@ -98,7 +90,6 @@ func NewAccelerator(ports, blockSize int) (*Accelerator, error) {
 		blockSize: blockSize,
 		lambdas:   8,
 		cache:     newProgramCache(DefaultProgramCacheSize),
-		compiled:  true,
 	}
 	if err := a.buildPartitions(); err != nil {
 		return nil, err
@@ -223,41 +214,17 @@ func (a *Accelerator) SetProgramCacheSize(n int) {
 	a.mu.Unlock()
 }
 
-// SetCompiledKernels toggles the engine's batched compiled-kernel
-// propagation path (default on): with it enabled, every work item streams
-// all of its right-hand-side columns through the block program's compiled
-// SoA plan in one multi-RHS pass. With it disabled — or whenever a fault
-// injector is active on the executing partition, which corrupts the
-// program per item — columns run the interpreted per-vector lattice
-// instead. Both paths produce bitwise-identical results; the toggle exists
-// for benchmarking and as an escape hatch.
-func (a *Accelerator) SetCompiledKernels(on bool) {
-	a.mu.Lock()
-	a.compiled = on
-	a.mu.Unlock()
-}
-
-// CompiledKernels reports whether the batched compiled-kernel path is
-// enabled.
-func (a *Accelerator) CompiledKernels() bool {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.compiled
-}
-
-// KernelStats reports compiled-kernel effectiveness.
+// KernelStats reports plan accounting. A plan is compiled with its weight
+// program and lives and dies with it in the weight-program cache, so the
+// counts are the cache's: Stats() derives them from Cache.
 type KernelStats struct {
-	// PlanCompiles and PlanReuses count work items that compiled a new
-	// propagation plan vs reused one cached on the block program — reuse
-	// rides the weight-program cache, so a warm cache makes compilation
-	// disappear from the steady state.
+	// PlanCompiles counts plans compiled (Cache.Misses); PlanReuses counts
+	// work items that ran a cached program's plan (Cache.Hits).
 	PlanCompiles int64
 	PlanReuses   int64
-	// PlanEvictions counts compiled plans dropped along with their program
-	// by the weight-program cache's LRU.
-	PlanEvictions int64
-	// Fallbacks counts work items that ran the interpreted per-vector path
-	// because a fault injector was active on the executing partition.
+	// Fallbacks is always 0.
+	//
+	// Deprecated: no fallback exists; every work item runs a plan.
 	Fallbacks int64
 }
 
@@ -277,15 +244,14 @@ func (a *Accelerator) ProgramCacheStats() CacheStats {
 // model).
 func (a *Accelerator) EnergyPJ() float64 { return a.meter.EnergyPJ() }
 
-// PrewarmWeights compiles every block program of weight matrix m into the
-// weight-program cache — including each program's compiled propagation plan
-// when the batched kernel path is enabled — and pins the entries against
+// PrewarmWeights compiles every block program of weight matrix m — plan
+// included — into the weight-program cache and pins the entries against
 // LRU eviction. A later MatMul/MatVec/Conv2D against the same raw bits then
-// pays neither the SVD + Clements decomposition nor the plan compile on its
-// first request: this is the model registry's warm-start hook. Returns the
-// number of block programs pinned (a matrix whose blocks repeat pins the
-// shared entry once per occurrence; UnpinWeights is exactly symmetric).
-// With caching disabled the call is a no-op.
+// pays no SVD + Clements decomposition on its first request: this is the
+// model registry's warm-start hook. Returns the number of block programs
+// pinned (a matrix whose blocks repeat pins the shared entry once per
+// occurrence; UnpinWeights is exactly symmetric). With caching disabled
+// the call is a no-op.
 //
 // Prewarming performs no physical programming and meters no energy: it
 // fills the compilation cache, it does not touch the fabric.
@@ -295,7 +261,6 @@ func (a *Accelerator) PrewarmWeights(m [][]float64) (int, error) {
 	}
 	a.mu.RLock()
 	cache := a.cache
-	compiled := a.compiled
 	a.mu.RUnlock()
 	if cache == nil {
 		return 0, nil
@@ -306,16 +271,8 @@ func (a *Accelerator) PrewarmWeights(m [][]float64) (int, error) {
 	var s blockScratch
 	for c := 0; c < pm.Cols()/n; c++ {
 		for r := 0; r < pm.Rows()/n; r++ {
-			bp, err := a.programFor(pm, r, c, cache, &s)
-			if err != nil {
+			if _, err := a.programFor(pm, r, c, cache, &s); err != nil {
 				return pinned, err
-			}
-			if compiled {
-				if _, compiledNow := bp.Plan(); compiledNow {
-					a.kernelCompiles.Add(1)
-				} else {
-					a.kernelReuses.Add(1)
-				}
 			}
 			if cache.pin(s.key) {
 				pinned++
@@ -420,8 +377,7 @@ type Stats struct {
 	// Cache reports weight-program cache hit/miss/eviction counts (zero
 	// value when caching is disabled).
 	Cache CacheStats
-	// Kernel reports compiled-kernel plan compile/reuse/eviction and
-	// interpreter-fallback counts.
+	// Kernel reports plan compiles and reuses, derived from Cache.
 	Kernel KernelStats
 	// Fabric is the attached dynamic-fabric arbiter's snapshot (nil when
 	// the accelerator owns its partitions outright).
@@ -450,14 +406,9 @@ func (a *Accelerator) Stats() Stats {
 	a.mu.RUnlock()
 	s.EnergyPJ = a.meter.EnergyPJ()
 	s.Programs, s.Batches = a.meter.Counts()
-	s.Kernel = KernelStats{
-		PlanCompiles: a.kernelCompiles.Load(),
-		PlanReuses:   a.kernelReuses.Load(),
-		Fallbacks:    a.kernelFallbacks.Load(),
-	}
 	if c != nil {
 		s.Cache = c.stats()
-		s.Kernel.PlanEvictions = c.planEvictionCount()
+		s.Kernel = KernelStats{PlanCompiles: s.Cache.Misses, PlanReuses: s.Cache.Hits}
 	}
 	if fab != nil {
 		fs := fab.Stats()

@@ -43,7 +43,7 @@ func main() {
 	flag.IntVar(&cfg.BlockSize, "block", cfg.BlockSize, "compute block size (even, ≤ ports/2)")
 	flag.IntVar(&cfg.Workers, "workers", 0, "engine worker count (0 = one per partition)")
 	flag.IntVar(&cfg.CacheSize, "cache", 0, "weight-program cache capacity (0 = default, <0 disables)")
-	flag.IntVar(&cfg.Precision, "bits", 0, "DAC/ADC bit depth (0 = default 8)")
+	flag.IntVar(&cfg.Precision, "bits", 0, "DAC/ADC bit depth, 1–24 (0 = default 8)")
 	flag.IntVar(&cfg.QueueDepth, "queue", cfg.QueueDepth, "admission queue depth")
 	flag.IntVar(&cfg.MaxBatchReqs, "max-batch", cfg.MaxBatchReqs, "max requests coalesced per engine call")
 	flag.IntVar(&cfg.MaxBatchCols, "max-batch-cols", cfg.MaxBatchCols, "max RHS columns per engine call")

@@ -57,7 +57,6 @@ type callConfig struct {
 	noiseSeed int64
 	noiseCall int64
 	lambdas   int
-	kernels   bool
 	cache     *programCache
 	// fab and parts are the fabric-arbitration snapshot: when fab is
 	// non-nil, partitions are granted by lease (parts indexed by the
@@ -167,7 +166,6 @@ func (a *Accelerator) matMulCtx(ctx context.Context, md, xd *mat.Dense) ([]compl
 		noiseOn:   a.noiseOn,
 		noiseSeed: a.noiseSeed,
 		lambdas:   a.lambdas,
-		kernels:   a.compiled,
 		cache:     a.cache,
 		fab:       a.fab,
 		parts:     a.partitions,
@@ -390,51 +388,25 @@ func preempted(l *fabric.Lease) bool {
 
 // computeItem executes one (block-row r, block-col c) work item on the
 // partition with index pidx: fetch or compile the block's weight program,
-// propagate block column c's modulated vectors through it, and detect the
-// result into block row r of out. With compiled kernels enabled (the
-// default) and no fault injector on the partition, all vectors propagate
-// through the program's SoA plan in one multi-RHS pass; otherwise each runs
-// the interpreted lattice. Both execute the same floating-point operations
-// per vector in the same order, so outputs are bitwise-identical.
+// propagate block column c's modulated vectors through its plan in one
+// multi-RHS pass, and detect the result into block row r of out.
 func (a *Accelerator) computeItem(pidx int, s *workerScratch, pm *mat.Dense, in *modulated, out []complex128, r, c int, cfg *callConfig) error {
 	n, nrhs := a.blockSize, in.nrhs
 	bp, err := a.programFor(pm, r, c, cfg.cache, &s.blockScratch)
 	if err != nil {
 		return err
 	}
-	src := in.states[c*nrhs*n:][:nrhs*n]
-	scales := in.scales[c*nrhs:][:nrhs]
+	plan, _ := bp.Plan()
 	// With a fault injector attached, the hardware realizes a corrupted
 	// version of the program it was asked for: drift advances one step per
-	// item and propagation runs through the corrupted lattice. The cached
-	// program itself is never touched — and because the corrupted program is
-	// fresh each item, a compiled plan would be recompiled per item for
-	// nothing, so faults force the interpreted path.
-	inj := cfg.injector(pidx)
-	if cfg.kernels && inj == nil {
-		plan, compiledNow := bp.Plan()
-		if compiledNow {
-			a.kernelCompiles.Add(1)
-		} else {
-			a.kernelReuses.Add(1)
-		}
-		copy(s.states, src)
-		plan.ForwardBatch(s.states, nrhs)
-	} else {
-		run := bp
-		if inj != nil {
-			inj.Step(1)
-			run = inj.Corrupt(bp)
-			if cfg.kernels {
-				a.kernelFallbacks.Add(1)
-			}
-		}
-		for v := 0; v < nrhs; v++ {
-			if scales[v] != 0 {
-				run.ForwardInto(s.states[v*n:][:n], src[v*n:][:n])
-			}
-		}
+	// item and the item runs the plan of the faulted transfers. The cached
+	// program itself is never touched.
+	if inj := cfg.injector(pidx); inj != nil {
+		inj.Step(1)
+		plan = inj.Corrupt(bp)
 	}
+	copy(s.states, in.states[c*nrhs*n:][:nrhs*n])
+	plan.ForwardBatch(s.states, nrhs)
 
 	var noise *optics.NoiseModel
 	if cfg.noiseOn {
@@ -442,7 +414,7 @@ func (a *Accelerator) computeItem(pidx int, s *workerScratch, pm *mat.Dense, in 
 		nm := optics.DefaultNoise(1, rng)
 		noise = &nm
 	}
-	a.detect(out[r*n*nrhs:][:n*nrhs], s.states, scales, bp.Scale, noise, cfg.adc)
+	a.detect(out[r*n*nrhs:][:n*nrhs], s.states, in.scales[c*nrhs:][:nrhs], bp.Scale, noise, cfg.adc)
 	return nil
 }
 
@@ -555,10 +527,6 @@ type programCache struct {
 	evictions int64
 	// pinned counts entries currently held by at least one pin.
 	pinned int
-	// planEvictions counts evicted programs that carried a compiled
-	// propagation plan — each one is plan-compilation work the engine will
-	// redo if the weights return.
-	planEvictions int64
 }
 
 type cacheEntry struct {
@@ -617,9 +585,6 @@ func (pc *programCache) put(key string, bp *photonic.BlockProgram) {
 		ent := el.Value.(*cacheEntry)
 		delete(pc.index, ent.key)
 		pc.evictions++
-		if ent.bp.HasCompiledPlan() {
-			pc.planEvictions++
-		}
 	}
 }
 
@@ -659,12 +624,6 @@ func (pc *programCache) unpin(key []byte) bool {
 		pc.pinned--
 	}
 	return true
-}
-
-func (pc *programCache) planEvictionCount() int64 {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return pc.planEvictions
 }
 
 func (pc *programCache) stats() CacheStats {

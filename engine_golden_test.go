@@ -15,16 +15,16 @@ import (
 
 // Golden digests for the engine: the tier-1 twin of the standing benchmark's
 // conformance digest. Every other engine test compares the engine against
-// itself (serial ≡ parallel, compiled ≡ interpreted, cached ≡ uncached); this
-// one compares it against bits recorded from the engine as it stood before
-// the warm path was rebuilt (commit 8a3612e), so a rewrite that moves every
-// path by the same bit is caught too.
+// itself (serial ≡ parallel, cached ≡ uncached); this one compares it
+// against bits recorded from the engine as it stood before the warm path
+// was rebuilt (commit 8a3612e), when an interpreter still ran beside the
+// compiled plans, so a rewrite that moves every path by the same bit is
+// caught too.
 //
 // Each case runs twice on one accelerator (cold, then from the program
 // cache) and hashes the raw bits of every output of both calls followed by
 // the bits of Stats().EnergyPJ, Programs and Batches. One digest per
-// (case, noise) must hold at every worker count and with compiled kernels on
-// and off.
+// (case, noise) must hold at every worker count.
 
 // goldenDigests were produced by this file's code on the parent commit's
 // engine. Do not regenerate them to make a change pass.
@@ -151,15 +151,12 @@ func TestEngineGoldenDigests(t *testing.T) {
 				key = c.name + "/noise"
 			}
 			for _, workers := range []int{1, 4} {
-				for _, compiled := range []bool{true, false} {
-					a := newEngineAccel(t, 32, 8)
-					a.SetWorkers(workers)
-					a.SetCompiledKernels(compiled)
-					if noise {
-						a.EnableNoise(7)
-					}
-					check(t, a, c, key, fmt.Sprintf("workers=%d compiled=%v", workers, compiled))
+				a := newEngineAccel(t, 32, 8)
+				a.SetWorkers(workers)
+				if noise {
+					a.EnableNoise(7)
 				}
+				check(t, a, c, key, fmt.Sprintf("workers=%d", workers))
 			}
 		}
 	}
@@ -180,15 +177,14 @@ func TestEngineGoldenDigests(t *testing.T) {
 		t.Fatalf("lease accounting under idle arbiter: %+v", st)
 	}
 
-	for _, compiled := range []bool{true, false} {
-		a := newEngineAccel(t, 32, 8)
-		a.SetWorkers(1)
-		a.SetCompiledKernels(compiled)
-		for p := 0; p < a.NumPartitions(); p++ {
-			if err := a.InjectFaults(p, photonic.FaultConfig{DriftSigma: 0.01, Seed: int64(70 + p)}); err != nil {
-				t.Fatal(err)
-			}
+	// A serial run with a drifting injector on every partition: each item
+	// steps the drift and runs the faulted plan.
+	a = newEngineAccel(t, 32, 8)
+	a.SetWorkers(1)
+	for p := 0; p < a.NumPartitions(); p++ {
+		if err := a.InjectFaults(p, photonic.FaultConfig{DriftSigma: 0.01, Seed: int64(70 + p)}); err != nil {
+			t.Fatal(err)
 		}
-		check(t, a, cases[1], cases[1].name+"/drift", fmt.Sprintf("workers=1 compiled=%v", compiled))
 	}
+	check(t, a, cases[1], cases[1].name+"/drift", "workers=1 under drift")
 }

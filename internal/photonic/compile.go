@@ -3,32 +3,32 @@ package photonic
 import (
 	"fmt"
 	"slices"
+
+	"flumen/internal/mat"
 )
 
-// Compiled propagation kernels: instead of interpreting a mesh device by
-// device — chasing per-slot *MZI pointers and re-deriving each 2×2 transfer
-// on every vector propagated — a CompiledPlan flattens a programmed lattice
-// into contiguous structure-of-arrays: one int32 wire index plus the four
-// complex transfer coefficients per MZI, in the exact physical application
-// order, with fabrication-imperfection coefficients folded in at compile
-// time. Pointwise stages (the attenuator column, output phase screens)
-// appear as diagonal segments between op runs.
+// One executor: a CompiledPlan is the only code in the package that
+// propagates light. It flattens a programmed lattice into
+// structure-of-arrays — one int32 wire index plus the four complex transfer
+// coefficients per MZI, in the exact physical application order, with
+// fabrication-imperfection coefficients folded in at compile time — and
+// pointwise stages (the attenuator column, output phase screens) appear as
+// diagonal segments between op runs.
 //
-// The plan applies the same floating-point operations in the same per-vector
-// order as the interpreted path, so its outputs are bitwise-identical to
-// Mesh.ForwardRange / BlockProgram.ForwardInto propagation — the property
-// the equivalence tests in compile_test.go pin down. What changes is purely
-// mechanical: coefficients are loaded once per op instead of once per op per
-// vector, and ForwardBatch streams many right-hand sides through the plan
-// with an RHS-tiled inner loop so the coefficient arrays stay resident while
-// a whole tile of vectors advances.
+// Every propagating type reads a plan: a BlockProgram is born with its plan
+// (program.go), FaultInjector.Corrupt compiles the faulted coefficients of a
+// program into a plan that shares the program's wires and diagonals
+// (fault.go), Mesh and FlumenMesh cache one per device generation, and
+// ReckMesh rebuilds its own whenever it is programmed or perturbed.
+// ForwardBatch is the one loop that applies an MZI; Matrix and MatrixInto
+// run the identity through it. The device-by-device walker every plan must
+// match bit for bit lives on in oracle_test.go.
 //
 // Plans over live device state (Mesh, FlumenMesh) are invalidated by a
 // generation counter bumped on every mutation (SetMZI, programming, phase
-// perturbation, fabrication-error injection); plans over immutable
-// BlockProgram artifacts are compiled once and cached forever alongside the
-// program, so the engine's weight-program cache amortizes plan compilation
-// across calls.
+// perturbation, fabrication-error injection); a program's plan is as
+// immutable as the program, so the engine's weight-program cache caches
+// both at once.
 
 // planTile is the number of right-hand sides advanced together through the
 // op list by ForwardBatch. The tile's state slab (planTile × n complex128)
@@ -61,35 +61,14 @@ func (pl *CompiledPlan) N() int { return pl.n }
 // NumOps returns the number of MZI applications in the plan.
 func (pl *CompiledPlan) NumOps() int { return len(pl.wires) }
 
-// Forward propagates one vector through the plan in place. The operation
-// sequence is identical to the interpreted path the plan was compiled from.
-func (pl *CompiledPlan) Forward(state []complex128) {
-	if len(state) != pl.n {
-		panic(fmt.Sprintf("photonic: CompiledPlan Forward state length %d, want %d", len(state), pl.n))
-	}
-	for _, sg := range pl.segs {
-		if sg.diag != nil {
-			for i, d := range sg.diag {
-				state[i] *= d
-			}
-			continue
-		}
-		for o := sg.opLo; o < sg.opHi; o++ {
-			w := pl.wires[o]
-			a, b := state[w], state[w+1]
-			state[w] = pl.t00[o]*a + pl.t01[o]*b
-			state[w+1] = pl.t10[o]*a + pl.t11[o]*b
-		}
-	}
-}
-
 // ForwardBatch propagates k vectors through the plan in place. states holds
-// the vectors back to back (vector v occupies states[v*n : (v+1)*n]).
-// Vectors never mix: every op acts within one vector's slab, so a NaN or
-// Inf in one right-hand side cannot contaminate another. Each vector
-// undergoes exactly the operation sequence of Forward — the batch merely
-// reorders work across vectors, loading each op's coefficients once per
-// tile of planTile right-hand sides instead of once per vector.
+// the vectors back to back (vector v occupies states[v*n : (v+1)*n]); one
+// vector is a batch of one. Vectors never mix: every op acts within one
+// vector's slab, so a NaN or Inf in one right-hand side cannot contaminate
+// another. Each vector undergoes the same operation sequence, in the same
+// order, whatever k is — the batch merely reorders work across vectors,
+// loading each op's coefficients once per tile of planTile right-hand sides
+// instead of once per vector.
 func (pl *CompiledPlan) ForwardBatch(states []complex128, k int) {
 	n := pl.n
 	if len(states) != k*n {
@@ -121,31 +100,64 @@ func (pl *CompiledPlan) ForwardBatch(states []complex128, k int) {
 	}
 }
 
-// planBuilder accumulates ops and diagonal stages in application order.
+// Matrix returns the N×N matrix the plan implements.
+func (pl *CompiledPlan) Matrix() *mat.Dense { return pl.MatrixInto(mat.New(pl.n, pl.n)) }
+
+// MatrixInto writes the plan's N×N matrix into m and returns it: the
+// identity propagates through ForwardBatch as one slab of N basis vectors.
+func (pl *CompiledPlan) MatrixInto(m *mat.Dense) *mat.Dense {
+	if m.Rows() != pl.n {
+		panic("photonic: MatrixInto size mismatch")
+	}
+	return pl.blockInto(m, 0)
+}
+
+// blockInto writes into the k×k matrix m the block of the plan's matrix on
+// wires [lo, lo+k) — the response of those outputs to those inputs with
+// every other input dark — propagating its k basis vectors as one batch.
+func (pl *CompiledPlan) blockInto(m *mat.Dense, lo int) *mat.Dense {
+	n, k := pl.n, m.Rows()
+	if m.Cols() != k || lo < 0 || lo+k > n {
+		panic("photonic: MatrixInto size mismatch")
+	}
+	states := make([]complex128, k*n)
+	for j := 0; j < k; j++ {
+		states[j*n+lo+j] = 1
+	}
+	pl.ForwardBatch(states, k)
+	for j := 0; j < k; j++ {
+		m.SetCol(j, states[j*n+lo:][:k])
+	}
+	return m
+}
+
+// setCoef points the plan's four coefficient arrays at the consecutive
+// quarters of coef, each of length l.
+func (pl *CompiledPlan) setCoef(coef []complex128, l int) {
+	q := len(coef) / 4
+	pl.t00, pl.t01 = coef[:l:q], coef[q:q+l:2*q]
+	pl.t10, pl.t11 = coef[2*q:2*q+l:3*q], coef[3*q:3*q+l:4*q]
+}
+
+// planBuilder appends ops and diagonal stages to a plan in application
+// order.
 type planBuilder struct {
-	plan     CompiledPlan
+	pl       *CompiledPlan
 	runStart int32
 }
 
-// newPlanBuilder starts a plan over n wires with room for ops MZI
-// applications (more may be added) and four stages, the coefficient arrays
-// cut from one allocation.
+// newPlanBuilder starts a fresh plan over n wires with room for ops MZI
+// applications and four stages, the coefficient arrays cut from one
+// allocation.
 func newPlanBuilder(n, ops int) *planBuilder {
-	coef := make([]complex128, 4*ops)
-	return &planBuilder{plan: CompiledPlan{
-		n:     n,
-		segs:  make([]planSeg, 0, 4),
-		wires: make([]int32, 0, ops),
-		t00:   coef[0:0:ops],
-		t01:   coef[ops : ops : 2*ops],
-		t10:   coef[2*ops : 2*ops : 3*ops],
-		t11:   coef[3*ops : 3*ops : 4*ops],
-	}}
+	pl := &CompiledPlan{n: n, segs: make([]planSeg, 0, 4), wires: make([]int32, 0, ops)}
+	pl.setCoef(make([]complex128, 4*ops), 0)
+	return &planBuilder{pl: pl}
 }
 
 // addOp appends one MZI application on wire pair (w, w+1).
 func (b *planBuilder) addOp(w int, t [2][2]complex128) {
-	p := &b.plan
+	p := b.pl
 	p.wires = append(p.wires, int32(w))
 	p.t00 = append(p.t00, t[0][0])
 	p.t01 = append(p.t01, t[0][1])
@@ -155,33 +167,32 @@ func (b *planBuilder) addOp(w int, t [2][2]complex128) {
 
 // closeRun seals the pending op run as a segment.
 func (b *planBuilder) closeRun() {
-	if end := int32(len(b.plan.wires)); end > b.runStart {
-		b.plan.segs = append(b.plan.segs, planSeg{opLo: b.runStart, opHi: end})
+	if end := int32(len(b.pl.wires)); end > b.runStart {
+		b.pl.segs = append(b.pl.segs, planSeg{opLo: b.runStart, opHi: end})
 		b.runStart = end
 	}
 }
 
 // addDiag appends a pointwise per-wire stage. The plan keeps d, which must
-// not change afterwards.
+// hold its final values before the plan first runs and not change after.
 func (b *planBuilder) addDiag(d []complex128) {
-	if len(d) != b.plan.n {
+	if len(d) != b.pl.n {
 		panic("photonic: plan diagonal length mismatch")
 	}
 	b.closeRun()
-	b.plan.segs = append(b.plan.segs, planSeg{diag: d})
+	b.pl.segs = append(b.pl.segs, planSeg{diag: d})
 }
 
 func (b *planBuilder) build() *CompiledPlan {
 	b.closeRun()
-	pl := b.plan
-	return &pl
+	return b.pl
 }
 
 // appendRange compiles mesh columns [c0, c1) into the builder: for every
-// populated slot it records the wire index and the exact 2×2 transfer the
-// interpreter would derive per vector — imperfectTransfer when a
-// fabrication-imperfection entry is set, the ideal MZI transfer otherwise —
-// in ForwardRange's column-major application order.
+// populated slot it records the wire index and the device's 2×2 transfer —
+// imperfectTransfer when a fabrication-imperfection entry is set, the ideal
+// MZI transfer otherwise — in column-major order (ops within one column act
+// on disjoint wire pairs).
 func (m *Mesh) appendRange(b *planBuilder, c0, c1 int) {
 	if c0 < 0 || c1 > m.depth || c0 > c1 {
 		panic(fmt.Sprintf("photonic: appendRange invalid column range [%d,%d)", c0, c1))
@@ -204,15 +215,6 @@ func (m *Mesh) appendRange(b *planBuilder, c0, c1 int) {
 	}
 }
 
-// CompileRange flattens columns [c0, c1) of the mesh (without the output
-// phase screen) into a fresh plan, bitwise-equivalent to ForwardRange over
-// the same columns.
-func (m *Mesh) CompileRange(c0, c1 int) *CompiledPlan {
-	b := newPlanBuilder(m.n, (c1-c0)*m.n/2)
-	m.appendRange(b, c0, c1)
-	return b.build()
-}
-
 // meshPlan pairs a compiled whole-mesh plan with the device generation it
 // was compiled from.
 type meshPlan struct {
@@ -222,8 +224,7 @@ type meshPlan struct {
 
 // CompilePlan returns the whole-mesh plan (all columns plus the output
 // phase screen), compiling it on first use and whenever the device state
-// has changed since the cached plan was built. Propagating a vector through
-// the returned plan is bitwise-identical to Mesh.Forward.
+// has changed since the cached plan was built.
 func (m *Mesh) CompilePlan() *CompiledPlan {
 	gen := m.gen.Load()
 	if mp := m.plan.Load(); mp != nil && mp.gen == gen {
@@ -265,7 +266,3 @@ func (f *FlumenMesh) plan() *CompiledPlan {
 	f.planCache.Store(&fabricPlan{meshGen: mg, attenGen: ag, plan: pl})
 	return pl
 }
-
-// CompilePlan exposes the cached whole-fabric plan. Propagating a vector
-// through it is bitwise-identical to FlumenMesh.Forward.
-func (f *FlumenMesh) CompilePlan() *CompiledPlan { return f.plan() }

@@ -4,15 +4,17 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"flumen/internal/mat"
 )
 
-// Bitwise-equivalence tests for the compiled propagation kernels: the plan
-// must reproduce the interpreted device-by-device path bit for bit — not
-// merely within tolerance — because the engine's serial≡parallel guarantee
-// is stated at the bit level and the compiled path slots underneath it.
+// Bitwise-equivalence tests for the one executor: every plan — mesh,
+// fabric, program, faulted program, Reck — must reproduce the
+// device-by-device oracle (oracle_test.go) bit for bit, not merely within
+// tolerance, because the engine's serial≡parallel guarantee is stated at
+// the bit level and the plan slots underneath it.
 
 // bitsEqualVec reports whether two complex vectors are bitwise identical,
 // distinguishing -0 from +0 and comparing NaN payloads exactly.
@@ -37,6 +39,36 @@ func randVec(n int, rng *rand.Rand) []complex128 {
 	return v
 }
 
+// forward propagates one vector through pl: a batch of one.
+func forward(pl *CompiledPlan, in []complex128) []complex128 {
+	s := slices.Clone(in)
+	pl.ForwardBatch(s, 1)
+	return s
+}
+
+// programMVM is bp's matrix-vector product with the spectral scale
+// restored.
+func programMVM(bp *BlockProgram, x []complex128) []complex128 {
+	out := forward(&bp.plan, x)
+	for i := range out {
+		out[i] *= complex(bp.Scale, 0)
+	}
+	return out
+}
+
+// partitionMVM is the partition's matrix-vector product with its spectral
+// scale restored, propagated through the fabric plan with the other wires
+// dark.
+func partitionMVM(p *Partition, x []complex128) []complex128 {
+	full := make([]complex128, p.f.n)
+	copy(full[p.Lo:], x)
+	out := forward(p.f.plan(), full)[p.Lo : p.Lo+p.Size]
+	for i := range out {
+		out[i] *= complex(p.Scale, 0)
+	}
+	return out
+}
+
 func TestMeshPlanBitwiseEqualsForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{2, 5, 8, 12} {
@@ -45,12 +77,8 @@ func TestMeshPlanBitwiseEqualsForward(t *testing.T) {
 		pl := m.CompilePlan()
 		for trial := 0; trial < 20; trial++ {
 			in := randVec(n, rng)
-			want := m.Forward(in)
-			got := make([]complex128, n)
-			copy(got, in)
-			pl.Forward(got)
-			if !bitsEqualVec(got, want) {
-				t.Fatalf("n=%d trial=%d: plan output differs from interpreted Forward", n, trial)
+			if !bitsEqualVec(forward(pl, in), oracleMesh(m, in)) {
+				t.Fatalf("n=%d trial=%d: plan output differs from the oracle", n, trial)
 			}
 		}
 	}
@@ -64,12 +92,8 @@ func TestMeshPlanBitwiseWithFabricationErrors(t *testing.T) {
 	pl := m.CompilePlan()
 	for trial := 0; trial < 20; trial++ {
 		in := randVec(8, rng)
-		want := m.Forward(in)
-		got := make([]complex128, 8)
-		copy(got, in)
-		pl.Forward(got)
-		if !bitsEqualVec(got, want) {
-			t.Fatalf("trial=%d: imperfect-coupler plan differs from interpreted Forward", trial)
+		if !bitsEqualVec(forward(pl, in), oracleMesh(m, in)) {
+			t.Fatalf("trial=%d: imperfect-coupler plan differs from the oracle", trial)
 		}
 	}
 }
@@ -82,11 +106,7 @@ func TestMeshPlanInvalidation(t *testing.T) {
 
 	check := func(stage string) {
 		t.Helper()
-		want := m.Forward(in)
-		got := make([]complex128, 6)
-		copy(got, in)
-		m.CompilePlan().Forward(got)
-		if !bitsEqualVec(got, want) {
+		if !bitsEqualVec(forward(m.CompilePlan(), in), oracleMesh(m, in)) {
 			t.Fatalf("%s: cached plan went stale", stage)
 		}
 	}
@@ -128,11 +148,7 @@ func TestFlumenPlanBitwiseEqualsInterp(t *testing.T) {
 	}
 	for trial := 0; trial < 20; trial++ {
 		in := randVec(16, rng)
-		want := make([]complex128, 16)
-		copy(want, in)
-		f.forwardInterp(want)
-		got := f.Forward(in)
-		if !bitsEqualVec(got, want) {
+		if !bitsEqualVec(f.Forward(in), oracleFabric(f, in)) {
 			t.Fatalf("trial=%d: fabric plan differs from device-by-device propagation", trial)
 		}
 	}
@@ -148,11 +164,7 @@ func TestFlumenPlanInvalidation(t *testing.T) {
 	in := randVec(8, rng)
 	check := func(stage string) {
 		t.Helper()
-		want := make([]complex128, 8)
-		copy(want, in)
-		f.forwardInterp(want)
-		got := f.Forward(in)
-		if !bitsEqualVec(got, want) {
+		if !bitsEqualVec(f.Forward(in), oracleFabric(f, in)) {
 			t.Fatalf("%s: cached fabric plan went stale", stage)
 		}
 	}
@@ -179,38 +191,89 @@ func TestFlumenPlanInvalidation(t *testing.T) {
 	check("after EqualizeLoss")
 }
 
-func TestBlockProgramPlanBitwiseEqualsForwardInto(t *testing.T) {
+// TestBlockProgramPlanMatchesOracle holds the plan a compilation writes to
+// the program's own slot settings and screens.
+func TestBlockProgramPlanMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	for _, n := range []int{2, 4, 8} {
+	for n := 2; n <= 16; n++ {
 		bp, err := CompileBlockScaled(mat.RandomDense(n, n, rng))
 		if err != nil {
 			t.Fatal(err)
 		}
 		pl, compiledNow := bp.Plan()
-		if !compiledNow {
-			t.Fatalf("n=%d: first Plan call did not compile", n)
+		if compiledNow || pl != &bp.plan || pl.NumOps() != n*(n-1) {
+			t.Fatalf("n=%d: Plan() = %d ops, compiledNow %v; want the program's own %d-op plan", n, pl.NumOps(), compiledNow, n*(n-1))
 		}
-		if _, again := bp.Plan(); again {
-			t.Fatalf("n=%d: second Plan call recompiled", n)
-		}
-		if !bp.HasCompiledPlan() {
-			t.Fatalf("n=%d: HasCompiledPlan false after Plan", n)
-		}
-		want := make([]complex128, n)
-		for trial := 0; trial < 20; trial++ {
+		for trial := 0; trial < 10; trial++ {
 			in := randVec(n, rng)
-			bp.ForwardInto(want, in)
-			got := make([]complex128, n)
-			copy(got, in)
-			pl.Forward(got)
-			if !bitsEqualVec(got, want) {
-				t.Fatalf("n=%d trial=%d: program plan differs from ForwardInto", n, trial)
+			if !bitsEqualVec(forward(pl, in), oracleProgram(bp, in)) {
+				t.Fatalf("n=%d trial=%d: program plan differs from the oracle", n, trial)
 			}
 		}
 	}
 }
 
-// TestForwardBatchBitwiseEqualsForward pins the tentpole property: a batch
+// TestCorruptedPlanMatchesOracle holds a faulted plan — drift, stuck and
+// dead devices, corrections from a recalibration — to the oracle walking
+// the program's slots through the same device state, and checks the
+// program's own plan is left as it was.
+func TestCorruptedPlanMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	for n := 2; n <= 16; n++ {
+		bp, err := CompileBlockScaled(mat.RandomDense(n, n, rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		clean := bp.Matrix()
+		fi := NewFaultInjector(n, FaultConfig{DriftSigma: 0.05, StuckFrac: 0.15, DeadFrac: 0.15, Seed: int64(n)})
+		for round := 0; round < 2; round++ {
+			fi.Step(3)
+			pl := fi.Corrupt(bp)
+			k := planTile + 3
+			states := make([]complex128, k*n)
+			want := make([]complex128, k*n)
+			for v := 0; v < k; v++ {
+				in := randVec(n, rng)
+				copy(states[v*n:], in)
+				copy(want[v*n:], oracleCorrupted(fi, bp, in))
+			}
+			pl.ForwardBatch(states, k)
+			if !bitsEqualVec(states, want) {
+				t.Fatalf("n=%d round %d: faulted plan differs from the oracle", n, round)
+			}
+			if n <= 8 {
+				fi.Recalibrate(bp, 1) // the second round runs with corrections
+			}
+		}
+		if d := mat.MaxAbsDiff(bp.Matrix(), clean); d != 0 {
+			t.Fatalf("n=%d: Corrupt changed the program's own plan by %g", n, d)
+		}
+	}
+}
+
+// TestReckPlanMatchesOracle holds the Reck triangle's plan to its op list,
+// after programming and after PerturbPhases (which edits op settings and
+// the screen, and must rebuild the plan).
+func TestReckPlanMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for _, n := range []int{2, 3, 5, 8} {
+		m := NewReckMesh(n)
+		m.ProgramUnitary(mat.RandomUnitary(n, rng))
+		for stage, perturb := range []float64{0, 0.05} {
+			if perturb > 0 {
+				m.PerturbPhases(perturb, rng)
+			}
+			for trial := 0; trial < 10; trial++ {
+				in := randVec(n, rng)
+				if !bitsEqualVec(m.Forward(in), oracleReck(m, in)) {
+					t.Fatalf("n=%d stage %d trial %d: Reck plan differs from the oracle", n, stage, trial)
+				}
+			}
+		}
+	}
+}
+
+// TestForwardBatchBitwiseEqualsForward pins the batch property: a batch
 // of k right-hand sides propagates to bitwise the same outputs as k
 // individual propagations, across tile-boundary batch sizes.
 func TestForwardBatchBitwiseEqualsForward(t *testing.T) {
@@ -227,8 +290,7 @@ func TestForwardBatchBitwiseEqualsForward(t *testing.T) {
 		for v := 0; v < k; v++ {
 			in := randVec(n, rng)
 			copy(states[v*n:], in)
-			copy(want[v*n:], in)
-			pl.Forward(want[v*n : (v+1)*n])
+			copy(want[v*n:], oracleProgram(bp, in))
 		}
 		pl.ForwardBatch(states, k)
 		if !bitsEqualVec(states, want) {
@@ -265,8 +327,7 @@ func TestForwardBatchNonFiniteIsolation(t *testing.T) {
 	want := make([]complex128, k*n)
 	for v := 0; v < k; v++ {
 		copy(states[v*n:], vecs[v])
-		copy(want[v*n:], vecs[v])
-		pl.Forward(want[v*n : (v+1)*n])
+		copy(want[v*n:], oracleProgram(bp, vecs[v]))
 	}
 	pl.ForwardBatch(states, k)
 	for v := 0; v < k; v++ {
@@ -283,38 +344,10 @@ func TestForwardBatchNonFiniteIsolation(t *testing.T) {
 	}
 }
 
-func TestPartitionMVMBatchBitwiseEqualsMVM(t *testing.T) {
-	rng := rand.New(rand.NewSource(97))
-	f := NewFlumenMesh(16)
-	p, err := f.NewPartition(4, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.ProgramScaled(mat.RandomDense(6, 6, rng)); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int{1, 3, planTile, planTile + 5} {
-		xs := make([][]complex128, k)
-		for v := range xs {
-			xs[v] = randVec(6, rng)
-		}
-		outs := p.MVMBatch(xs)
-		for v := range xs {
-			want := p.MVM(xs[v])
-			if !bitsEqualVec(outs[v], want) {
-				t.Fatalf("k=%d vector %d: MVMBatch differs from MVM", k, v)
-			}
-		}
-	}
-	if got := p.MVMBatch(nil); got != nil {
-		t.Fatalf("MVMBatch(nil) = %v, want nil", got)
-	}
-}
-
 // TestPartitionPlanAcrossOffsets programs the same block program into
 // partitions at different offsets and checks the compiled fabric plans
-// agree with the interpreted path at both (the parasitic-phase absorption
-// must survive compilation unchanged).
+// agree with the oracle at both (the parasitic-phase absorption must
+// survive compilation unchanged).
 func TestPartitionPlanAcrossOffsets(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	bp, err := CompileBlockScaled(mat.RandomDense(4, 4, rng))
@@ -332,19 +365,15 @@ func TestPartitionPlanAcrossOffsets(t *testing.T) {
 		}
 		for trial := 0; trial < 10; trial++ {
 			in := randVec(16, rng)
-			want := make([]complex128, 16)
-			copy(want, in)
-			f.forwardInterp(want)
-			got := f.Forward(in)
-			if !bitsEqualVec(got, want) {
-				t.Fatalf("lo=%d trial=%d: plan differs from interpreted path", lo, trial)
+			if !bitsEqualVec(f.Forward(in), oracleFabric(f, in)) {
+				t.Fatalf("lo=%d trial=%d: plan differs from the oracle", lo, trial)
 			}
 		}
 	}
 }
 
 // TestScaledProgramPlanZeroBlock covers the Scale-0 artifact: an all-zero
-// block's plan must also be bitwise-equal to its interpreted lattice.
+// block's plan must also be bitwise-equal to the oracle.
 func TestScaledProgramPlanZeroBlock(t *testing.T) {
 	bp, err := CompileBlockScaled(mat.New(4, 4))
 	if err != nil {
@@ -354,47 +383,20 @@ func TestScaledProgramPlanZeroBlock(t *testing.T) {
 		t.Fatalf("zero block Scale = %g, want 0", bp.Scale)
 	}
 	pl, _ := bp.Plan()
-	rng := rand.New(rand.NewSource(103))
-	in := randVec(4, rng)
-	want := make([]complex128, 4)
-	bp.ForwardInto(want, in)
-	got := make([]complex128, 4)
-	copy(got, in)
-	pl.Forward(got)
-	if !bitsEqualVec(got, want) {
-		t.Fatal("zero-block plan differs from ForwardInto")
+	in := randVec(4, rand.New(rand.NewSource(103)))
+	if !bitsEqualVec(forward(pl, in), oracleProgram(bp, in)) {
+		t.Fatal("zero-block plan differs from the oracle")
 	}
 }
 
-func TestCompileRangeMatchesForwardRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(107))
-	m := NewMesh(10)
-	m.ProgramUnitary(mat.RandomUnitary(10, rng))
-	for _, r := range [][2]int{{0, 10}, {0, 5}, {5, 10}, {3, 7}, {4, 4}} {
-		pl := m.CompileRange(r[0], r[1])
-		in := randVec(10, rng)
-		want := make([]complex128, 10)
-		copy(want, in)
-		m.ForwardRange(want, r[0], r[1])
-		got := make([]complex128, 10)
-		copy(got, in)
-		pl.Forward(got)
-		if !bitsEqualVec(got, want) {
-			t.Fatalf("range [%d,%d): plan differs from ForwardRange", r[0], r[1])
-		}
-	}
-}
-
+// TestMatrixIntoMatchesMatrix checks the one Matrix: the identity slab
+// through ForwardBatch gives, column by column, the oracle's response to
+// each basis vector, overwrites whatever the destination held, and a
+// partition's MatrixInto reads the same bits as its block of the fabric's.
 func TestMatrixIntoMatchesMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(109))
 	m := NewMesh(6)
 	m.ProgramUnitary(mat.RandomUnitary(6, rng))
-	a := m.Matrix()
-	b := m.MatrixInto(mat.New(6, 6))
-	if d := mat.MaxAbsDiff(a, b); d != 0 {
-		t.Fatalf("Mesh MatrixInto differs from Matrix by %g", d)
-	}
-
 	f := NewFlumenMesh(8)
 	p, err := f.NewPartition(2, 4)
 	if err != nil {
@@ -403,10 +405,34 @@ func TestMatrixIntoMatchesMatrix(t *testing.T) {
 	if err := p.ProgramScaled(mat.RandomDense(4, 4, rng)); err != nil {
 		t.Fatal(err)
 	}
-	if d := mat.MaxAbsDiff(f.Matrix(), f.MatrixInto(mat.New(8, 8))); d != 0 {
-		t.Fatal("FlumenMesh MatrixInto differs from Matrix")
+	for _, tc := range []struct {
+		name   string
+		pl     *CompiledPlan
+		oracle func([]complex128) []complex128
+	}{
+		{"mesh", m.CompilePlan(), func(in []complex128) []complex128 { return oracleMesh(m, in) }},
+		{"fabric", f.plan(), func(in []complex128) []complex128 { return oracleFabric(f, in) }},
+	} {
+		n := tc.pl.N()
+		got := tc.pl.MatrixInto(mat.RandomDense(n, n, rng))
+		for j := 0; j < n; j++ {
+			e := make([]complex128, n)
+			e[j] = 1
+			if !bitsEqualVec(got.Col(j), tc.oracle(e)) {
+				t.Fatalf("%s: MatrixInto column %d differs from the oracle", tc.name, j)
+			}
+		}
+		if d := mat.MaxAbsDiff(got, tc.pl.Matrix()); d != 0 {
+			t.Fatalf("%s: MatrixInto differs from Matrix by %g", tc.name, d)
+		}
 	}
-	if d := mat.MaxAbsDiff(p.Matrix(), p.MatrixInto(mat.New(4, 4))); d != 0 {
-		t.Fatal("Partition MatrixInto differs from Matrix")
+	fm := f.Matrix()
+	pm := p.MatrixInto(mat.RandomDense(4, 4, rng))
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 4; j++ {
+			if !bitsEqualVec([]complex128{pm.At(i, j)}, []complex128{fm.At(2+i, 2+j)}) {
+				t.Fatalf("Partition MatrixInto (%d,%d) differs from the fabric's block", i, j)
+			}
+		}
 	}
 }

@@ -22,10 +22,12 @@ import (
 //   - dead MZIs: actuation failed entirely and the device sits at its bar
 //     rest state — again only neighbour-compensable.
 //
-// A FaultInjector is attached per compute partition. The engine routes
-// every applied BlockProgram through Corrupt, so compute results degrade
-// exactly as the injected device state dictates, and the health monitor's
-// calibration probes observe the same corrupted lattice the workload does.
+// A FaultInjector is attached per compute partition. The engine executes
+// every program on a faulty partition through the plan Corrupt compiles —
+// the faults become coefficients, the executor stays the one ForwardBatch —
+// so compute results degrade exactly as the injected device state dictates,
+// and the health monitor's calibration probes observe the same corrupted
+// lattice the workload does.
 // Recalibrate is the runtime counterpart of InSituOptimize (imperfect.go):
 // it tunes per-device correction phases by the same exact sinusoid
 // coordinate descent, nulling accumulated drift and partially compensating
@@ -60,25 +62,26 @@ type deviceFault struct {
 // partition's SVD lattice (both the V* and U MZI lattices of a
 // size-input BlockProgram). All methods are safe for concurrent use.
 type FaultInjector struct {
-	mu    sync.Mutex
-	size  int
-	cfg   FaultConfig
-	rng   *rand.Rand
-	v, u  map[[2]int]*deviceFault
+	mu   sync.Mutex
+	size int
+	cfg  FaultConfig
+	rng  *rand.Rand
+	// v and u hold each lattice's devices in the program's slot layout,
+	// indexed column·size + topWire like BlockProgram.vSlots/uSlots.
+	v, u  []deviceFault
 	steps int64
 }
 
-// latticeSlots enumerates the MZI slot keys {column, topWire} of a
-// size-input lattice in physical application order, the order of a
-// BlockProgram's op lists.
-func latticeSlots(size int) [][2]int {
-	var slots [][2]int
+// forEachSlot calls f with every slot index column·size + topWire of a
+// size-input lattice in physical order — columns ascending, the wires of a
+// column's parity ascending — the order of a program plan's ops within each
+// lattice, and of every draw the injector makes.
+func forEachSlot(size int, f func(s int)) {
 	for c := 0; c < size; c++ {
-		for w := c % 2; w <= size-2; w += 2 {
-			slots = append(slots, [2]int{c, w})
+		for s := c*size + c%2; s < (c+1)*size-1; s += 2 {
+			f(s)
 		}
 	}
-	return slots
 }
 
 // NewFaultInjector builds the fault state for a size-input partition:
@@ -89,12 +92,12 @@ func NewFaultInjector(size int, cfg FaultConfig) *FaultInjector {
 		size: size,
 		cfg:  cfg,
 		rng:  rand.New(rand.NewSource(cfg.Seed)),
-		v:    make(map[[2]int]*deviceFault),
-		u:    make(map[[2]int]*deviceFault),
+		v:    make([]deviceFault, size*size),
+		u:    make([]deviceFault, size*size),
 	}
-	for _, lattice := range []map[[2]int]*deviceFault{fi.v, fi.u} {
-		for _, s := range latticeSlots(size) {
-			d := &deviceFault{}
+	for _, lattice := range [2][]deviceFault{fi.v, fi.u} {
+		forEachSlot(size, func(s int) {
+			d := &lattice[s]
 			switch p := fi.rng.Float64(); {
 			case p < cfg.StuckFrac:
 				d.stuck = true
@@ -103,8 +106,7 @@ func NewFaultInjector(size int, cfg FaultConfig) *FaultInjector {
 			case p < cfg.StuckFrac+cfg.DeadFrac:
 				d.dead = true
 			}
-			lattice[s] = d
-		}
+		})
 	}
 	return fi
 }
@@ -124,7 +126,7 @@ func (fi *FaultInjector) Steps() int64 {
 func (fi *FaultInjector) Counts() (stuck, dead int) {
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
-	for _, lattice := range []map[[2]int]*deviceFault{fi.v, fi.u} {
+	for _, lattice := range [2][]deviceFault{fi.v, fi.u} {
 		for _, d := range lattice {
 			if d.stuck {
 				stuck++
@@ -159,15 +161,13 @@ func (fi *FaultInjector) Step(n int) {
 		return
 	}
 	s := fi.cfg.DriftSigma * math.Sqrt(float64(n))
-	for _, lattice := range []map[[2]int]*deviceFault{fi.v, fi.u} {
-		for _, slot := range latticeSlots(fi.size) {
-			d := lattice[slot]
-			if d.stuck || d.dead {
-				continue
+	for _, lattice := range [2][]deviceFault{fi.v, fi.u} {
+		forEachSlot(fi.size, func(i int) {
+			if d := &lattice[i]; !d.stuck && !d.dead {
+				d.driftTheta += fi.rng.NormFloat64() * s
+				d.driftPhi += fi.rng.NormFloat64() * s
 			}
-			d.driftTheta += fi.rng.NormFloat64() * s
-			d.driftPhi += fi.rng.NormFloat64() * s
-		}
+		})
 	}
 }
 
@@ -187,38 +187,38 @@ func (d *deviceFault) faultedTransfer(op MZI) [2][2]complex128 {
 	}
 }
 
-// corruptOps rebuilds a lattice's op list from its flat slot settings with
-// the current fault state applied, in the physical order of the program's
-// own op lists.
-func corruptOps(slots []MZI, faults map[[2]int]*deviceFault, size int) []progOp {
-	ops := make([]progOp, 0, size*(size-1)/2)
-	for _, s := range latticeSlots(size) {
-		ops = append(ops, progOp{w: s[1], t: faults[s].faultedTransfer(slots[s[0]*size+s[1]])})
+// corruptInto writes into pl's coefficients the transfers the faulty
+// devices realize when programmed with bp's slot settings, in the order of
+// bp's plan ops: V* then U, each lattice in forEachSlot order.
+func (fi *FaultInjector) corruptInto(pl *CompiledPlan, bp *BlockProgram) {
+	o := 0
+	lattice := func(slots []MZI, faults []deviceFault) {
+		forEachSlot(fi.size, func(s int) {
+			t := faults[s].faultedTransfer(slots[s])
+			pl.t00[o], pl.t01[o], pl.t10[o], pl.t11[o] = t[0][0], t[0][1], t[1][0], t[1][1]
+			o++
+		})
 	}
-	return ops
+	lattice(bp.vSlots, fi.v)
+	lattice(bp.uSlots, fi.u)
 }
 
-// corruptLocked is Corrupt with fi.mu already held.
-func (fi *FaultInjector) corruptLocked(bp *BlockProgram) *BlockProgram {
-	return &BlockProgram{
-		Size:   bp.Size,
-		Scale:  bp.Scale,
-		Sigma:  bp.Sigma,
-		vSlots: bp.vSlots,
-		uSlots: bp.uSlots,
-		alpha:  bp.alpha,
-		du:     bp.du,
-		vOps:   corruptOps(bp.vSlots, fi.v, fi.size),
-		uOps:   corruptOps(bp.uSlots, fi.u, fi.size),
-	}
+// corruptLocked is Corrupt with fi.mu already held: a plan sharing bp's
+// wires and diagonal stages, with fresh coefficient arrays.
+func (fi *FaultInjector) corruptLocked(bp *BlockProgram) *CompiledPlan {
+	pl := bp.plan
+	ops := len(pl.wires)
+	pl.setCoef(make([]complex128, 4*ops), ops)
+	fi.corruptInto(&pl, bp)
+	return &pl
 }
 
-// Corrupt returns a copy of bp whose MZI transfers reflect the injector's
-// current device state — the program the degraded hardware actually
-// realizes when bp is applied. bp itself is never mutated (it may be a
-// shared cache entry). With no faults injected the copy is numerically
-// identical to bp.
-func (fi *FaultInjector) Corrupt(bp *BlockProgram) *BlockProgram {
+// Corrupt returns the plan the degraded hardware actually executes when bp
+// is applied: bp's lattice with every MZI transfer replaced by what its
+// device realizes under the injector's current state. bp itself is never
+// mutated (it may be a shared cache entry). With no faults injected the
+// plan is numerically identical to bp's.
+func (fi *FaultInjector) Corrupt(bp *BlockProgram) *CompiledPlan {
 	if bp.Size != fi.size {
 		panic("photonic: FaultInjector size mismatch")
 	}
@@ -232,10 +232,7 @@ func (fi *FaultInjector) Corrupt(bp *BlockProgram) *BlockProgram {
 // ideal compiled lattice, in the normalized (unit-spectral-norm) domain —
 // the quantity a calibration probe measures.
 func (fi *FaultInjector) MatrixError(bp *BlockProgram) float64 {
-	fi.mu.Lock()
-	got := fi.corruptLocked(bp).Matrix()
-	fi.mu.Unlock()
-	return mat.MaxAbsDiff(got, bp.Matrix())
+	return mat.MaxAbsDiff(fi.Corrupt(bp).Matrix(), bp.Matrix())
 }
 
 // Recalibrate tunes the correction phase pair of every responsive device
@@ -252,22 +249,28 @@ func (fi *FaultInjector) Recalibrate(ref *BlockProgram, passes int) float64 {
 	target := ref.Matrix()
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
+	// Every probe recompiles the coefficients of one faulted plan in place
+	// and measures its matrix into one buffer.
+	pl := fi.corruptLocked(ref)
+	got := mat.New(fi.size, fi.size)
+	measure := func() float64 {
+		fi.corruptInto(pl, ref)
+		return mat.Sub(pl.MatrixInto(got), target).FrobeniusNorm()
+	}
 	err2 := func() float64 {
-		d := mat.Sub(fi.corruptLocked(ref).Matrix(), target).FrobeniusNorm()
+		d := measure()
 		return d * d
 	}
 	inf := math.Inf(1)
 	for pass := 0; pass < passes; pass++ {
-		for _, faults := range []map[[2]int]*deviceFault{fi.v, fi.u} {
-			for _, s := range latticeSlots(fi.size) {
-				d := faults[s]
-				if d.stuck || d.dead {
-					continue
+		for _, lattice := range [2][]deviceFault{fi.v, fi.u} {
+			forEachSlot(fi.size, func(s int) {
+				if d := &lattice[s]; !d.stuck && !d.dead {
+					minimizeSinusoid(&d.corrTheta, -inf, inf, err2)
+					minimizeSinusoid(&d.corrPhi, -inf, inf, err2)
 				}
-				minimizeSinusoid(&d.corrTheta, -inf, inf, err2)
-				minimizeSinusoid(&d.corrPhi, -inf, inf, err2)
-			}
+			})
 		}
 	}
-	return mat.Sub(fi.corruptLocked(ref).Matrix(), target).FrobeniusNorm()
+	return measure()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -66,72 +67,16 @@ func (f *FlumenMesh) Mesh() *Mesh { return f.mesh }
 func (f *FlumenMesh) Attenuator(w int) Attenuator { return f.atten[w] }
 
 // Forward propagates input E-fields through the left mesh half, the
-// attenuator column, the right mesh half, and the output phase screen. It
-// runs on the cached compiled plan (compile.go), which applies exactly the
-// interpreted operation sequence, so results are bitwise-identical to
-// device-by-device propagation.
+// attenuator column, the right mesh half, and the output phase screen — a
+// batch of one through the fabric's cached plan (compile.go).
 func (f *FlumenMesh) Forward(in []complex128) []complex128 {
-	if len(in) != f.n {
-		panic(fmt.Sprintf("photonic: Forward input length %d, want %d", len(in), f.n))
-	}
-	state := make([]complex128, f.n)
-	copy(state, in)
-	f.plan().Forward(state)
+	state := slices.Clone(in)
+	f.plan().ForwardBatch(state, 1)
 	return state
 }
 
-// ForwardInPlace propagates the N-length state vector through the fabric in
-// place, without allocating.
-func (f *FlumenMesh) ForwardInPlace(state []complex128) {
-	if len(state) != f.n {
-		panic(fmt.Sprintf("photonic: ForwardInPlace state length %d, want %d", len(state), f.n))
-	}
-	f.plan().Forward(state)
-}
-
-// ForwardInterp is the device-by-device reference propagation: it walks
-// the left mesh half, attenuator column, right mesh half and output screen
-// interpreting each device directly, re-deriving every MZI transfer per
-// vector. The compiled plan must match it bitwise (the equivalence tests
-// pin this down); it is exported so benchmarks and verification tools can
-// compare against the pre-kernel baseline.
-func (f *FlumenMesh) ForwardInterp(state []complex128) {
-	if len(state) != f.n {
-		panic(fmt.Sprintf("photonic: ForwardInterp state length %d, want %d", len(state), f.n))
-	}
-	f.forwardInterp(state)
-}
-
-func (f *FlumenMesh) forwardInterp(state []complex128) {
-	f.mesh.ForwardRange(state, 0, f.n/2)
-	for i := range state {
-		state[i] *= f.atten[i].Amplitude()
-	}
-	f.mesh.ForwardRange(state, f.n/2, f.n)
-	f.mesh.ApplyOutputPhases(state)
-}
-
 // Matrix returns the N×N matrix currently implemented by the fabric.
-func (f *FlumenMesh) Matrix() *mat.Dense {
-	return f.MatrixInto(mat.New(f.n, f.n))
-}
-
-// MatrixInto writes the fabric's N×N matrix into m and returns it, reusing
-// one state buffer across the basis-vector propagations.
-func (f *FlumenMesh) MatrixInto(m *mat.Dense) *mat.Dense {
-	if m.Rows() != f.n || m.Cols() != f.n {
-		panic("photonic: MatrixInto size mismatch")
-	}
-	pl := f.plan()
-	state := make([]complex128, f.n)
-	for j := 0; j < f.n; j++ {
-		clear(state)
-		state[j] = 1
-		pl.Forward(state)
-		m.SetCol(j, state)
-	}
-	return m
-}
+func (f *FlumenMesh) Matrix() *mat.Dense { return f.plan().Matrix() }
 
 // Reset returns the fabric to the all-bar pass-through state, releasing all
 // partitions and restoring unit attenuators.
@@ -406,7 +351,7 @@ func (p *Partition) Apply(bp *BlockProgram) error {
 }
 
 // ProgramScaled programs the partition with m/‖m‖₂ and records the scale in
-// p.Scale; callers multiply MVM outputs by p.Scale (Sec 3.3.1). A zero
+// p.Scale; callers multiply outputs by p.Scale (Sec 3.3.1). A zero
 // matrix programs the zero map with Scale 0.
 func (p *Partition) ProgramScaled(m *mat.Dense) error {
 	if m.Rows() != p.Size || m.Cols() != p.Size {
@@ -431,92 +376,19 @@ func absorbPending(op MZI, pTop, pBot complex128) (q1, q2 complex128, phys MZI) 
 	return q1, q2, phys
 }
 
-// Forward propagates a Size-length input vector through the partition and
-// returns the Size-length output, assuming other fabric wires are dark.
-func (p *Partition) Forward(in []complex128) []complex128 {
-	if len(in) != p.Size {
-		panic(fmt.Sprintf("photonic: partition Forward input length %d, want %d", len(in), p.Size))
-	}
-	full := make([]complex128, p.f.n)
-	copy(full[p.Lo:], in)
-	p.f.ForwardInPlace(full)
-	res := make([]complex128, p.Size)
-	copy(res, full[p.Lo:p.Lo+p.Size])
-	return res
-}
-
 // Matrix returns the Size×Size matrix the partition currently implements.
 func (p *Partition) Matrix() *mat.Dense {
 	return p.MatrixInto(mat.New(p.Size, p.Size))
 }
 
-// MatrixInto writes the partition's Size×Size matrix into m and returns it,
-// reusing one full-fabric state buffer across the basis-vector propagations
-// (the health monitor's calibration probes call this in the serving path).
+// MatrixInto writes the partition's Size×Size matrix into m and returns it:
+// the partition's block of the fabric plan's matrix, read with the other
+// wires dark.
 func (p *Partition) MatrixInto(m *mat.Dense) *mat.Dense {
 	if m.Rows() != p.Size || m.Cols() != p.Size {
 		panic("photonic: partition MatrixInto size mismatch")
 	}
-	pl := p.f.plan()
-	full := make([]complex128, p.f.n)
-	col := make([]complex128, p.Size)
-	for j := 0; j < p.Size; j++ {
-		clear(full)
-		full[p.Lo+j] = 1
-		pl.Forward(full)
-		copy(col, full[p.Lo:p.Lo+p.Size])
-		m.SetCol(j, col)
-	}
-	return m
-}
-
-// MVM performs the partition's matrix-vector product including the
-// spectral-norm rescale recorded by ProgramScaled.
-func (p *Partition) MVM(x []complex128) []complex128 {
-	out := p.Forward(x)
-	if p.Scale != 1 {
-		s := complex(p.Scale, 0)
-		for i := range out {
-			out[i] *= s
-		}
-	}
-	return out
-}
-
-// MVMBatch performs the partition's matrix-vector product for every column
-// of xs in one pass over the compiled fabric plan: the plan's coefficients
-// are loaded once per op for a whole tile of right-hand sides instead of
-// once per op per vector. Each returned column is bitwise-identical to
-// MVM(xs[i]) — the batch only reorders work across vectors, never within
-// one — so callers can batch freely without perturbing results.
-func (p *Partition) MVMBatch(xs [][]complex128) [][]complex128 {
-	k := len(xs)
-	if k == 0 {
-		return nil
-	}
-	n := p.f.n
-	pl := p.f.plan()
-	states := make([]complex128, k*n)
-	for v, x := range xs {
-		if len(x) != p.Size {
-			panic(fmt.Sprintf("photonic: partition MVMBatch input length %d, want %d", len(x), p.Size))
-		}
-		copy(states[v*n+p.Lo:], x)
-	}
-	pl.ForwardBatch(states, k)
-	outs := make([][]complex128, k)
-	s := complex(p.Scale, 0)
-	for v := range outs {
-		out := make([]complex128, p.Size)
-		copy(out, states[v*n+p.Lo:v*n+p.Lo+p.Size])
-		if p.Scale != 1 {
-			for i := range out {
-				out[i] *= s
-			}
-		}
-		outs[v] = out
-	}
-	return outs
+	return p.f.plan().blockInto(m, p.Lo)
 }
 
 // RoutePermutationRange configures point-to-point communication among the

@@ -17,22 +17,30 @@ func randomContractive(n int, rng *rand.Rand) *mat.Dense {
 	return mat.Scale(complex(0.9/norm, 0), a)
 }
 
+// The SVD mesh of Fig. 4 — V* lattice, Σ attenuator column, U lattice —
+// is what a BlockProgram realizes; these tests hold the program to the
+// figure.
+
 func TestSVDMeshStructure(t *testing.T) {
-	s := NewSVDMesh(4)
-	if s.NumMZIs() != 16 {
-		t.Fatalf("4-input SVD mesh has %d MZIs, want N²=16", s.NumMZIs())
+	bp, err := CompileBlock(mat.Identity(4))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s.N() != 4 {
-		t.Fatalf("N() = %d", s.N())
+	// Two N(N-1)/2-MZI lattices plus N attenuators: N² devices.
+	if devices := bp.plan.NumOps() + len(bp.alpha); devices != 16 {
+		t.Fatalf("4-input SVD mesh has %d devices, want N²=16", devices)
+	}
+	if bp.Size != 4 || bp.plan.N() != 4 {
+		t.Fatalf("Size %d, plan width %d", bp.Size, bp.plan.N())
 	}
 }
 
 func TestSVDMeshIdentityDefault(t *testing.T) {
-	s := NewSVDMesh(4)
-	if err := s.Program(mat.Identity(4)); err != nil {
+	bp, err := CompileBlock(mat.Identity(4))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if d := mat.MaxAbsDiff(s.Matrix(), mat.Identity(4)); d > 1e-9 {
+	if d := mat.MaxAbsDiff(bp.Matrix(), mat.Identity(4)); d > 1e-9 {
 		t.Fatalf("identity program error %g", d)
 	}
 }
@@ -42,71 +50,55 @@ func TestSVDMeshProgramsContractiveMatrices(t *testing.T) {
 	for _, n := range []int{2, 4, 8} {
 		for trial := 0; trial < 5; trial++ {
 			m := randomContractive(n, rng)
-			s := NewSVDMesh(n)
-			if err := s.Program(m); err != nil {
+			bp, err := CompileBlock(m)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if d := mat.MaxAbsDiff(s.Matrix(), m); d > 1e-8 {
+			if d := mat.MaxAbsDiff(bp.Matrix(), m); d > 1e-8 {
 				t.Fatalf("n=%d SVD mesh error %g", n, d)
 			}
 		}
 	}
 }
 
-func TestSVDMeshRejectsExpandingMatrix(t *testing.T) {
-	s := NewSVDMesh(2)
-	if err := s.Program(mat.Diag([]complex128{2, 0.5})); err == nil {
-		t.Fatal("Program accepted a matrix with σ > 1")
-	}
-}
-
 func TestSVDMeshProgramScaled(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	m := mat.RandomDense(4, 4, rng) // arbitrary norm
-	s := NewSVDMesh(4)
-	scale, err := s.ProgramScaled(m)
+	bp, err := CompileBlockScaled(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(scale-mat.SpectralNorm(m)) > 1e-9 {
-		t.Fatalf("scale %g, want spectral norm %g", scale, mat.SpectralNorm(m))
+	if math.Abs(bp.Scale-mat.SpectralNorm(m)) > 1e-9 {
+		t.Fatalf("scale %g, want spectral norm %g", bp.Scale, mat.SpectralNorm(m))
 	}
-	got := mat.Scale(complex(scale, 0), s.Matrix())
+	got := mat.Scale(complex(bp.Scale, 0), bp.Matrix())
 	if d := mat.MaxAbsDiff(got, m); d > 1e-8 {
 		t.Fatalf("scaled program error %g", d)
 	}
 }
 
-func TestSVDMeshZeroMatrix(t *testing.T) {
-	s := NewSVDMesh(4)
-	scale, err := s.ProgramScaled(mat.New(4, 4))
+func TestSVDMeshWDMParallelMVMs(t *testing.T) {
+	// p input vectors on p wavelengths share the mesh configuration: the
+	// photonic matrix-matrix product M·A (Sec 3.3.1) is one ForwardBatch of
+	// the program's plan.
+	rng := rand.New(rand.NewSource(22))
+	m := randomContractive(4, rng)
+	bp, err := CompileBlock(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scale != 0 {
-		t.Fatalf("zero matrix scale %g", scale)
-	}
-	if s.Matrix().MaxAbs() > 1e-10 {
-		t.Fatal("zero matrix program leaks power")
-	}
-}
-
-func TestSVDMeshWDMParallelMVMs(t *testing.T) {
-	// p input vectors on p wavelengths share the mesh configuration: the
-	// photonic matrix-matrix product M·A (Sec 3.3.1).
-	rng := rand.New(rand.NewSource(22))
-	m := randomContractive(4, rng)
-	s := NewSVDMesh(4)
-	if err := s.Program(m); err != nil {
-		t.Fatal(err)
-	}
 	a := mat.RandomDense(4, 8, rng) // 8 wavelengths
-	want := mat.Mul(m, a)
+	states := make([]complex128, 0, 4*8)
+	for lambda := 0; lambda < 8; lambda++ {
+		states = append(states, a.Col(lambda)...)
+	}
+	pl, _ := bp.Plan()
+	pl.ForwardBatch(states, 8)
 	got := mat.New(4, 8)
 	for lambda := 0; lambda < 8; lambda++ {
-		got.SetCol(lambda, s.Forward(a.Col(lambda)))
+		got.SetCol(lambda, states[lambda*4:][:4])
 	}
-	if d := mat.MaxAbsDiff(got, want); d > 1e-8 {
+	if d := mat.MaxAbsDiff(got, mat.Mul(m, a)); d > 1e-8 {
 		t.Fatalf("WDM parallel MVM error %g", d)
 	}
 }
@@ -348,7 +340,7 @@ func TestFlumenPartitionProgramScaled(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := []complex128{1, -0.5, 0.25, 0.7}
-	got := p.MVM(x)
+	got := partitionMVM(p, x)
 	want := mat.MulVec(m, x)
 	if mat.VecMaxAbsDiff(got, want) > 1e-8 {
 		t.Fatalf("scaled MVM error %g", mat.VecMaxAbsDiff(got, want))
@@ -372,7 +364,7 @@ func TestFlumenPartitionBlockMatVec(t *testing.T) {
 		if err := p.ProgramScaled(blk); err != nil {
 			t.Fatal(err)
 		}
-		return p.MVM(seg)
+		return partitionMVM(p, seg)
 	})
 	want := mat.MulVec(m, x)
 	if mat.VecMaxAbsDiff(got, want) > 1e-7 {

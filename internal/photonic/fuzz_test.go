@@ -70,7 +70,7 @@ func FuzzRoutePermutation(f *testing.F) {
 		for src := 0; src < n; src++ {
 			in := make([]complex128, n)
 			in[src] = 1
-			out := m.Forward(in)
+			out := forward(m.CompilePlan(), in)
 			if math.Abs(cAbs2(out[perm[src]])-1) > 1e-9 {
 				t.Fatalf("n=%d seed=%d: src %d power %g at dest", n, seed, src, cAbs2(out[perm[src]]))
 			}
@@ -117,7 +117,7 @@ func fuzzBlock(data []byte) *mat.Dense {
 // FuzzCompileBlockRoundTrip is the SVD round trip of the block compiler:
 // whatever finite block the bytes decode to must compile, the compiled
 // lattice times Scale must give the block back, and the program's plan must
-// propagate exactly as its op lists do.
+// propagate exactly as the oracle walks its slots.
 func FuzzCompileBlockRoundTrip(f *testing.F) {
 	// The corpus proper is in testdata/fuzz/FuzzCompileBlockRoundTrip.
 	f.Add([]byte{6, 0, 0, 3, 16, 0, 240, 1, 8, 2, 100, 3, 77, 0, 5, 1, 200, 2, 31, 3})
@@ -144,11 +144,8 @@ func FuzzCompileBlockRoundTrip(f *testing.F) {
 		for i := range in {
 			in[i] = complex(float64(i+1)/float64(n), float64(len(data)%7)-3)
 		}
-		want := bp.Forward(in)
-		pl, _ := bp.Plan()
-		pl.Forward(in)
-		if !bitsEqualVec(in, want) {
-			t.Fatalf("%d×%d block: plan output differs from ForwardInto", n, n)
+		if !bitsEqualVec(forward(&bp.plan, in), oracleProgram(bp, in)) {
+			t.Fatalf("%d×%d block: plan output differs from the oracle", n, n)
 		}
 	})
 }

@@ -106,11 +106,14 @@ func (m *Mesh) InSituOptimize(target *mat.Dense, passes int) float64 {
 	if target.Rows() != m.n || target.Cols() != m.n {
 		panic("photonic: InSituOptimize target size mismatch")
 	}
-	// The coordinate probes below write phases through raw pointers; any
-	// cached plan is stale once optimization finishes.
-	defer m.invalidate()
+	// The coordinate probes below write phases through raw pointers, so
+	// every measurement recompiles the plan first.
+	measure := func() float64 {
+		m.invalidate()
+		return mat.Sub(m.Matrix(), target).FrobeniusNorm()
+	}
 	err2 := func() float64 {
-		d := mat.Sub(m.Matrix(), target).FrobeniusNorm()
+		d := measure()
 		return d * d
 	}
 	for pass := 0; pass < passes; pass++ {
@@ -130,7 +133,7 @@ func (m *Mesh) InSituOptimize(target *mat.Dense, passes int) float64 {
 			minimizeSinusoidFunc(angle, math.Inf(-1), math.Inf(1), set, err2)
 		}
 	}
-	return mat.Sub(m.Matrix(), target).FrobeniusNorm()
+	return measure()
 }
 
 // minimizeSinusoid minimizes err2 over *p, exploiting the exact

@@ -24,7 +24,8 @@ type Mesh struct {
 	// (fabrication imperfections); see SetFabricationErrors.
 	fabEta [][][2]float64
 	// gen counts device mutations; a cached CompiledPlan is valid only while
-	// the generation it was compiled from is still current (compile.go).
+	// the generation it was compiled from is still current (compile.go). The
+	// plan is the mesh's only propagation path.
 	gen  atomic.Uint64
 	plan atomic.Pointer[meshPlan]
 }
@@ -124,102 +125,9 @@ func (m *Mesh) SetOutputPhase(w int, p complex128) {
 // OutputPhase returns the phase screen element at wire w.
 func (m *Mesh) OutputPhase(w int) complex128 { return m.outPhase[w] }
 
-// Forward propagates the vector of input E-fields through the mesh and
-// returns the output fields. len(in) must equal N.
-func (m *Mesh) Forward(in []complex128) []complex128 {
-	if len(in) != m.n {
-		panic(fmt.Sprintf("photonic: Forward input length %d, want %d", len(in), m.n))
-	}
-	state := make([]complex128, m.n)
-	copy(state, in)
-	m.forwardInPlace(state)
-	return state
-}
-
-// ForwardInPlace propagates the N-length state vector through the mesh in
-// place, without allocating. Like Forward it runs the interpreted
-// device-by-device path: mesh-level propagation stays valid mid-mutation
-// (InSituOptimize probes phases through raw pointers between calls), which
-// a cached plan could not promise. Callers that program once and propagate
-// many vectors should use CompilePlan (compile.go) instead.
-func (m *Mesh) ForwardInPlace(state []complex128) {
-	if len(state) != m.n {
-		panic(fmt.Sprintf("photonic: ForwardInPlace state length %d, want %d", len(state), m.n))
-	}
-	m.forwardInPlace(state)
-}
-
-func (m *Mesh) forwardInPlace(state []complex128) {
-	m.ForwardRange(state, 0, m.depth)
-	for i := range state {
-		state[i] *= m.outPhase[i]
-	}
-}
-
-// applySlot propagates the field pair through slot (c, w), honouring any
-// fabrication imperfection.
-func (m *Mesh) applySlot(c, w int, top, bottom complex128) (complex128, complex128) {
-	z := m.cols[c][w]
-	if m.fabEta != nil {
-		e := m.fabEta[c][w]
-		if e[0] != 0 || e[1] != 0 {
-			t := imperfectTransfer(*z, e[0], e[1])
-			return t[0][0]*top + t[0][1]*bottom, t[1][0]*top + t[1][1]*bottom
-		}
-	}
-	return z.Apply(top, bottom)
-}
-
-// ForwardRange propagates fields through columns [c0, c1) only, without the
-// output phase screen. It is used by the Flumen mesh, which interposes an
-// attenuator column mid-mesh.
-func (m *Mesh) ForwardRange(state []complex128, c0, c1 int) {
-	if len(state) != m.n {
-		panic("photonic: ForwardRange state length mismatch")
-	}
-	if c0 < 0 || c1 > m.depth || c0 > c1 {
-		panic(fmt.Sprintf("photonic: ForwardRange invalid column range [%d,%d)", c0, c1))
-	}
-	for c := c0; c < c1; c++ {
-		col := m.cols[c]
-		for w := c % 2; w <= m.n-2; w += 2 {
-			if col[w] != nil {
-				state[w], state[w+1] = m.applySlot(c, w, state[w], state[w+1])
-			}
-		}
-	}
-}
-
-// ApplyOutputPhases multiplies state by the output phase screen.
-func (m *Mesh) ApplyOutputPhases(state []complex128) {
-	for i := range state {
-		state[i] *= m.outPhase[i]
-	}
-}
-
-// Matrix returns the N×N unitary implemented by the mesh, computed by
-// propagating the canonical basis vectors.
-func (m *Mesh) Matrix() *mat.Dense {
-	return m.MatrixInto(mat.New(m.n, m.n))
-}
-
-// MatrixInto writes the mesh's N×N unitary into u and returns it, reusing
-// one state buffer across the basis-vector propagations. InSituOptimize
-// evaluates this inside every coordinate probe, so the per-vector
-// allocations it avoids dominate the optimizer's garbage.
-func (m *Mesh) MatrixInto(u *mat.Dense) *mat.Dense {
-	if u.Rows() != m.n || u.Cols() != m.n {
-		panic("photonic: MatrixInto size mismatch")
-	}
-	state := make([]complex128, m.n)
-	for j := 0; j < m.n; j++ {
-		clear(state)
-		state[j] = 1
-		m.forwardInPlace(state)
-		u.SetCol(j, state)
-	}
-	return u
-}
+// Matrix returns the N×N unitary implemented by the mesh: the identity
+// propagated through the mesh's plan.
+func (m *Mesh) Matrix() *mat.Dense { return m.CompilePlan().Matrix() }
 
 // PathMZICount returns, for the current cross/bar routing state, the number
 // of MZIs traversed from input port src to its (unique) output. It panics

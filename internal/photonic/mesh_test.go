@@ -54,7 +54,7 @@ func TestMeshForwardPreservesPower(t *testing.T) {
 	for i := range in {
 		in[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
-	out := m.Forward(in)
+	out := forward(m.CompilePlan(), in)
 	if math.Abs(mat.VecNorm(out)-mat.VecNorm(in)) > 1e-10*mat.VecNorm(in) {
 		t.Fatalf("unitary mesh does not preserve power: in %g out %g", mat.VecNorm(in), mat.VecNorm(out))
 	}
@@ -140,7 +140,7 @@ func TestRoutePermutation(t *testing.T) {
 			for src := 0; src < n; src++ {
 				in := make([]complex128, n)
 				in[src] = 1
-				out := m.Forward(in)
+				out := forward(m.CompilePlan(), in)
 				for w := 0; w < n; w++ {
 					p := cAbs2(out[w])
 					if w == perm[src] && math.Abs(p-1) > 1e-12 {
@@ -230,7 +230,7 @@ func TestRouteBroadcast(t *testing.T) {
 			m.RouteBroadcast(src)
 			in := make([]complex128, n)
 			in[src] = 1
-			out := m.Forward(in)
+			out := forward(m.CompilePlan(), in)
 			for w := 0; w < n; w++ {
 				if math.Abs(cAbs2(out[w])-1/float64(n)) > 1e-10 {
 					t.Fatalf("n=%d src=%d: output %d power %g, want %g", n, src, w, cAbs2(out[w]), 1/float64(n))
@@ -246,7 +246,7 @@ func TestRouteMulticastSubset(t *testing.T) {
 	m.RouteMulticast(2, dsts)
 	in := make([]complex128, 8)
 	in[2] = 1
-	out := m.Forward(in)
+	out := forward(m.CompilePlan(), in)
 	want := 1.0 / 3
 	isDst := map[int]bool{1: true, 3: true, 6: true}
 	for w := 0; w < 8; w++ {
@@ -264,7 +264,7 @@ func TestRouteMulticastSingleDestActsAsPointToPoint(t *testing.T) {
 	m := NewMesh(4)
 	m.RouteMulticast(0, []int{3})
 	in := []complex128{1, 0, 0, 0}
-	out := m.Forward(in)
+	out := forward(m.CompilePlan(), in)
 	if math.Abs(cAbs2(out[3])-1) > 1e-10 {
 		t.Fatalf("single-dest multicast power %g at dest", cAbs2(out[3]))
 	}
@@ -332,7 +332,7 @@ func TestPropertyRoutingDeliversAllPower(t *testing.T) {
 		for src := 0; src < n; src++ {
 			in := make([]complex128, n)
 			in[src] = 1
-			out := m.Forward(in)
+			out := forward(m.CompilePlan(), in)
 			if math.Abs(cAbs2(out[perm[src]])-1) > 1e-10 {
 				return false
 			}

@@ -1,9 +1,11 @@
 // Package photonic models the photonic fabric of the Flumen architecture:
 // Mach-Zehnder interferometers (MZIs), rectangular Clements-style MZI meshes
 // (MZIMs) with exact complex E-field transfer-matrix propagation, the SVD
-// mesh of Fig. 4, and the Flumen mesh of Fig. 5 (a unitary MZIM augmented
-// with a mid-mesh attenuator column that supports dynamic partitioning into
-// communication and computation regions).
+// mesh of Fig. 4 as a compiled weight program (BlockProgram), and the
+// Flumen mesh of Fig. 5 (a unitary MZIM augmented with a mid-mesh
+// attenuator column that supports dynamic partitioning into communication
+// and computation regions). Every one of them propagates light through a
+// CompiledPlan (compile.go).
 //
 // All device math operates on E-field amplitudes (complex128); optical
 // power is |E|². Loss, laser power and quantization are modelled separately
@@ -65,12 +67,6 @@ func (z MZI) Transfer() [2][2]complex128 {
 		{g * ephi * complex(s, 0), g * complex(c, 0)},
 		{g * ephi * complex(c, 0), g * complex(-s, 0)},
 	}
-}
-
-// Apply transforms the E-field pair (top, bottom) through the MZI.
-func (z MZI) Apply(top, bottom complex128) (complex128, complex128) {
-	t := z.Transfer()
-	return t[0][0]*top + t[0][1]*bottom, t[1][0]*top + t[1][1]*bottom
 }
 
 // normalizePhases clamps θ into [0, π] and wraps φ into [0, 2π).

@@ -64,6 +64,7 @@ func (m *ReckMesh) PerturbPhases(sigma float64, rng *rand.Rand) int {
 	for i := range m.outPhase {
 		m.outPhase[i] *= phaseFactor(rng.NormFloat64() * sigma)
 	}
+	m.compile()
 	return len(m.ops)
 }
 

@@ -11,7 +11,7 @@ import (
 // TestCompileBlockMatchesPartitionAcrossOffsets verifies the compiled
 // artifact is partition-independent: applying one BlockProgram to
 // partitions at different wire offsets realizes the same matrix, and the
-// program's own Forward propagation agrees with both.
+// program's own plan agrees with both.
 func TestCompileBlockMatchesPartitionAcrossOffsets(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	m := mat.RandomDense(8, 8, rng)
@@ -44,7 +44,7 @@ func TestCompileBlockMatchesPartitionAcrossOffsets(t *testing.T) {
 }
 
 // TestCompileBlockScaledRecoversMatrix checks the spectral pre-scaling
-// round trip: MVM(x) ≈ m·x for a non-contractive matrix.
+// round trip: Scale·plan(x) ≈ m·x for a non-contractive matrix.
 func TestCompileBlockScaledRecoversMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	m := mat.Scale(3, mat.RandomDense(6, 6, rng))
@@ -59,11 +59,11 @@ func TestCompileBlockScaledRecoversMatrix(t *testing.T) {
 	for i := range x {
 		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
-	got := bp.MVM(x)
+	got := programMVM(bp, x)
 	want := mat.MulVec(m, x)
 	for i := range want {
 		if d := got[i] - want[i]; real(d)*real(d)+imag(d)*imag(d) > 1e-18 {
-			t.Fatalf("MVM[%d] = %v, want %v", i, got[i], want[i])
+			t.Fatalf("output %d = %v, want %v", i, got[i], want[i])
 		}
 	}
 }
@@ -78,10 +78,10 @@ func TestCompileBlockScaledZero(t *testing.T) {
 	if bp.Scale != 0 {
 		t.Fatalf("Scale = %v, want 0", bp.Scale)
 	}
-	out := bp.MVM([]complex128{1, 1, 1, 1})
+	out := programMVM(bp, []complex128{1, 1, 1, 1})
 	for i, v := range out {
 		if v != 0 {
-			t.Fatalf("zero-block MVM[%d] = %v, want 0", i, v)
+			t.Fatalf("zero-block output %d = %v, want 0", i, v)
 		}
 	}
 }
@@ -166,11 +166,36 @@ func TestBlockProgramDeterministicCompile(t *testing.T) {
 	for i := range x {
 		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
-	o1, o2 := bp1.MVM(x), bp2.MVM(x)
+	o1, o2 := programMVM(bp1, x), programMVM(bp2, x)
 	for i := range o1 {
 		if o1[i] != o2[i] {
 			t.Fatalf("independent compiles diverge at %d: %v vs %v", i, o1[i], o2[i])
 		}
+	}
+}
+
+// TestCompileBlockAllocations holds a compilation to what the program
+// keeps, in five objects: the program, Sigma, both lattices' slots, the
+// plan's wires, and one array for both screens and the plan's
+// coefficients. The plan is born with the program and costs no allocation
+// of its own. The test holds one compiler itself, as a pooled one would be
+// reused (the race detector's sync.Pool drops a share of what is put back).
+func TestCompileBlockAllocations(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	blocks := make([]*mat.Dense, 8)
+	for i := range blocks {
+		blocks[i] = mat.RandomReal(8, 8, rng)
+	}
+	cp := new(compiler)
+	compile := func(i int) {
+		if _, err := cp.compileScaled(blocks[i%len(blocks)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	compile(0) // grow the compiler's scratch
+	next := 0
+	if allocs := testing.AllocsPerRun(20, func() { compile(next); next++ }); allocs > 5 {
+		t.Errorf("CompileBlockScaled on an 8×8 block: %.1f allocations, budget 5", allocs)
 	}
 }
 

@@ -3,6 +3,7 @@ package photonic
 import (
 	"fmt"
 	"math/cmplx"
+	"slices"
 
 	"flumen/internal/mat"
 )
@@ -22,9 +23,11 @@ import (
 type ReckMesh struct {
 	n        int
 	ops      []placedOp // physical order: ops[0] touches the input first
-	layers   []int      // layer index per op (greedy, no parity constraint)
 	depth    int
 	outPhase []complex128
+	// plan is ops and outPhase compiled, rebuilt whenever either changes
+	// (ProgramUnitary, PerturbPhases).
+	plan *CompiledPlan
 }
 
 // NewReckMesh returns an N-input triangular mesh programmed to (phase-
@@ -88,48 +91,35 @@ func (m *ReckMesh) ProgramUnitary(u *mat.Dense) {
 	// Greedy layer assignment (no lattice parity constraint): an op's
 	// layer is one past the latest layer touching either of its wires.
 	frontier := make([]int, n)
-	m.layers = m.layers[:0]
 	m.depth = 0
 	for _, op := range m.ops {
-		l := frontier[op.Mode]
-		if frontier[op.Mode+1] > l {
-			l = frontier[op.Mode+1]
-		}
-		m.layers = append(m.layers, l)
-		frontier[op.Mode] = l + 1
-		frontier[op.Mode+1] = l + 1
-		if l+1 > m.depth {
-			m.depth = l + 1
-		}
+		l := max(frontier[op.Mode], frontier[op.Mode+1]) + 1
+		frontier[op.Mode], frontier[op.Mode+1] = l, l
+		m.depth = max(m.depth, l)
 	}
+	m.compile()
+}
+
+// compile rebuilds the plan from the ops' current settings (PerturbPhases
+// edits op.MZI, not op.T) and the output phase screen.
+func (m *ReckMesh) compile() {
+	b := newPlanBuilder(m.n, len(m.ops))
+	for _, op := range m.ops {
+		b.addOp(op.Mode, op.MZI.Transfer())
+	}
+	b.addDiag(slices.Clone(m.outPhase))
+	m.plan = b.build()
 }
 
 // Forward propagates input E-fields through the triangle.
 func (m *ReckMesh) Forward(in []complex128) []complex128 {
-	if len(in) != m.n {
-		panic(fmt.Sprintf("photonic: Forward input length %d, want %d", len(in), m.n))
-	}
-	state := make([]complex128, m.n)
-	copy(state, in)
-	for _, op := range m.ops {
-		state[op.Mode], state[op.Mode+1] = op.MZI.Apply(state[op.Mode], state[op.Mode+1])
-	}
-	for i := range state {
-		state[i] *= m.outPhase[i]
-	}
+	state := slices.Clone(in)
+	m.plan.ForwardBatch(state, 1)
 	return state
 }
 
 // Matrix returns the implemented unitary.
-func (m *ReckMesh) Matrix() *mat.Dense {
-	out := mat.New(m.n, m.n)
-	for j := 0; j < m.n; j++ {
-		in := make([]complex128, m.n)
-		in[j] = 1
-		out.SetCol(j, m.Forward(in))
-	}
-	return out
-}
+func (m *ReckMesh) Matrix() *mat.Dense { return m.plan.Matrix() }
 
 // WireTouches returns, per wire, how many MZIs touch it — the structural
 // per-port worst-case device count that determines the loss spread the

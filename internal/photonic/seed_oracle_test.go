@@ -282,10 +282,8 @@ func diffProgram(bp *BlockProgram, sp *seedProgram) string {
 	for _, lat := range []struct {
 		name  string
 		slots []MZI
-		ops   []progOp
 		want  map[[2]int]MZI
-		wops  []seedProgOp
-	}{{"V*", bp.vSlots, bp.vOps, sp.vSlots, sp.vOps}, {"U", bp.uSlots, bp.uOps, sp.uSlots, sp.uOps}} {
+	}{{"V*", bp.vSlots, sp.vSlots}, {"U", bp.uSlots, sp.uSlots}} {
 		if len(lat.slots) != n*n {
 			return lat.name + " slot array length"
 		}
@@ -294,24 +292,9 @@ func diffProgram(bp *BlockProgram, sp *seedProgram) string {
 				return fmt.Sprintf("%s slot %v", lat.name, key)
 			}
 		}
-		if len(lat.ops) != len(lat.wops) {
-			return lat.name + " op count"
-		}
-		for k, op := range lat.wops {
-			got := lat.ops[k]
-			if got.w != op.w || !bitsEqualVec(got.t[0][:], op.t[0][:]) || !bitsEqualVec(got.t[1][:], op.t[1][:]) {
-				return fmt.Sprintf("%s op %d", lat.name, k)
-			}
-		}
 	}
 	// The plan is the seed's op lists and screens laid out as arrays.
-	pl, compiledNow := bp.Plan()
-	if !compiledNow {
-		return "Plan did not report its first compilation"
-	}
-	if _, again := bp.Plan(); again {
-		return "Plan reported a second compilation"
-	}
+	pl := &bp.plan
 	all := append(append([]seedProgOp(nil), sp.vOps...), sp.uOps...)
 	if len(pl.wires) != len(all) || len(pl.t00) != len(all) || len(pl.t01) != len(all) ||
 		len(pl.t10) != len(all) || len(pl.t11) != len(all) {

@@ -40,7 +40,8 @@ type Config struct {
 	// CacheSize overrides the weight-program cache capacity when != 0;
 	// negative disables caching.
 	CacheSize int
-	// Precision overrides the DAC/ADC bit depth when > 0 (default 8).
+	// Precision overrides the DAC/ADC bit depth when > 0 (default 8); it
+	// must lie in [0, 24].
 	Precision int
 
 	// QueueDepth bounds the admission queue. A full queue rejects new
@@ -180,6 +181,9 @@ func (c *Config) Validate() error {
 	}
 	if c.BlockSize < 2 || c.BlockSize%2 != 0 || c.BlockSize > c.Ports/2 {
 		return fmt.Errorf("serve: block size must be even, ≥2 and ≤ ports/2, got %d", c.BlockSize)
+	}
+	if c.Precision < 0 || c.Precision > 24 {
+		return fmt.Errorf("serve: precision must be in [1, 24] bits, or 0 for the default 8, got %d", c.Precision)
 	}
 	return nil
 }

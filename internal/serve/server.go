@@ -285,11 +285,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		CacheEntries:   st.Cache.Entries,
 		CacheCapacity:  st.Cache.Capacity,
 		CachePinned:    st.Cache.Pinned,
-
-		CompileHits:      st.Kernel.PlanReuses,
-		CompileMisses:    st.Kernel.PlanCompiles,
-		CompileEvictions: st.Kernel.PlanEvictions,
-		CompileFallbacks: st.Kernel.Fallbacks,
 	}
 	if fs := st.Fabric; fs != nil {
 		snap.Fabric = &fabricSnapshot{
