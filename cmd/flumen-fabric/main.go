@@ -74,7 +74,6 @@ func main() {
 		}
 		mo := bo
 		mo.Fabric = fcfg
-		mo.Compute = true
 		mixed, err := fabricrun.Run(mo)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -97,7 +96,6 @@ func main() {
 	so := base
 	so.Rate = *stepRate
 	so.Fabric = fcfg
-	so.Compute = true
 	so.StepAt = 1000
 	so.Warmup = 4000
 	step, err := fabricrun.Run(so)
@@ -116,7 +114,7 @@ func main() {
 
 // runSmoke is the CI job: a short mixed sweep plus a step scenario, exiting
 // non-zero unless the system reaches steady state with zero leaked leases
-// and reclaims within budget.
+// and reclaims in a nonzero number of cycles within budget.
 func runSmoke(nodes int, np core.NetworkParams) int {
 	fail := func(format string, args ...any) int {
 		fmt.Fprintf(os.Stderr, "SMOKE FAIL: "+format+"\n", args...)
@@ -128,7 +126,7 @@ func runSmoke(nodes int, np core.NetworkParams) int {
 		WidthBits: np.MZIMWidthBits, SetupCycles: np.MZIMSetupCycles,
 		Rate:   0.05,
 		Warmup: 1000, Measure: 3000, Drain: 15000,
-		Fabric: fcfg, Compute: true,
+		Fabric: fcfg,
 	}
 	mixed, err := fabricrun.Run(o)
 	if err != nil {
@@ -159,8 +157,11 @@ func runSmoke(nodes int, np core.NetworkParams) int {
 	if fs.LeasesPreempted == 0 || fs.LeasesReclaimed == 0 {
 		return fail("step forced no reclamation: %+v", fs)
 	}
-	if fs.MaxReclaimCycles > int64(fcfg.ReclaimBudget) || fs.ReclaimSLOViolations != 0 {
-		return fail("reclaim overran budget: max %d cycles, budget %d, violations %d",
+	// A preempted lease stops at the first item boundary after the
+	// preempting tick, so a reclaim with no cycles in it means simulated
+	// time stopped while leases were held.
+	if fs.MaxReclaimCycles == 0 || fs.MaxReclaimCycles > int64(fcfg.ReclaimBudget) || fs.ReclaimSLOViolations != 0 {
+		return fail("reclaim outside 0 < cycles ≤ budget: max %d cycles, budget %d, violations %d",
 			fs.MaxReclaimCycles, fcfg.ReclaimBudget, fs.ReclaimSLOViolations)
 	}
 	if step.ComputeOps == 0 {

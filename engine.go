@@ -5,7 +5,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
 	"time"
 
@@ -362,14 +361,6 @@ func (a *Accelerator) runRows(ctx context.Context, g, workers int, pm *mat.Dense
 				// the same order regardless of which partition runs them.
 				a.checkin(h)
 				h = partHandle{}
-				continue
-			}
-			if h.lease != nil {
-				// Cooperative yield between leased items: a cycle-driven
-				// arbiter running on the same CPU gets a chance to tick — and
-				// preempt — while the lease is demonstrably held, instead of
-				// only ever observing the zero-lease instants between rows.
-				runtime.Gosched()
 			}
 		}
 	}

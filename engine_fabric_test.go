@@ -1,12 +1,16 @@
 package flumen
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"flumen/internal/fabric"
+	"flumen/internal/trace"
 )
 
 func fabricTestMatrices(t *testing.T, dim int) (m, x [][]float64) {
@@ -101,12 +105,49 @@ func TestFabricIdleMatMulMatchesDedicated(t *testing.T) {
 	}
 }
 
-// TestFabricPreemptionBitwiseDeterminism forces repeated mid-call
-// preemptions by driving busy/idle telemetry bursts while a MatMul is in
-// flight, then checks the result is bit-for-bit the dedicated engine's.
+// preemptingRecorder is a trace.Recorder that preempts the fabric at
+// chosen work items: the engine books one StageCompute for its DAC pass and
+// then one after every item, so the recorder ticks the arbiter busy right
+// after the items listed in after (1-based). Ticks from the recorder and
+// from the test goroutine share one cycle counter under mu.
+type preemptingRecorder struct {
+	arb   *fabric.Arbiter
+	after map[int]bool
+
+	mu       sync.Mutex
+	cycle    int64
+	computes int
+}
+
+func (r *preemptingRecorder) Add(s trace.Stage, _ time.Duration) {
+	if s != trace.StageCompute {
+		return
+	}
+	r.mu.Lock()
+	item := r.computes // the first StageCompute is the DAC pass, item 0
+	r.computes++
+	r.mu.Unlock()
+	if r.after[item] {
+		r.tick(16, 8)
+	}
+}
+
+// tick feeds the arbiter one cycle of telemetry.
+func (r *preemptingRecorder) tick(injected, occupancy int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.arb.Tick(r.cycle, injected, occupancy)
+	r.cycle++
+}
+
+// TestFabricPreemptionBitwiseDeterminism preempts a leased MatMul right
+// after chosen work items and checks the answer is bit for bit the
+// dedicated engine's. The engine ticks the arbiter busy itself, through
+// the call's trace recorder; the test goroutine only hands the fabric back
+// once traffic owns it. With one worker every preemption lands on a held
+// lease with items still to run, so each re-queues exactly one item.
 func TestFabricPreemptionBitwiseDeterminism(t *testing.T) {
-	// 64×64 over 4×4 blocks → 256 work items, enough in-flight work that
-	// the telemetry bursts land while leases are held.
+	// 64×64 over 4×4 blocks → 256 work items.
 	m, x := fabricTestMatrices(t, 64)
 	ded, err := NewAccelerator(16, 4)
 	if err != nil {
@@ -118,53 +159,51 @@ func TestFabricPreemptionBitwiseDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fa, arb := newFabricAccel(t)
-	type out struct {
-		res [][]float64
-		err error
-	}
-	done := make(chan out, 1)
-	go func() {
-		res, err := fa.MatMul(m, x)
-		done <- out{res, err}
-	}()
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			fa, arb := newFabricAccel(t)
+			fa.SetWorkers(workers)
+			after := map[int]bool{1: true, 17: true, 100: true, 255: true}
+			rec := &preemptingRecorder{arb: arb, after: after}
+			ctx := trace.NewContext(context.Background(), rec)
 
-	// Alternate busy bursts (forcing preemption of whatever leases are out)
-	// with idle windows (letting the call resume), until it completes.
-	var cycle int64
-	deadline := time.After(30 * time.Second)
-	for {
-		select {
-		case o := <-done:
+			type out struct {
+				res [][]float64
+				err error
+			}
+			done := make(chan out, 1)
+			go func() {
+				res, err := fa.MatMulCtx(ctx, m, x)
+				done <- out{res, err}
+			}()
+			// Hand the fabric back whenever traffic owns it: idle ticks until
+			// the hysteresis re-opens the window and the parked Acquire wakes.
+			var o out
+			for running := true; running; {
+				select {
+				case o = <-done:
+					running = false
+				default:
+					if arb.Mode() == fabric.ModeTraffic {
+						rec.tick(0, 0)
+					} else {
+						runtime.Gosched()
+					}
+				}
+			}
 			if o.err != nil {
 				t.Fatal(o.err)
 			}
 			assertBitwiseEqual(t, want, o.res)
 			st := arb.Stats()
-			if st.LeasesPreempted == 0 || st.PreemptedItems == 0 {
-				t.Fatalf("call completed without any forced preemption: %+v", st)
-			}
 			if st.ActiveLeases != 0 {
 				t.Fatalf("%d leases leaked", st.ActiveLeases)
 			}
-			return
-		case <-deadline:
-			t.Fatal("preempted MatMul never completed")
-		default:
-		}
-		for i := 0; i < 8; i++ {
-			arb.Tick(cycle, 16, 8)
-			cycle++
-		}
-		runtime.Gosched()
-		for i := 0; i < 24; i++ {
-			arb.Tick(cycle, 0, 0)
-			cycle++
-			if i%4 == 0 {
-				runtime.Gosched()
+			if workers == 1 && (st.LeasesPreempted != int64(len(after)) || st.PreemptedItems != st.LeasesPreempted) {
+				t.Fatalf("%d preemptions re-queued %d items, want %d each: %+v",
+					st.LeasesPreempted, st.PreemptedItems, len(after), st)
 			}
-		}
-		time.Sleep(200 * time.Microsecond)
+		})
 	}
 }
 

@@ -99,6 +99,25 @@ func DefaultSchedulerParams() SchedulerParams {
 	}
 }
 
+// OccupancyCycles is how long a partition is busy streaming vectors input
+// vectors through each of blocks programmed blocks and then returning
+// resultBits of results through the fabric, not counting any exposed phase
+// programming. Input vectors stream on the compute wavelengths at the input
+// modulation rate. When the blocks are (re)programmed, the per-block phase
+// switch is double-buffered, so the occupancy per block is the larger of
+// its streaming time and the pipelined switch time. The block total rounds
+// up to whole cycles; the result return takes whole port-width transfers.
+func (sp SchedulerParams) OccupancyCycles(blocks, vectors, resultBits int, reprogram bool) int64 {
+	slotsPerBlock := (vectors + sp.ComputeLambdas - 1) / sp.ComputeLambdas
+	modCyclesPerSlot := sp.ClockGHz / sp.InputModGHz
+	perBlock := float64(slotsPerBlock) * modCyclesPerSlot
+	if reprogram && float64(sp.PipelinedProgramCycles) > perBlock {
+		perBlock = float64(sp.PipelinedProgramCycles)
+	}
+	stream := int64(float64(blocks)*perBlock + 0.999)
+	return stream + int64((resultBits+sp.PortWidthBits-1)/sp.PortWidthBits)
+}
+
 // ControlStats counts control-unit events.
 type ControlStats struct {
 	Requests          int64
@@ -405,19 +424,7 @@ func (cu *ControlUnit) serve(p *partition, req *request) {
 		latency += cu.params.CommProgramCycles
 		p.returnConfigured = true
 	}
-	// Input vectors stream on the compute wavelengths at the input
-	// modulation rate. For multi-block kernels the per-block phase switch
-	// is double-buffered, so the occupancy per block is the larger of its
-	// streaming time and the pipelined switch time.
-	slotsPerBlock := (job.NumVectors() + cu.params.ComputeLambdas - 1) / cu.params.ComputeLambdas
-	modCyclesPerSlot := cu.params.ClockGHz / cu.params.InputModGHz
-	perBlock := float64(slotsPerBlock) * modCyclesPerSlot
-	if reprogram && float64(cu.params.PipelinedProgramCycles) > perBlock {
-		perBlock = float64(cu.params.PipelinedProgramCycles)
-	}
-	latency += int64(float64(blocks)*perBlock + 0.999)
-	// Result return transfer through the fabric.
-	latency += int64((job.ResultVolumeBits() + cu.params.PortWidthBits - 1) / cu.params.PortWidthBits)
+	latency += cu.params.OccupancyCycles(blocks, job.NumVectors(), job.ResultVolumeBits(), reprogram)
 	cu.stats.ComputePJ += float64(blocks) * cu.ep.FlumenVectorsPJ(n, job.NumVectors())
 	cu.stats.ResultBits += int64(job.ResultVolumeBits())
 	cu.stats.VectorsStreamed += int64(blocks) * int64(job.NumVectors())

@@ -19,12 +19,10 @@ type Arbiter struct {
 	mode  Mode
 	cycle int64
 
-	free      []bool
-	freeCount int
+	leases    []*Lease // by partition; nil while the partition is free
+	active    int      // leases outstanding
 	quar      []bool
 	quarCount int
-	leases    map[int64]*Lease
-	nextID    int64
 
 	det            *idleDetector
 	reclaimStart   int64
@@ -53,12 +51,9 @@ type counters struct {
 // must finish or re-queue its current work item and Release promptly.
 type Lease struct {
 	arb       *Arbiter
-	id        int64
 	part      int
-	grantedAt int64
 	preempt   chan struct{}
 	preempted bool
-	released  bool
 }
 
 // Partition returns the index of the granted partition.
@@ -76,16 +71,11 @@ func New(cfg Config) (*Arbiter, error) {
 		return nil, err
 	}
 	a := &Arbiter{
-		cfg:       cfg,
-		mode:      ModeIdle,
-		free:      make([]bool, cfg.Partitions),
-		freeCount: cfg.Partitions,
-		quar:      make([]bool, cfg.Partitions),
-		leases:    make(map[int64]*Lease),
-		det:       newIdleDetector(cfg),
-	}
-	for i := range a.free {
-		a.free[i] = true
+		cfg:    cfg,
+		mode:   ModeIdle,
+		leases: make([]*Lease, cfg.Partitions),
+		quar:   make([]bool, cfg.Partitions),
+		det:    newIdleDetector(cfg),
 	}
 	a.cond = sync.NewCond(&a.mu)
 	return a, nil
@@ -139,50 +129,48 @@ func (a *Arbiter) Acquire(ctx context.Context) (*Lease, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if (a.mode == ModeIdle || a.mode == ModeCompute) &&
-			a.grantableLocked() > 0 && len(a.leases) < a.cfg.MaxComputeLeases {
-			return a.grantLocked(), nil
+		if l, ok := a.tryGrantLocked(); ok {
+			return l, nil
 		}
 		a.cond.Wait()
 	}
 }
 
-// grantableLocked counts partitions that are both free and not
-// quarantined by the health layer.
-func (a *Arbiter) grantableLocked() int {
-	n := 0
-	for i, f := range a.free {
-		if f && !a.quar[i] {
-			n++
-		}
-	}
-	return n
+// TryAcquire grants a compute lease without blocking: it succeeds exactly
+// when Acquire would return a lease at once — the arbiter is open, the
+// fabric is in idle or compute mode, and a partition is free and not
+// quarantined.
+func (a *Arbiter) TryAcquire() (*Lease, bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.tryGrantLocked()
 }
 
-func (a *Arbiter) grantLocked() *Lease {
+// tryGrantLocked is the one grant predicate: it leases the lowest-numbered
+// partition that is both free and not quarantined by the health layer,
+// when the arbiter is open and the mode admits compute.
+func (a *Arbiter) tryGrantLocked() (*Lease, bool) {
+	if a.closed || (a.mode != ModeIdle && a.mode != ModeCompute) {
+		return nil, false
+	}
 	part := -1
-	for i, f := range a.free {
-		if f && !a.quar[i] {
+	for i, l := range a.leases {
+		if l == nil && !a.quar[i] {
 			part = i
 			break
 		}
 	}
-	a.free[part] = false
-	a.freeCount--
-	a.nextID++
-	l := &Lease{
-		arb:       a,
-		id:        a.nextID,
-		part:      part,
-		grantedAt: a.cycle,
-		preempt:   make(chan struct{}),
+	if part < 0 {
+		return nil, false
 	}
-	a.leases[l.id] = l
+	l := &Lease{arb: a, part: part, preempt: make(chan struct{})}
+	a.leases[part] = l
+	a.active++
 	a.c.leasesGranted++
 	if a.mode == ModeIdle {
 		a.setModeLocked(ModeCompute)
 	}
-	return l
+	return l, true
 }
 
 func (a *Arbiter) setModeLocked(m Mode) {
@@ -191,7 +179,7 @@ func (a *Arbiter) setModeLocked(m Mode) {
 	}
 	a.mode = m
 	a.c.modeTransitions++
-	// Wake Acquire callers and Await watchers on every mode edge.
+	// Wake Acquire callers on every mode edge.
 	a.cond.Broadcast()
 }
 
@@ -222,36 +210,6 @@ func (a *Arbiter) Quarantined(part int) bool {
 	return part >= 0 && part < a.cfg.Partitions && a.quar[part]
 }
 
-// Await blocks until pred holds for the arbitration mode, the arbiter is
-// closed (ErrClosed), or ctx is cancelled. It lets harnesses sleep on mode
-// edges instead of polling Mode in a spin loop.
-func (a *Arbiter) Await(ctx context.Context, pred func(Mode) bool) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	stop := context.AfterFunc(ctx, func() {
-		a.mu.Lock()
-		a.cond.Broadcast()
-		a.mu.Unlock()
-	})
-	defer stop()
-
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for {
-		if pred(a.mode) {
-			return nil
-		}
-		if a.closed {
-			return ErrClosed
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		a.cond.Wait()
-	}
-}
-
 // Release returns the lease's partition to the arbiter. It is idempotent.
 // Releasing the last outstanding lease completes a reclaim (reclaiming →
 // traffic, recording the reclaim duration against the cycle-budget SLO) or
@@ -260,17 +218,15 @@ func (l *Lease) Release() {
 	a := l.arb
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if l.released {
+	if a.leases[l.part] != l {
 		return
 	}
-	l.released = true
-	delete(a.leases, l.id)
-	a.free[l.part] = true
-	a.freeCount++
+	a.leases[l.part] = nil
+	a.active--
 	if l.preempted {
 		a.c.leasesReclaimed++
 	}
-	if len(a.leases) == 0 {
+	if a.active == 0 {
 		switch a.mode {
 		case ModeReclaiming:
 			d := a.cycle - a.reclaimStart
@@ -307,7 +263,7 @@ func (a *Arbiter) Tick(now int64, injected, occupancy int) {
 			a.reclaimStart = now
 			a.reclaimOverrun = false
 			for _, l := range a.leases {
-				if !l.preempted {
+				if l != nil && !l.preempted {
 					l.preempted = true
 					close(l.preempt)
 					a.c.leasesPreempted++
@@ -346,21 +302,13 @@ func (a *Arbiter) NotePreemptedItems(n int) {
 func (a *Arbiter) HeldPartitions() []int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	held := make([]int, 0, len(a.leases))
-	for i, f := range a.free {
-		if !f {
+	held := make([]int, 0, a.active)
+	for i, l := range a.leases {
+		if l != nil {
 			held = append(held, i)
 		}
 	}
 	return held
-}
-
-// InjectionRate reports the idle detector's current windowed injection
-// rate (packets/node/cycle).
-func (a *Arbiter) InjectionRate() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.det.rate()
 }
 
 // Close refuses all future grants and wakes every blocked Acquire with

@@ -270,6 +270,67 @@ func TestAcquireContextAndClose(t *testing.T) {
 	}
 }
 
+func TestTryAcquire(t *testing.T) {
+	cases := []struct {
+		name  string
+		setup func(t *testing.T, a *Arbiter) // drives the arbiter into the state under test
+		grant bool
+		mode  Mode // mode after the attempt
+	}{
+		{"idle", func(*testing.T, *Arbiter) {}, true, ModeCompute},
+		{"compute", func(t *testing.T, a *Arbiter) {
+			if _, ok := a.TryAcquire(); !ok {
+				t.Fatal("first TryAcquire refused")
+			}
+		}, true, ModeCompute},
+		{"traffic", func(_ *testing.T, a *Arbiter) { tickBusy(a, 0, 2) }, false, ModeTraffic},
+		{"reclaiming", func(t *testing.T, a *Arbiter) {
+			if _, ok := a.TryAcquire(); !ok {
+				t.Fatal("first TryAcquire refused")
+			}
+			tickBusy(a, 0, 2)
+		}, false, ModeReclaiming},
+		{"all held", func(t *testing.T, a *Arbiter) {
+			for i := 0; i < a.Partitions(); i++ {
+				if _, ok := a.TryAcquire(); !ok {
+					t.Fatalf("TryAcquire %d refused", i)
+				}
+			}
+		}, false, ModeCompute},
+		{"all quarantined", func(_ *testing.T, a *Arbiter) {
+			for i := 0; i < a.Partitions(); i++ {
+				a.SetQuarantine(i, true)
+			}
+		}, false, ModeIdle},
+		{"closed", func(_ *testing.T, a *Arbiter) { a.Close() }, false, ModeIdle},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a := mustNew(t, testConfig())
+			tc.setup(t, a)
+			before := a.Stats()
+			l, ok := a.TryAcquire()
+			if ok != tc.grant || (l != nil) != tc.grant {
+				t.Fatalf("TryAcquire = (%v, %v), want grant %v", l, ok, tc.grant)
+			}
+			after := a.Stats()
+			if got := after.Mode; got != tc.mode {
+				t.Fatalf("mode after TryAcquire %v, want %v", got, tc.mode)
+			}
+			if !tc.grant {
+				if after.LeasesGranted != before.LeasesGranted || after.ActiveLeases != before.ActiveLeases {
+					t.Fatalf("refused TryAcquire changed lease state: %+v → %+v", before, after)
+				}
+				return
+			}
+			if after.ActiveLeases != before.ActiveLeases+1 || a.Quarantined(l.Partition()) {
+				t.Fatalf("granted lease %d not accounted: %+v", l.Partition(), after)
+			}
+			l.Release()
+		})
+	}
+}
+
 func TestNotePreemptedItemsAndHeldPartitions(t *testing.T) {
 	a := mustNew(t, testConfig())
 	l, err := a.Acquire(context.Background())

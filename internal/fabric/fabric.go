@@ -8,9 +8,10 @@
 //   - the cycle-driven NoP simulator (traffic mode), which feeds the idle
 //     detector a sliding window of per-cycle injection and buffer-occupancy
 //     telemetry, and
-//   - the parallel compute engine (compute mode), which checks out
-//     partitions through Acquire and yields them at block-item granularity
-//     when a lease is preempted.
+//   - compute (compute mode): the parallel engine checks out partitions
+//     through Acquire, and a cycle-driven harness takes them without
+//     blocking through TryAcquire; both yield them at block-item
+//     granularity when a lease is preempted.
 //
 // The state machine is idle → compute-leased → reclaiming → traffic
 // (→ idle): traffic demand always wins — when the idle detector asserts
@@ -94,9 +95,6 @@ type Config struct {
 	// is not fully returned within this many cycles of preemption being
 	// signalled, a violation is counted (default 5000).
 	ReclaimBudget int
-	// MaxComputeLeases caps simultaneously outstanding leases
-	// (0 = Partitions).
-	MaxComputeLeases int
 }
 
 // withDefaults fills zero fields with the documented defaults.
@@ -118,9 +116,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ReclaimBudget <= 0 {
 		c.ReclaimBudget = 5000
-	}
-	if c.MaxComputeLeases <= 0 || c.MaxComputeLeases > c.Partitions {
-		c.MaxComputeLeases = c.Partitions
 	}
 	return c
 }

@@ -42,7 +42,7 @@ func (d *idleDetector) observe(injected, occupancy int) (busy bool, idleRun int)
 	if d.filled < len(d.window) {
 		d.filled++
 	}
-	rate := float64(d.sum) / (float64(d.filled) * float64(d.nodes))
+	rate := d.rate()
 	if occupancy > 0 {
 		d.occRun++
 	} else {

@@ -113,56 +113,3 @@ func TestQuarantineDoesNotRevokeOutstandingLease(t *testing.T) {
 	}
 	l2.Release()
 }
-
-func TestAwaitFollowsModeEdges(t *testing.T) {
-	a := mustNew(t, testConfig())
-	defer a.Close()
-
-	// Already satisfied: returns immediately.
-	if err := a.Await(context.Background(), func(m Mode) bool { return m == ModeIdle }); err != nil {
-		t.Fatal(err)
-	}
-
-	done := make(chan error, 1)
-	go func() {
-		done <- a.Await(context.Background(), func(m Mode) bool { return m == ModeTraffic })
-	}()
-	select {
-	case err := <-done:
-		t.Fatalf("Await returned early: %v", err)
-	case <-time.After(10 * time.Millisecond):
-	}
-	tickBusy(a, 0, 16)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("Await did not observe the idle→traffic edge")
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if err := a.Await(ctx, func(m Mode) bool { return m == ModeCompute }); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Await with unsatisfiable predicate returned %v", err)
-	}
-}
-
-func TestAwaitClosed(t *testing.T) {
-	a := mustNew(t, testConfig())
-	done := make(chan error, 1)
-	go func() {
-		done <- a.Await(context.Background(), func(m Mode) bool { return m == ModeTraffic })
-	}()
-	time.Sleep(10 * time.Millisecond)
-	a.Close()
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrClosed) {
-			t.Fatalf("Await after Close returned %v, want ErrClosed", err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("Await did not observe Close")
-	}
-}

@@ -50,8 +50,8 @@ func (a *Arbiter) Stats() Stats {
 		Mode:                  a.mode,
 		Cycle:                 a.cycle,
 		Partitions:            a.cfg.Partitions,
-		ActiveLeases:          len(a.leases),
-		FreePartitions:        a.freeCount,
+		ActiveLeases:          a.active,
+		FreePartitions:        a.cfg.Partitions - a.active,
 		QuarantinedPartitions: a.quarCount,
 		ModeTransitions:       a.c.modeTransitions,
 		LeasesGranted:         a.c.leasesGranted,

@@ -1,25 +1,32 @@
 // Package fabricrun is the mixed-workload harness for the dynamic fabric
-// arbiter: it drives the cycle-accurate MZIM NoP simulator, feeds its
-// per-cycle telemetry to a fabric.Arbiter, and runs an opportunistic
-// compute pump that steals the fabric through leases whenever the
-// interconnect goes idle. The same harness (with Fabric nil and Compute
-// off) produces the network-only baseline, so latency comparisons see
-// identical packet-generation RNG draws.
+// arbiter. One loop on one goroutine steps the cycle-accurate MZIM NoP
+// simulator, feeds its per-cycle telemetry to a fabric.Arbiter, and runs
+// opportunistic compute on the partitions the arbiter leases out whenever
+// the interconnect goes idle. Compute holds a lease for a number of
+// simulated cycles taken from core.SchedulerParams, and the real engine
+// computes each answer on the loop's goroutine, so a Result is a function
+// of its Options alone. The same loop with Fabric nil produces the
+// network-only baseline, so latency comparisons see identical
+// packet-generation RNG draws.
 package fabricrun
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"flumen"
+	"flumen/internal/core"
 	"flumen/internal/fabric"
 	"flumen/internal/noc"
+)
+
+const (
+	// packetBits is the size of every NoP packet, payload and header.
+	packetBits = 640
+	// jobItems is the block items of one compute MatMul: its operands are
+	// 4·Block square, so (4·Block / Block)² = 16.
+	jobItems = 16
 )
 
 // Options parameterizes one mixed-workload run.
@@ -33,10 +40,9 @@ type Options struct {
 	Nodes int
 
 	// WidthBits and SetupCycles configure the MZIM NoP (defaults from the
-	// paper's Sec 4.1 parameters); PacketBits is the packet size.
+	// paper's Sec 4.1 parameters).
 	WidthBits   int
 	SetupCycles int64
-	PacketBits  int
 
 	// Rate is the offered load in packets/node/cycle; Pattern the traffic
 	// pattern (uniform by default).
@@ -49,26 +55,16 @@ type Options struct {
 	Drain   int64
 	Seed    int64
 
-	// SliceCycles is how many cycles the simulator runs between
-	// runtime.Gosched calls, so the compute pump gets scheduled even on a
-	// single-CPU host (default 64).
-	SliceCycles int
-
 	// Fabric, when non-nil, attaches an arbiter with this configuration
-	// (Partitions and Nodes are filled in from the geometry). Nil runs the
-	// network-only baseline.
+	// (Partitions and Nodes are filled in from the geometry) and runs
+	// opportunistic compute under its leases: repeated MatMuls of two
+	// 4·Block-square matrices. Nil runs the network-only baseline.
 	Fabric *fabric.Config
-
-	// Compute runs the opportunistic compute pump: repeated
-	// ComputeDim×ComputeDim MatMuls under fabric leases (requires Fabric).
-	Compute    bool
-	ComputeDim int
 
 	// StepAt, when positive, holds the offered load at zero until this
 	// cycle and then steps it to Rate — the idle→busy transition that
-	// exercises reclamation. The simulator waits at the step until the pump
-	// actually holds leases, so the measurement always sees a real
-	// preemption.
+	// exercises reclamation. Compute re-takes a lease in the cycle its
+	// predecessor finishes, so the step always lands on held leases.
 	StepAt int64
 }
 
@@ -88,9 +84,6 @@ func (o Options) withDefaults() Options {
 	if o.SetupCycles == 0 {
 		o.SetupCycles = 3
 	}
-	if o.PacketBits == 0 {
-		o.PacketBits = 640
-	}
 	if o.Warmup == 0 {
 		o.Warmup = 2000
 	}
@@ -102,12 +95,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.SliceCycles == 0 {
-		o.SliceCycles = 64
-	}
-	if o.ComputeDim == 0 {
-		o.ComputeDim = 4 * o.Block
 	}
 	return o
 }
@@ -124,18 +111,20 @@ type Result struct {
 
 	ElapsedCycles int64
 
-	// ComputeOps counts MatMul calls the pump completed; Fabric is the
+	// ComputeOps counts the MatMuls compute completed; Fabric is the
 	// arbiter's final snapshot (nil for baseline runs). LeakedLeases is the
-	// number of leases still outstanding after the pump shut down — always
-	// zero for a correct engine. SteadyState reports that every measured
-	// packet was delivered.
+	// number of leases still outstanding after the loop released those it
+	// held — always zero for a correct arbiter. SteadyState reports that
+	// every measured packet was delivered.
 	ComputeOps   int64
 	Fabric       *fabric.Stats
 	LeakedLeases int
 	SteadyState  bool
 }
 
-// Run executes one mixed-workload simulation.
+// Run executes one mixed-workload simulation. Each cycle it generates and
+// injects packets, steps the network, ticks the arbiter with the cycle's
+// telemetry, and settles compute.
 func Run(o Options) (*Result, error) {
 	o = o.withDefaults()
 	pat := noc.Uniform(o.Nodes)
@@ -144,53 +133,13 @@ func Run(o Options) (*Result, error) {
 	}
 	net := noc.NewMZIM(o.Nodes, o.WidthBits, o.SetupCycles)
 
-	var accel *flumen.Accelerator
-	var arb *fabric.Arbiter
+	var cmp *compute
 	if o.Fabric != nil {
 		var err error
-		accel, err = flumen.NewAccelerator(o.Ports, o.Block)
-		if err != nil {
-			return nil, err
-		}
-		if accel.NumPartitions() > o.Nodes {
-			return nil, fmt.Errorf("fabricrun: %d partitions cannot map onto %d NoP ports",
-				accel.NumPartitions(), o.Nodes)
-		}
-		fcfg := *o.Fabric
-		fcfg.Partitions = accel.NumPartitions()
-		fcfg.Nodes = o.Nodes
-		if arb, err = fabric.New(fcfg); err != nil {
-			return nil, err
-		}
-		if err = accel.AttachFabric(arb); err != nil {
+		if cmp, err = newCompute(net, o); err != nil {
 			return nil, err
 		}
 	}
-
-	// Opportunistic compute pump: steals the fabric whenever the arbiter
-	// lets it, parks in Acquire whenever traffic owns it.
-	var ops atomic.Int64
-	pumpCtx, stopPump := context.WithCancel(context.Background())
-	var pumpWG sync.WaitGroup
-	if o.Compute && accel != nil {
-		m, x := PumpMatrices(o.ComputeDim, o.Seed)
-		pumpWG.Add(1)
-		go func() {
-			defer pumpWG.Done()
-			for pumpCtx.Err() == nil {
-				if _, err := accel.MatMulCtx(pumpCtx, m, x); err == nil {
-					ops.Add(1)
-				}
-			}
-		}()
-	}
-	defer func() {
-		stopPump()
-		pumpWG.Wait()
-		if arb != nil {
-			arb.Close()
-		}
-	}()
 
 	rng := rand.New(rand.NewSource(o.Seed))
 	srcQ := make([][]*noc.Packet, o.Nodes)
@@ -216,35 +165,9 @@ func Run(o Options) (*Result, error) {
 
 	total := o.Warmup + o.Measure + o.Drain
 	saturated := false
-	stepped := o.StepAt <= 0
-	stepAt := o.StepAt
-	stepRetries := 0
 	var cycle int64
 	for cycle = 0; cycle < total; cycle++ {
-		if !stepped && cycle >= stepAt {
-			stepped = true
-			if arb != nil && o.Compute {
-				// Hold the step until the pump actually holds the fabric, so
-				// the idle→busy transition measures a real reclamation. The
-				// arbiter broadcasts on every mode edge, so park on it rather
-				// than polling; the timeout only bounds a pump that never
-				// acquires.
-				waitCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-				_ = arb.Await(waitCtx, func(m fabric.Mode) bool { return m == fabric.ModeCompute })
-				cancel()
-			}
-		}
-		if stepped && stepAt > 0 && arb != nil && o.Compute && stepRetries < 20 &&
-			arb.Mode() == fabric.ModeTraffic && arb.Stats().LeasesPreempted == 0 {
-			// The burst landed in the pump's between-calls gap: traffic took
-			// the fabric from idle with nothing to preempt. Back off to zero
-			// load and re-step once the fabric has been handed back, so the
-			// scenario always measures a real reclamation.
-			stepped = false
-			stepRetries++
-			fc := arb.Config()
-			stepAt = cycle + int64(fc.IdleWindow+fc.MinIdleCycles+32)
-		}
+		stepped := cycle >= o.StepAt
 		rate := o.Rate
 		if !stepped {
 			rate = 0
@@ -257,7 +180,7 @@ func Run(o Options) (*Result, error) {
 						ID:   nextID,
 						Src:  s,
 						Dst:  pat.Dest(s, rng),
-						Bits: o.PacketBits,
+						Bits: packetBits,
 					}
 					nextID++
 					if cycle >= genStart {
@@ -276,26 +199,12 @@ func Run(o Options) (*Result, error) {
 			}
 		}
 		net.Step(cycle)
-		if arb != nil {
+		if cmp != nil {
 			inj, occ := net.CycleTelemetry()
-			arb.Tick(cycle, inj, occ)
-			ApplyPortWithdrawal(net, arb.HeldPartitions(), o.Nodes)
-			if arb.Mode() == fabric.ModeReclaiming {
-				// Throttle simulated time while reclaiming so the pump gets
-				// real CPU time to notice preemption within a handful of
-				// simulated cycles — without this, wall-clock item latency
-				// would be charged at the free-running simulation rate. The
-				// release of the last preempted lease broadcasts, so parking
-				// on the arbiter resumes the instant reclamation completes;
-				// the 20µs bound keeps cycles advancing (and reclaim latency
-				// measured in simulated cycles) while the pump is still slow.
-				waitCtx, cancel := context.WithTimeout(context.Background(), 20*time.Microsecond)
-				_ = arb.Await(waitCtx, func(m fabric.Mode) bool { return m != fabric.ModeReclaiming })
-				cancel()
+			cmp.arb.Tick(cycle, inj, occ)
+			if err := cmp.settle(cycle); err != nil {
+				return nil, err
 			}
-		}
-		if cycle%int64(o.SliceCycles) == 0 {
-			runtime.Gosched()
 		}
 		if stepped && !generating && len(measuredSet) == 0 {
 			cycle++
@@ -328,17 +237,175 @@ func Run(o Options) (*Result, error) {
 		res.P99Latency = latencies[len(latencies)*99/100]
 	}
 
-	// Shut the pump down before the final snapshot so LeakedLeases counts
-	// genuinely stuck leases, not in-flight ones.
-	stopPump()
-	pumpWG.Wait()
-	res.ComputeOps = ops.Load()
-	if arb != nil {
-		st := arb.Stats()
+	if cmp != nil {
+		// Release what compute still holds before the final snapshot, so
+		// LeakedLeases counts genuinely stuck leases, not in-flight ones.
+		for _, j := range cmp.running {
+			cmp.release(j)
+		}
+		res.ComputeOps = cmp.ops
+		st := cmp.arb.Stats()
 		res.Fabric = &st
 		res.LeakedLeases = st.ActiveLeases
 	}
 	return res, nil
+}
+
+// costs are the chip model's compute-path timing constants; compute holds
+// its leases for the cycles they give.
+var costs = core.DefaultSchedulerParams()
+
+// compute runs opportunistic MatMuls on leased partitions in simulated
+// time. Every MatMul of the fixed operand pair is a job of block items. A
+// grant pays ComputeProgramCycles once; item k of the job it runs then
+// completes at grant + program + OccupancyCycles(k) and, after the last
+// item, the result return adds its port-width transfers. A job finishes —
+// the engine computes the answer, the lease goes back — when its result
+// return completes. A preempted job stops at its next item boundary and
+// waits, with its remaining items, for the next grant.
+type compute struct {
+	arb   *fabric.Arbiter
+	net   *noc.MZIMNet
+	accel *flumen.Accelerator
+	m, x  [][]float64 // dim×dim operands
+	dim   int
+
+	running []*job
+	queue   []int // remaining items of preempted jobs; the last is the head
+	ops     int64
+}
+
+// job is a lease running items block items of one MatMul from cycle start.
+type job struct {
+	lease *fabric.Lease
+	start int64
+	items int
+	done  int
+	// preempted is set at the end of the cycle whose tick preempted the
+	// lease, so the job stops at the first item boundary after it.
+	preempted bool
+}
+
+// newCompute builds the accelerator and the arbiter over its partitions,
+// which map one-to-one onto the first NoP ports.
+func newCompute(net *noc.MZIMNet, o Options) (*compute, error) {
+	accel, err := flumen.NewAccelerator(o.Ports, o.Block)
+	if err != nil {
+		return nil, err
+	}
+	if accel.NumPartitions() > o.Nodes {
+		return nil, fmt.Errorf("fabricrun: %d partitions cannot map onto %d NoP ports",
+			accel.NumPartitions(), o.Nodes)
+	}
+	fcfg := *o.Fabric
+	fcfg.Partitions = accel.NumPartitions()
+	fcfg.Nodes = o.Nodes
+	arb, err := fabric.New(fcfg)
+	if err != nil {
+		return nil, err
+	}
+	// One worker, no attached arbiter: the harness holds the leases and
+	// the engine runs on the loop's goroutine. Results do not depend on
+	// which partition computes them, so the lease the harness holds and
+	// the partition the engine uses are interchangeable.
+	accel.SetWorkers(1)
+	dim := 4 * o.Block
+	m, x := pumpMatrices(dim, o.Seed)
+	return &compute{arb: arb, net: net, accel: accel, m: m, x: x, dim: dim}, nil
+}
+
+// settle advances compute to cycle now, after the arbiter's tick: jobs
+// complete the items due, stop or finish, and hand their leases back;
+// jobs that keep theirs note a preemption this tick raised; then every
+// lease the arbiter will grant is taken and started.
+func (c *compute) settle(now int64) error {
+	kept := c.running[:0]
+	for _, j := range c.running {
+		held, err := c.advance(j, now)
+		if err != nil {
+			return err
+		}
+		if !held {
+			continue
+		}
+		select {
+		case <-j.lease.Preempted():
+			j.preempted = true
+		default:
+		}
+		kept = append(kept, j)
+	}
+	c.running = kept
+	for {
+		l, ok := c.arb.TryAcquire()
+		if !ok {
+			return nil
+		}
+		items := jobItems
+		if n := len(c.queue); n > 0 {
+			items = c.queue[n-1]
+			c.queue = c.queue[:n-1]
+		}
+		c.net.SetPortAvailable(l.Partition(), false)
+		c.running = append(c.running, &job{lease: l, start: now, items: items})
+	}
+}
+
+// advance completes j's items due by cycle now and reports whether j
+// still holds its lease. A preemption stops the job at the next item
+// boundary, unless that item was its last: a started result return
+// finishes. Every item streams the dim columns of x; the result return
+// carries the product's 8-bit outputs.
+func (c *compute) advance(j *job, now int64) (bool, error) {
+	program := costs.ComputeProgramCycles
+	for j.done < j.items {
+		if j.start+program+costs.OccupancyCycles(j.done+1, c.dim, 0, true) > now {
+			return true, nil
+		}
+		j.done++
+		if j.preempted && j.done < j.items {
+			left := j.items - j.done
+			c.arb.NotePreemptedItems(left)
+			c.queue = append(c.queue, left)
+			c.release(j)
+			return false, nil
+		}
+	}
+	if j.start+program+costs.OccupancyCycles(j.items, c.dim, c.dim*c.dim*8, true) > now {
+		return true, nil
+	}
+	if _, err := c.accel.MatMul(c.m, c.x); err != nil {
+		return false, err
+	}
+	c.ops++
+	c.release(j)
+	return false, nil
+}
+
+// release restores the job's port to the communication pool and returns
+// its lease.
+func (c *compute) release(j *job) {
+	c.net.SetPortAvailable(j.lease.Partition(), true)
+	j.lease.Release()
+}
+
+// pumpMatrices builds the deterministic dim×dim operand pair compute
+// multiplies. The weight matrix is fixed across calls so repeated MatMuls
+// hit the accelerator's weight-program cache, the same way a serving
+// workload reuses its model weights.
+func pumpMatrices(dim int, seed int64) (m, x [][]float64) {
+	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+	m = make([][]float64, dim)
+	x = make([][]float64, dim)
+	for i := 0; i < dim; i++ {
+		m[i] = make([]float64, dim)
+		x[i] = make([]float64, dim)
+		for j := 0; j < dim; j++ {
+			m[i][j] = rng.Float64()*2 - 1
+			x[i][j] = rng.Float64()*2 - 1
+		}
+	}
+	return m, x
 }
 
 // ApplyPortWithdrawal maps compute-held partitions onto NoP ports:
