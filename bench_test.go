@@ -459,14 +459,22 @@ func BenchmarkNoCCycle(b *testing.B) {
 	}
 }
 
-// BenchmarkFullSystemJPEG measures a complete scaled benchmark run on
-// Flumen-A (the unit of work behind Figs 13-15).
-func BenchmarkFullSystemJPEG(b *testing.B) {
-	w := benchWorkload(b, "JPEG", 4)
-	cfg := DefaultConfig()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mustRun(b, w, "Flumen-A", cfg)
+// BenchmarkFullSystem measures a complete scaled benchmark run (the unit of
+// work behind Figs 13-15) for each paper kernel on the electrical mesh,
+// where the cores compute, and on Flumen-A, where they offload.
+func BenchmarkFullSystem(b *testing.B) {
+	for _, name := range Benchmarks() {
+		for _, topo := range []string{"Mesh", "Flumen-A"} {
+			b.Run(name+"/"+topo, func(b *testing.B) {
+				w := benchWorkload(b, name, 4)
+				cfg := DefaultConfig()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					mustRun(b, w, topo, cfg)
+				}
+			})
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package flumen
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"flumen/internal/workload"
@@ -149,21 +150,44 @@ func TestTagReuseShapesMatchPaper(t *testing.T) {
 	}
 }
 
+// TestUtilizationTraceSampling holds Fig. 1's trace to one sample per
+// window, fast-forwarded stretches included, adding up to the link-busy
+// cycles at the last window boundary (measured by one window that covers
+// them all); sampling moves nothing else in the result.
 func TestUtilizationTraceSampling(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.UtilWindow = 200
-	w := workload.ScaledAll(4)[0]
-	res, err := RunWorkload(w, "Flumen-I", cfg)
-	if err != nil {
-		t.Fatal(err)
+	run := func(window int64) Result {
+		cfg := DefaultConfig()
+		cfg.UtilWindow = window
+		res, err := RunWorkload(workload.ScaledAll(4)[0], "Flumen-I", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	if len(res.UtilizationTrace) == 0 {
-		t.Fatal("no utilization trace collected")
+	const window = 200
+	res := run(window)
+	untraced := res
+	untraced.UtilizationTrace = nil
+	if unsampled := run(0); !reflect.DeepEqual(untraced, unsampled) {
+		t.Fatalf("sampling moved the result:\n%+v\nwithout sampling:\n%+v", untraced, unsampled)
 	}
+	if want := res.Cycles / window; int64(len(res.UtilizationTrace)) != want {
+		t.Fatalf("%d samples over %d cycles, want one per %d-cycle window: %d", len(res.UtilizationTrace), res.Cycles, window, want)
+	}
+	var sum float64
 	for _, u := range res.UtilizationTrace {
 		if u < 0 || u > 1 {
 			t.Fatalf("trace sample %g out of range", u)
 		}
+		sum += u * window
+	}
+	last := res.Cycles / window * window
+	whole := run(last).UtilizationTrace
+	if len(whole) != 1 {
+		t.Fatalf("%d samples of one %d-cycle window", len(whole), last)
+	}
+	if want := whole[0] * float64(last); math.Abs(sum-want) > 1e-9*want {
+		t.Fatalf("samples add up to %.3f busy cycles a link, %.3f by cycle %d", sum, want, last)
 	}
 }
 

@@ -15,10 +15,10 @@ type Cache struct {
 	sets     int
 	ways     int
 	lineBits uint
-	// tags[set][way]; valid when != 0 (tag stores line address + 1).
-	tags [][]uint64
-	// lruTick[set][way]: larger is more recent.
-	lruTick [][]int64
+	// tags[set*ways+way]; valid when != 0 (tag stores line address + 1).
+	tags []uint64
+	// lruTick[set*ways+way]: larger is more recent.
+	lruTick []int64
 	tick    int64
 
 	Accesses int64
@@ -40,77 +40,35 @@ func NewCache(capacityBytes, ways, lineBytes int) *Cache {
 	for lb := lineBytes; lb > 1; lb >>= 1 {
 		c.lineBits++
 	}
-	c.tags = make([][]uint64, sets)
-	c.lruTick = make([][]int64, sets)
-	for s := range c.tags {
-		c.tags[s] = make([]uint64, ways)
-		c.lruTick[s] = make([]int64, ways)
-	}
+	c.tags = make([]uint64, sets*ways)
+	c.lruTick = make([]int64, sets*ways)
 	return c
 }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
-
 // Access looks up the line containing addr, inserting it on a miss
-// (evicting LRU). It returns true on hit.
+// (evicting LRU; the lowest way wins a tie). It returns true on hit.
 func (c *Cache) Access(addr uint64) bool {
 	c.Accesses++
 	c.tick++
 	line := addr >> c.lineBits
-	set := int(line % uint64(c.sets))
+	base := int(line%uint64(c.sets)) * c.ways
+	tags := c.tags[base : base+c.ways]
+	lru := c.lruTick[base : base+c.ways]
 	key := line + 1
-	for w, t := range c.tags[set] {
+	for w, t := range tags {
 		if t == key {
-			c.lruTick[set][w] = c.tick
+			lru[w] = c.tick
 			return true
 		}
 	}
 	c.Misses++
-	// Evict LRU way.
 	victim := 0
-	for w := 1; w < c.ways; w++ {
-		if c.lruTick[set][w] < c.lruTick[set][victim] {
+	for w := 1; w < len(lru); w++ {
+		if lru[w] < lru[victim] {
 			victim = w
 		}
 	}
-	c.tags[set][victim] = key
-	c.lruTick[set][victim] = c.tick
+	tags[victim] = key
+	lru[victim] = c.tick
 	return false
-}
-
-// Probe reports whether the line containing addr is present without
-// updating state or counters.
-func (c *Cache) Probe(addr uint64) bool {
-	line := addr >> c.lineBits
-	set := int(line % uint64(c.sets))
-	key := line + 1
-	for _, t := range c.tags[set] {
-		if t == key {
-			return true
-		}
-	}
-	return false
-}
-
-// Reset clears contents and counters.
-func (c *Cache) Reset() {
-	for s := range c.tags {
-		for w := range c.tags[s] {
-			c.tags[s][w] = 0
-			c.lruTick[s][w] = 0
-		}
-	}
-	c.tick, c.Accesses, c.Misses = 0, 0, 0
-}
-
-// MissRate returns Misses/Accesses (0 when idle).
-func (c *Cache) MissRate() float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(c.Accesses)
 }

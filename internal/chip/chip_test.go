@@ -1,6 +1,7 @@
 package chip
 
 import (
+	"math"
 	"testing"
 
 	"flumen/internal/noc"
@@ -31,14 +32,44 @@ func TestCacheLRUEviction(t *testing.T) {
 	c.Access(1 << 6)          // B
 	c.Access(0)               // touch A → B is LRU
 	c.Access(2 << 6)          // C evicts B
-	if !c.Probe(0) {
+	if !c.Access(0) {
 		t.Fatal("A evicted despite being MRU")
 	}
-	if c.Probe(1 << 6) {
+	if !c.Access(2 << 6) {
+		t.Fatal("C not resident")
+	}
+	if c.Access(1 << 6) {
 		t.Fatal("B not evicted")
 	}
-	if !c.Probe(2 << 6) {
-		t.Fatal("C not resident")
+	if c.Accesses != 7 || c.Misses != 4 {
+		t.Fatalf("counters: %d accesses %d misses, want 7 and 4", c.Accesses, c.Misses)
+	}
+}
+
+// TestCacheSetsHoldTheirWays fills every way of every set, and evicts one
+// line per set: sets share no way, and each evicts its own LRU line.
+func TestCacheSetsHoldTheirWays(t *testing.T) {
+	c := NewCache(1024, 2, 64) // 8 sets × 2 ways: set s holds lines s and s+8
+	for pass := 0; pass < 2; pass++ {
+		for line := uint64(0); line < 16; line++ {
+			c.Access(line << 6)
+		}
+	}
+	if c.Misses != 16 {
+		t.Fatalf("%d misses over two passes of 16 lines, want 16 (the second pass hits)", c.Misses)
+	}
+	for line := uint64(16); line < 24; line++ {
+		c.Access(line << 6) // evicts line-16, the older of its set
+	}
+	for line := uint64(8); line < 16; line++ {
+		if !c.Access(line << 6) {
+			t.Fatalf("line %d evicted, though more recent than line %d", line, line-8)
+		}
+	}
+	for line := uint64(0); line < 8; line++ {
+		if c.Access(line << 6) {
+			t.Fatalf("line %d still resident after its set took a third line", line)
+		}
 	}
 }
 
@@ -56,15 +87,6 @@ func TestCacheGeometryValidation(t *testing.T) {
 			}()
 			bad()
 		}()
-	}
-}
-
-func TestCacheReset(t *testing.T) {
-	c := NewCache(1024, 2, 64)
-	c.Access(0)
-	c.Reset()
-	if c.Accesses != 0 || c.Probe(0) {
-		t.Fatal("Reset incomplete")
 	}
 }
 
@@ -219,15 +241,44 @@ func TestSystemOffloadWithoutHandlerPanics(t *testing.T) {
 	s.Run()
 }
 
+// TestSystemUtilizationSampling samples a run whose compute stretches the
+// fast-forward jumps over: sampling moves no statistic, every window is
+// sampled, and the samples add up to the link-busy cycles at the last
+// window boundary, which one window covering the whole span measures.
 func TestSystemUtilizationSampling(t *testing.T) {
-	cfg := smallConfig()
-	cfg.UtilWindow = 100
-	s := smallSystem(cfg)
-	s.SetStream(0, NewSliceStream([]Op{{Kind: KindLoadBlock, Addr: 0, Lines: 512}}))
-	s.Run()
-	samples := s.UtilizationSamples()
-	if len(samples) == 0 {
-		t.Fatal("no utilization samples collected")
+	ops := []Op{
+		{Kind: KindLoadBlock, Addr: 0, Lines: 512},
+		{Kind: KindCompute, N: 1234},
+		{Kind: KindLoadBlock, Addr: 1 << 20, Lines: 64},
+		{Kind: KindCompute, N: 777},
+	}
+	run := func(window int64) (Stats, []float64) {
+		cfg := smallConfig()
+		cfg.UtilWindow = window
+		s := smallSystem(cfg)
+		s.SetStream(0, NewSliceStream(ops))
+		return s.Run(), s.UtilizationSamples()
+	}
+	const window = 100
+	st, samples := run(window)
+	if unsampled, _ := run(0); st != unsampled {
+		t.Fatalf("sampling moved the run:\n%+v\nwithout sampling:\n%+v", st, unsampled)
+	}
+	if want := st.Cycles / window; int64(len(samples)) != want {
+		t.Fatalf("%d samples over %d cycles, want one per %d-cycle window: %d", len(samples), st.Cycles, window, want)
+	}
+	last := st.Cycles / window * window
+	_, whole := run(last)
+	if len(whole) != 1 {
+		t.Fatalf("%d samples of one %d-cycle window", len(whole), last)
+	}
+	links := float64(st.Net.LinkCount)
+	var sum float64
+	for _, u := range samples {
+		sum += u * window * links
+	}
+	if want := whole[0] * float64(last) * links; math.Abs(sum-want) > 1e-9*want {
+		t.Fatalf("samples add up to %.3f link-busy cycles, %.3f by cycle %d", sum, want, last)
 	}
 	var peak float64
 	for _, u := range samples {

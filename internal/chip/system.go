@@ -1,7 +1,6 @@
 package chip
 
 import (
-	"container/heap"
 	"fmt"
 
 	"flumen/internal/noc"
@@ -96,17 +95,36 @@ type System struct {
 	now       int64
 	events    eventHeap
 	recurring []*recurringEvent
-	pktID     int64
-	sendQ     [][]*noc.Packet // per-node packets awaiting injection
-	cbs       map[int64]func(int64)
-	mcFree    map[int]int64 // per-memory-controller next-free cycle
+	sendQ     []fifo[*noc.Packet] // per-node packets awaiting injection
+	mcFree    []int64             // per-memory-controller next-free cycle, by chiplet
 	inFlight  int
+
+	// Packets get consecutive IDs, so the delivery each one awaits sits at
+	// ID − dlvBase in dlv, a queue trimmed from the front as the oldest
+	// packets arrive.
+	pktID   int64
+	dlvBase int64
+	dlv     fifo[pending]
+	// Delivered packets, reused by send: a network keeps no reference to a
+	// packet it has handed to the sink.
+	freePkts []*noc.Packet
+
+	// Line transactions in flight, named by index; finished ones are
+	// reused from freeTxns.
+	txns     []lineTxn
+	freeTxns []int32
 
 	// Core census, updated where a core changes state, so that Run asks
 	// three counters each cycle and does not scan the cores three times.
 	running   int // cores whose stream has not ended
 	atBarrier int // running cores waiting at a barrier
 	suspended int // running cores blocked on memory or on an offload
+
+	// wake is the earliest cycle at which a core can run: the least readyAt
+	// of the cores not done, blocked or at a barrier. A core scan sets it;
+	// a line's return, an offload's completion and a barrier's release
+	// lower it. Run scans the cores only in cycles at or after it.
+	wake int64
 
 	stats    Stats
 	samples  []float64
@@ -131,6 +149,8 @@ type coreState struct {
 	l1i *Cache
 	l1d *Cache
 	l2  *Cache
+
+	offloadDone func() // handed to the offload handler; one per core
 
 	activeCycles int64
 	macs         int64
@@ -175,11 +195,6 @@ type Stats struct {
 	Net noc.Counters
 }
 
-type event struct {
-	at int64
-	fn func()
-}
-
 // recurringEvent fires every period cycles for the lifetime of the run; it
 // does not keep the simulation alive (used for the control unit's τ
 // evaluation loop).
@@ -189,13 +204,8 @@ type recurringEvent struct {
 	fn     func()
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int           { return len(h) }
-func (h eventHeap) Less(i, j int) bool { return h[i].at < h[j].at }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)        { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+// never is later than any cycle a run reaches.
+const never = int64(1) << 62
 
 // NewSystem builds a system over the given network. The network must have
 // one endpoint per chiplet.
@@ -209,9 +219,8 @@ func NewSystem(cfg Config, net noc.Network) *System {
 	s := &System{
 		cfg:    cfg,
 		net:    net,
-		cbs:    make(map[int64]func(int64)),
-		mcFree: make(map[int]int64),
-		sendQ:  make([][]*noc.Packet, cfg.Chiplets),
+		mcFree: make([]int64, cfg.Chiplets),
+		sendQ:  make([]fifo[*noc.Packet], cfg.Chiplets),
 	}
 	if cfg.CyclesPerMAC < 1 {
 		s.cfg.CyclesPerMAC = 1
@@ -220,15 +229,23 @@ func NewSystem(cfg Config, net noc.Network) *System {
 		s.cfg.DRAMServiceCycles = 1
 	}
 	perChiplet := cfg.Cores / cfg.Chiplets
-	for c := 0; c < cfg.Cores; c++ {
-		s.cores = append(s.cores, &coreState{
-			id:      c,
-			chiplet: c / perChiplet,
+	for id := 0; id < cfg.Cores; id++ {
+		c := &coreState{
+			id:      id,
+			chiplet: id / perChiplet,
 			stream:  EmptyStream{},
 			l1i:     NewCache(cfg.L1Bytes, cfg.L1Ways, cfg.LineBytes),
 			l1d:     NewCache(cfg.L1Bytes, cfg.L1Ways, cfg.LineBytes),
 			l2:      NewCache(cfg.L2Bytes, cfg.L2Ways, cfg.LineBytes),
-		})
+		}
+		c.offloadDone = func() {
+			c.offload = false
+			s.suspended--
+			c.readyAt = s.now
+			c.offloadStallCycles += s.now - c.offloadBlockedSince
+			s.wakeAt(s.now)
+		}
+		s.cores = append(s.cores, c)
 	}
 	for ch := 0; ch < cfg.Chiplets; ch++ {
 		s.l3 = append(s.l3, NewCache(cfg.L3SliceBytes, cfg.L3Ways, cfg.LineBytes))
@@ -265,7 +282,12 @@ func (s *System) ScheduleEvent(at int64, fn func()) {
 	if at < s.now {
 		at = s.now
 	}
-	heap.Push(&s.events, event{at: at, fn: fn})
+	s.events.push(event{at: at, kind: evFunc, fn: fn})
+}
+
+// schedule queues a step of line transaction t; at is never before now.
+func (s *System) schedule(at int64, kind eventKind, t int32) {
+	s.events.push(event{at: at, kind: kind, txn: t})
 }
 
 // ScheduleRecurring runs fn every period cycles until the run ends.
@@ -277,42 +299,76 @@ func (s *System) ScheduleRecurring(period int64, fn func()) {
 	s.recurring = append(s.recurring, &recurringEvent{period: period, next: s.now + period, fn: fn})
 }
 
-// SendPacket queues a packet for injection at the given source node. Used
-// both internally (memory traffic) and by the Flumen control unit (operand
-// and result streaming).
-func (s *System) SendPacket(p *noc.Packet, onDeliver func(now int64)) {
-	p.ID = s.pktID
-	s.pktID++
-	if onDeliver != nil {
-		s.cbs[p.ID] = onDeliver
+// send queues a packet from src to dst for injection; its delivery sets off
+// what, for line transaction t.
+func (s *System) send(src, dst, bits int, what delivery, t int32) {
+	var p *noc.Packet
+	if n := len(s.freePkts); n > 0 {
+		p = s.freePkts[n-1]
+		s.freePkts = s.freePkts[:n-1]
+	} else {
+		p = new(noc.Packet)
 	}
+	*p = noc.Packet{ID: s.pktID, Src: src, Dst: dst, Bits: bits}
+	s.sendQ[src].push(p)
+	s.pktID++
+	s.dlv.push(pending{what: what, txn: t})
 	s.inFlight++
-	s.sendQ[p.Src] = append(s.sendQ[p.Src], p)
 }
 
-// onDeliver dispatches delivered packets to their callbacks.
+// onDeliver carries on the transaction a delivered packet belongs to.
 func (s *System) onDeliver(p *noc.Packet, now int64) {
 	s.inFlight--
-	if cb, ok := s.cbs[p.ID]; ok {
-		delete(s.cbs, p.ID)
-		cb(now)
+	s.freePkts = append(s.freePkts, p)
+	d := s.dlv.at(int(p.ID - s.dlvBase))
+	what, t := d.what, d.txn
+	d.what = dlvDelivered
+	for s.dlv.len() > 0 && s.dlv.at(0).what == dlvDelivered {
+		s.dlv.pop()
+		s.dlvBase++
+	}
+	switch what {
+	case dlvL3:
+		s.l3Access(t, now)
+	case dlvDRAM:
+		s.dram(t, now)
+	case dlvFinish:
+		s.finish(t, now)
+	}
+}
+
+// fire runs one due event.
+func (s *System) fire(e event) {
+	if e.kind == evFunc {
+		e.fn()
+		return
+	}
+	x := &s.txns[e.txn]
+	switch e.kind {
+	case evL3:
+		s.l3Access(e.txn, s.now)
+	case evForward:
+		s.send(x.home, x.mc, s.cfg.ReqBits, dlvDRAM, e.txn)
+	case evDRAM:
+		s.respond(e.txn, x.mc, s.now)
+	case evRespond:
+		if x.src == x.core.chiplet {
+			s.finish(e.txn, s.now)
+		} else {
+			s.send(x.src, x.core.chiplet, s.cfg.RespBits, dlvFinish, e.txn)
+		}
 	}
 }
 
 // Run executes all op streams to completion and returns the statistics.
 func (s *System) Run() Stats {
-	for {
-		if s.running == 0 && s.inFlight == 0 && len(s.events) == 0 {
-			break
-		}
+	for s.running > 0 || s.inFlight > 0 || len(s.events) > 0 {
 		if s.now >= s.cfg.MaxCycles {
 			panic(fmt.Sprintf("chip: simulation exceeded MaxCycles=%d", s.cfg.MaxCycles))
 		}
 		s.now++
-		// Fire due events.
 		for len(s.events) > 0 && s.events[0].at <= s.now {
-			e := heap.Pop(&s.events).(event)
-			e.fn()
+			s.fire(s.events.pop())
 		}
 		for _, r := range s.recurring {
 			if r.next <= s.now {
@@ -320,19 +376,18 @@ func (s *System) Run() Stats {
 				r.next = s.now + r.period
 			}
 		}
-		// Barrier release.
 		s.releaseBarrier()
-		// Advance cores.
-		for _, c := range s.cores {
-			s.stepCore(c)
-		}
-		// Inject queued packets.
-		for node := range s.sendQ {
-			q := s.sendQ[node]
-			for len(q) > 0 && s.net.Inject(q[0], s.now) {
-				q = q[1:]
+		if s.now >= s.wake {
+			s.wake = never
+			for _, c := range s.cores {
+				s.stepCore(c)
 			}
-			s.sendQ[node] = q
+		}
+		for node := range s.sendQ {
+			q := &s.sendQ[node]
+			for q.len() > 0 && s.net.Inject(*q.at(0), s.now) {
+				q.pop()
+			}
 		}
 		s.net.Step(s.now)
 		s.sampleUtilization()
@@ -341,26 +396,15 @@ func (s *System) Run() Stats {
 	return s.collect()
 }
 
-// fastForward jumps over quiescent stretches: no packets in flight, no
-// pending sends, no events earlier than the next core wake-up.
+// fastForward jumps over quiescent stretches: no packets in flight or
+// awaiting injection, no core waiting on memory, an offload or a barrier,
+// and no event before the next core wake-up. It stops at the next
+// utilization-window boundary, so that every window is sampled.
 func (s *System) fastForward() {
-	if s.inFlight > 0 {
+	if s.inFlight > 0 || s.suspended > 0 || s.atBarrier > 0 {
 		return
 	}
-	for _, q := range s.sendQ {
-		if len(q) > 0 {
-			return
-		}
-	}
-	if s.suspended > 0 || s.atBarrier > 0 {
-		return // waiting on something event-driven; don't skip
-	}
-	next := int64(1 << 62)
-	for _, c := range s.cores {
-		if !c.done && c.readyAt < next {
-			next = c.readyAt
-		}
-	}
+	next := s.wake
 	if len(s.events) > 0 && s.events[0].at < next {
 		next = s.events[0].at
 	}
@@ -369,8 +413,21 @@ func (s *System) fastForward() {
 			next = r.next
 		}
 	}
-	if next > s.now+1 && next < 1<<62 {
+	if next >= never {
+		return
+	}
+	if w := s.cfg.UtilWindow; w > 0 {
+		next = min(next, (s.now/w+1)*w)
+	}
+	if next > s.now+1 {
 		s.now = next - 1
+	}
+}
+
+// wakeAt makes sure the cores are scanned at cycle at.
+func (s *System) wakeAt(at int64) {
+	if at < s.wake {
+		s.wake = at
 	}
 }
 
@@ -384,10 +441,18 @@ func (s *System) releaseBarrier() {
 		c.atBarrier = false
 	}
 	s.atBarrier = 0
+	s.wakeAt(s.now)
 }
 
+// runnable reports whether the core waits on nothing but its own clock.
+func (c *coreState) runnable() bool {
+	return !c.done && c.blockedOn == 0 && !c.offload && !c.atBarrier
+}
+
+// stepCore runs core c up to the current cycle and lowers wake to the
+// cycle it can run next.
 func (s *System) stepCore(c *coreState) {
-	for !c.done && c.blockedOn == 0 && !c.offload && !c.atBarrier && c.readyAt <= s.now {
+	for c.runnable() && c.readyAt <= s.now {
 		if !c.curValid {
 			op, ok := c.stream.Next()
 			if !ok {
@@ -403,6 +468,9 @@ func (s *System) stepCore(c *coreState) {
 			c.l1i.Access(uint64(c.id)<<40 | uint64(c.l1iAccesses%512)<<6)
 		}
 		s.execOp(c)
+	}
+	if c.runnable() {
+		s.wakeAt(c.readyAt)
 	}
 }
 
@@ -446,12 +514,7 @@ func (s *System) execOp(c *coreState) {
 			panic("chip: KindOffload op without an offload handler")
 		}
 		c.offloadBlockedSince = s.now
-		accepted := s.handler(c.id, op.Job, s.now, func() {
-			c.offload = false
-			s.suspended--
-			c.readyAt = s.now
-			c.offloadStallCycles += s.now - c.offloadBlockedSince
-		})
+		accepted := s.handler(c.id, op.Job, s.now, c.offloadDone)
 		c.curValid = false
 		if accepted {
 			s.stats.OffloadsAccepted++
@@ -494,7 +557,7 @@ func (s *System) execBlock(c *coreState) {
 				if c.lineIdx%8 == 0 {
 					mc := s.nearestMC(c.chiplet)
 					if mc != c.chiplet {
-						s.SendPacket(&noc.Packet{Src: c.chiplet, Dst: mc, Bits: s.cfg.RespBits}, nil)
+						s.send(c.chiplet, mc, s.cfg.RespBits, dlvNone, 0)
 					}
 				}
 			}
@@ -519,75 +582,84 @@ func (s *System) execBlock(c *coreState) {
 	c.curValid = false
 }
 
-// launchLineTxn issues the request/response packet chain for one line.
+// launchLineTxn starts the request/response chain for one line: a request
+// to the home L3 slice (an event one cycle on when the slice is on the
+// core's own chiplet, a packet otherwise), then l3Access.
 func (s *System) launchLineTxn(c *coreState, addr uint64) {
-	cfg := s.cfg
-	line := addr / uint64(cfg.LineBytes)
-	home := int(line % uint64(cfg.Chiplets))
+	line := addr / uint64(s.cfg.LineBytes)
+	home := int(line % uint64(s.cfg.Chiplets))
 	c.blockedOn++
 	if c.blockedOn == 1 {
 		c.memBlockedSince = s.now
 		s.suspended++
 	}
-	finish := func(now int64) {
-		c.blockedOn--
-		if c.blockedOn == 0 {
-			s.suspended--
-			if c.readyAt < now {
-				c.readyAt = now
-			}
-			c.memStallCycles += now - c.memBlockedSince
-		}
+	x := lineTxn{core: c, addr: addr, home: home}
+	var t int32
+	if n := len(s.freeTxns); n > 0 {
+		t = s.freeTxns[n-1]
+		s.freeTxns = s.freeTxns[:n-1]
+		s.txns[t] = x
+	} else {
+		t = int32(len(s.txns))
+		s.txns = append(s.txns, x)
 	}
-
-	l3Access := func(now int64) {
-		hit := s.l3[home].Access(addr)
-		after := now + cfg.L3HitCycles
-		if hit {
-			s.respond(home, c.chiplet, after, finish)
-			return
-		}
-		// DRAM: forward to the nearest memory controller. Each channel has
-		// finite bandwidth: one line per DRAMServiceCycles.
-		mc := s.nearestMC(home)
-		s.stats.DRAMAccesses++
-		dram := func(now2 int64) {
-			start := now2
-			if s.mcFree[mc] > start {
-				start = s.mcFree[mc]
-			}
-			s.mcFree[mc] = start + cfg.DRAMServiceCycles
-			s.ScheduleEvent(start+cfg.DRAMCycles, func() {
-				s.respond(mc, c.chiplet, s.now, finish)
-			})
-		}
-		if mc == home {
-			dram(after)
-			return
-		}
-		// Forward to the controller after the L3 lookup latency.
-		s.ScheduleEvent(after, func() {
-			s.SendPacket(&noc.Packet{Src: home, Dst: mc, Bits: cfg.ReqBits}, dram)
-		})
-	}
-
 	if home == c.chiplet {
-		s.ScheduleEvent(s.now+1, func() { l3Access(s.now) })
+		s.schedule(s.now+1, evL3, t)
 		return
 	}
-	s.SendPacket(&noc.Packet{Src: c.chiplet, Dst: home, Bits: cfg.ReqBits}, l3Access)
+	s.send(c.chiplet, home, s.cfg.ReqBits, dlvL3, t)
 }
 
-// respond sends a data packet from src to dst (or completes locally) after
-// the given time, then invokes fin.
-func (s *System) respond(src, dst int, at int64, fin func(now int64)) {
-	if src == dst {
-		s.ScheduleEvent(at, func() { fin(s.now) })
+// l3Access looks the line up in its home slice. A hit responds after the
+// L3 latency; a miss goes on to the nearest memory controller, by packet
+// after the L3 latency (evForward) unless the controller sits on the home
+// chiplet.
+func (s *System) l3Access(t int32, now int64) {
+	x := &s.txns[t]
+	after := now + s.cfg.L3HitCycles
+	if s.l3[x.home].Access(x.addr) {
+		s.respond(t, x.home, after)
 		return
 	}
-	s.ScheduleEvent(at, func() {
-		s.SendPacket(&noc.Packet{Src: src, Dst: dst, Bits: s.cfg.RespBits}, fin)
-	})
+	x.mc = s.nearestMC(x.home)
+	s.stats.DRAMAccesses++
+	if x.mc == x.home {
+		s.dram(t, after)
+		return
+	}
+	s.schedule(after, evForward, t)
+}
+
+// dram queues the line at its memory controller. Each channel has finite
+// bandwidth: one line per DRAMServiceCycles.
+func (s *System) dram(t int32, now int64) {
+	mc := s.txns[t].mc
+	start := max(now, s.mcFree[mc])
+	s.mcFree[mc] = start + s.cfg.DRAMServiceCycles
+	s.schedule(start+s.cfg.DRAMCycles, evDRAM, t)
+}
+
+// respond sends the line from src to the requesting chiplet at cycle at,
+// or completes it there when src is that chiplet (evRespond).
+func (s *System) respond(t int32, src int, at int64) {
+	s.txns[t].src = src
+	s.schedule(at, evRespond, t)
+}
+
+// finish returns line transaction t to its core, which runs again once
+// every line it waits for is back.
+func (s *System) finish(t int32, now int64) {
+	c := s.txns[t].core
+	s.freeTxns = append(s.freeTxns, t)
+	c.blockedOn--
+	if c.blockedOn == 0 {
+		s.suspended--
+		if c.readyAt < now {
+			c.readyAt = now
+		}
+		c.memStallCycles += now - c.memBlockedSince
+		s.wakeAt(c.readyAt)
+	}
 }
 
 func (s *System) nearestMC(chiplet int) int {

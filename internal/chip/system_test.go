@@ -240,18 +240,3 @@ func TestSystemAccessors(t *testing.T) {
 		t.Fatal("Now after Run negative")
 	}
 }
-
-func TestCacheMissRate(t *testing.T) {
-	c := NewCache(1024, 2, 64)
-	if c.MissRate() != 0 {
-		t.Fatal("idle miss rate not zero")
-	}
-	c.Access(0)
-	c.Access(0)
-	if c.MissRate() != 0.5 {
-		t.Fatalf("miss rate %g, want 0.5", c.MissRate())
-	}
-	if c.Sets() <= 0 || c.Ways() != 2 {
-		t.Fatal("geometry accessors wrong")
-	}
-}
