@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"flumen/internal/energy"
-	"flumen/internal/fabric"
 	"flumen/internal/mat"
 	"flumen/internal/optics"
 	"flumen/internal/photonic"
@@ -38,11 +37,6 @@ type Accelerator struct {
 	// created once and kept across RoutePermutation rebuilds so blocked
 	// receivers never observe a stale channel.
 	pool chan *photonic.Partition
-
-	// fab, when attached, replaces the pool as the sole grantor of
-	// partitions: every work item then runs under a time-bounded compute
-	// lease and yields at block-item granularity on preemption.
-	fab *fabric.Arbiter
 
 	// mu guards the call-time configuration (quant, workers, cache, noise
 	// switches); a consistent snapshot is taken at the top of each matMul.
@@ -311,50 +305,6 @@ func (a *Accelerator) UnpinWeights(m [][]float64) int {
 	return released
 }
 
-// AttachFabric places the accelerator's partitions under the given
-// arbiter's control: every MatMul/Conv2D work item then runs under a
-// compute lease acquired from the arbiter, blocks while the fabric carries
-// NoP traffic, and yields at block-item granularity when a lease is
-// preempted. The arbiter must manage exactly NumPartitions partitions, and
-// attachment requires all compute to be drained (the internal free pool is
-// emptied so the arbiter becomes the sole grantor).
-func (a *Accelerator) AttachFabric(arb *fabric.Arbiter) error {
-	if arb == nil {
-		return fmt.Errorf("flumen: nil fabric arbiter")
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.fab != nil {
-		return fmt.Errorf("flumen: fabric arbiter already attached")
-	}
-	if got := arb.Partitions(); got != len(a.partitions) {
-		return fmt.Errorf("flumen: arbiter manages %d partitions, accelerator has %d",
-			got, len(a.partitions))
-	}
-	drained := make([]*photonic.Partition, 0, len(a.partitions))
-	for i := 0; i < len(a.partitions); i++ {
-		select {
-		case p := <-a.pool:
-			drained = append(drained, p)
-		default:
-			for _, p := range drained {
-				a.pool <- p
-			}
-			return fmt.Errorf("flumen: cannot attach fabric arbiter while compute is in flight")
-		}
-	}
-	a.fab = arb
-	return nil
-}
-
-// Fabric returns the attached fabric arbiter, or nil when the accelerator
-// owns its partitions outright.
-func (a *Accelerator) Fabric() *fabric.Arbiter {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.fab
-}
-
 // Stats is a read-only snapshot of the accelerator's observable state:
 // fabric geometry, engine configuration, accumulated work counters, and
 // weight-program cache effectiveness. It is safe to take concurrently with
@@ -379,9 +329,6 @@ type Stats struct {
 	Cache CacheStats
 	// Kernel reports plan compiles and reuses, derived from Cache.
 	Kernel KernelStats
-	// Fabric is the attached dynamic-fabric arbiter's snapshot (nil when
-	// the accelerator owns its partitions outright).
-	Fabric *fabric.Stats
 	// Health is the device-health subsystem snapshot (nil when the monitor
 	// was never enabled).
 	Health *HealthStats
@@ -400,7 +347,6 @@ func (a *Accelerator) Stats() Stats {
 		Precision:  a.quant.Bits,
 	}
 	c := a.cache
-	fab := a.fab
 	hm := a.health
 	faults := a.faults
 	a.mu.RUnlock()
@@ -409,10 +355,6 @@ func (a *Accelerator) Stats() Stats {
 	if c != nil {
 		s.Cache = c.stats()
 		s.Kernel = KernelStats{PlanCompiles: s.Cache.Misses, PlanReuses: s.Cache.Hits}
-	}
-	if fab != nil {
-		fs := fab.Stats()
-		s.Fabric = &fs
 	}
 	if hm != nil {
 		hs := hm.snapshot(faults)
@@ -590,12 +532,6 @@ func (a *Accelerator) Conv2DCtx(ctx context.Context, input [][][]float64, kernel
 func (a *Accelerator) RoutePermutation(perm []int) ([]int, error) {
 	if len(perm) != a.fabric.N() {
 		return nil, fmt.Errorf("flumen: permutation length %d, fabric has %d ports", len(perm), a.fabric.N())
-	}
-	if a.Fabric() != nil {
-		// With an arbiter attached the pool is permanently drained and the
-		// NoP side owns traffic-mode routing; re-routing here would race the
-		// arbiter's grants.
-		return nil, fmt.Errorf("flumen: cannot re-route fabric while a dynamic fabric arbiter is attached")
 	}
 	if a.healthRef() != nil {
 		// Quarantined partitions are parked outside the pool, so the full

@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"flumen"
-	"flumen/internal/fabric"
 	"flumen/internal/photonic"
 	"flumen/internal/serve"
 )
@@ -53,9 +52,6 @@ func main() {
 	flag.StringVar(&cfg.NodeID, "node-id", "", "cluster identity echoed as X-Flumen-Node (empty = random)")
 	flag.StringVar(&cfg.StoreDir, "store", "", "model-registry store directory (empty = memory-only; models vanish on restart)")
 	flag.Int64Var(&cfg.MaxBodyBytes, "max-body", cfg.MaxBodyBytes, "request body size limit in bytes (oversized bodies get 413)")
-	fabricOn := flag.Bool("fabric", false, "attach the dynamic fabric arbiter and drive background NoP traffic")
-	fabricRate := flag.Float64("fabric-rate", 0.0, "background NoP offered load in packets/node/cycle (with -fabric; 0 = idle network)")
-	fabricBudget := flag.Int("fabric-budget", 0, "reclaim cycle-budget SLO (0 = default)")
 	healthOn := flag.Bool("health", false, "enable the device-health monitor (probe, quarantine, recalibrate)")
 	probeEvery := flag.Int("health-probe-interval", 0, "work items between calibration probes (0 = default)")
 	faultDrift := flag.Float64("fault-drift", 0, "demo: inject phase drift of this sigma per step into -fault-parts partitions (implies -health)")
@@ -76,9 +72,6 @@ func main() {
 		runtime.SetBlockProfileRate(*blockRate)
 	}
 
-	if *fabricOn {
-		cfg.Fabric = &fabric.Config{ReclaimBudget: *fabricBudget}
-	}
 	if *healthOn || *faultDrift > 0 {
 		cfg.Health = &flumen.HealthConfig{ProbeInterval: *probeEvery}
 	}
@@ -101,11 +94,6 @@ func main() {
 		rs := srv.Registry().Stats()
 		log.Printf("flumend: model registry persisted at %s (%d models loaded, %d awaiting prewarm)",
 			cfg.StoreDir, rs.Models, rs.PrewarmPending)
-	}
-	if arb := srv.Fabric(); arb != nil {
-		log.Printf("flumend: dynamic fabric arbiter attached (%d partitions, background load %.3f packets/node/cycle)",
-			arb.Partitions(), *fabricRate)
-		go driveFabricTraffic(ctx, srv, *fabricRate)
 	}
 	if cfg.Health != nil {
 		log.Printf("flumend: device-health monitor enabled (probe threshold %g)", srv.Accelerator().HealthStats().ProbeThreshold)
@@ -137,9 +125,4 @@ func main() {
 	st = srv.Accelerator().Stats()
 	log.Printf("flumend: drained cleanly after %s (%d programs, %d λ-batches, %.0f pJ, cache %d/%d hits/misses)",
 		time.Since(start).Round(time.Millisecond), st.Programs, st.Batches, st.EnergyPJ, st.Cache.Hits, st.Cache.Misses)
-	if arb := srv.Fabric(); arb != nil {
-		fs := arb.Stats()
-		log.Printf("flumend: fabric saw %d lease grants, %d reclaims (max %d cycles), %d items preempted, %d compute-cycles stolen",
-			fs.LeasesGranted, fs.LeasesReclaimed, fs.MaxReclaimCycles, fs.PreemptedItems, fs.ComputeCyclesStolen)
-	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"flumen/internal/fabric"
 	"flumen/internal/mat"
 	"flumen/internal/optics"
 	"flumen/internal/photonic"
@@ -22,8 +21,8 @@ import (
 // program, propagates its block column's modulated vectors through the
 // program's compiled plan, and detects the result straight into the output.
 //
-// A partition is the engine's unit of capacity (pool, lease, preemption),
-// of fault injection and of health; the engine executes the program and
+// A partition is the engine's unit of capacity (the checkout pool), of
+// fault injection and of health; the engine executes the program and
 // does not write its phases into the partition's mesh. The equivalence
 // physical partition ≡ program ≡ plan is pinned in internal/photonic, and
 // each item is still charged the phase-programming energy (DESIGN §3c).
@@ -57,11 +56,6 @@ type callConfig struct {
 	noiseCall int64
 	lambdas   int
 	cache     *programCache
-	// fab and parts are the fabric-arbitration snapshot: when fab is
-	// non-nil, partitions are granted by lease (parts indexed by the
-	// lease's partition number) instead of the free pool.
-	fab   *fabric.Arbiter
-	parts []*photonic.Partition
 	// faults and health are the device-health snapshot: per-partition
 	// fault injectors corrupt each executed program, and the monitor (when
 	// enabled) probes and quarantines between items (see health.go).
@@ -166,8 +160,6 @@ func (a *Accelerator) matMulCtx(ctx context.Context, md, xd *mat.Dense) ([]compl
 		noiseSeed: a.noiseSeed,
 		lambdas:   a.lambdas,
 		cache:     a.cache,
-		fab:       a.fab,
-		parts:     a.partitions,
 		faults:    a.faults,
 		health:    a.health,
 	}
@@ -233,33 +225,21 @@ func (a *Accelerator) matMulCtx(ctx context.Context, md, xd *mat.Dense) ([]compl
 	return out, nil
 }
 
-// partHandle pairs a checked-out partition with its index and the fabric
-// lease that granted it; lease is nil when no arbiter is attached and the
-// partition came from the free pool.
+// partHandle pairs a checked-out partition with its index.
 type partHandle struct {
-	p     *photonic.Partition
-	idx   int
-	lease *fabric.Lease
+	p   *photonic.Partition
+	idx int
 }
 
-// checkout acquires a partition — from the attached fabric arbiter when
-// one is configured (blocking while the fabric carries traffic), otherwise
-// from the pool — giving up as soon as the context is cancelled so callers
-// never block on capacity drained by work they no longer want.
+// checkout takes a partition from the pool, giving up as soon as the
+// context is cancelled so callers never block on capacity drained by work
+// they no longer want.
 func (a *Accelerator) checkout(ctx context.Context, cfg *callConfig) (partHandle, error) {
 	if cfg.rec != nil {
-		// Lease-wait is the headline fabric-contention signal: time from
-		// asking for a partition to holding one, whether granted by the
-		// arbiter or the free pool.
+		// Lease-wait is the partition-contention signal: time from asking
+		// the pool for a partition to holding one.
 		start := time.Now()
 		defer func() { cfg.rec.Add(trace.StageLeaseWait, time.Since(start)) }()
-	}
-	if cfg.fab != nil {
-		l, err := cfg.fab.Acquire(ctx)
-		if err != nil {
-			return partHandle{}, err
-		}
-		return partHandle{p: cfg.parts[l.Partition()], idx: l.Partition(), lease: l}, nil
 	}
 	// Fast path: a cancelled context always loses, even when a partition is
 	// simultaneously available (select would pick at random).
@@ -285,30 +265,23 @@ func (a *Accelerator) partitionIndex(p *photonic.Partition) int {
 	return -1
 }
 
-// checkin returns a checked-out partition: leases are released to the
-// arbiter, pool partitions go back on the channel — unless the health
-// monitor quarantined the partition while it was held, in which case the
-// monitor parks it and starts background recalibration.
+// checkin returns a checked-out partition to the pool — unless the health
+// monitor quarantined it while it was held, in which case the monitor parks
+// it and starts background recalibration.
 func (a *Accelerator) checkin(h partHandle) {
-	switch {
-	case h.lease != nil:
-		h.lease.Release()
-	case h.p != nil:
-		if hm := a.healthRef(); hm != nil && hm.parkIfQuarantined(a, h.idx, h.p) {
-			return
-		}
-		a.pool <- h.p
+	if h.p == nil {
+		return
 	}
+	if hm := a.healthRef(); hm != nil && hm.parkIfQuarantined(a, h.idx, h.p) {
+		return
+	}
+	a.pool <- h.p
 }
 
 // runRows executes one worker's work items — block rows g, g+workers, … of
-// every block column, columns ascending — honouring lease preemption at
-// block-item granularity: when the arbiter reclaims the fabric, the worker
-// finishes nothing speculatively — the pending item is re-queued behind a
-// fresh Acquire (which blocks until the fabric is handed back) and retried
-// on whichever partition the new lease grants. Results stay bitwise-identical
-// to the serial path because the rows of out a worker accumulates into are
-// its alone, it visits their items in the serial order, and a compiled block
+// every block column, columns ascending. Results stay bitwise-identical to
+// the serial path because the rows of out a worker accumulates into are its
+// alone, it visits their items in the serial order, and a compiled block
 // program propagates independently of the partition that runs it.
 func (a *Accelerator) runRows(ctx context.Context, g, workers int, pm *mat.Dense, in *modulated, out []complex128, cfg *callConfig) error {
 	n := a.blockSize
@@ -321,27 +294,16 @@ func (a *Accelerator) runRows(ctx context.Context, g, workers int, pm *mat.Dense
 	}
 	for c := 0; c < pm.Cols()/n; c++ {
 		for r := g; r < pm.Rows()/n; r += workers {
-			for {
-				if err := ctx.Err(); err != nil {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if h.p == nil {
+				// First item, or the previous partition was quarantined:
+				// check out lazily so a worker that just finished its rows
+				// never blocks on capacity it no longer needs.
+				if h, err = a.checkout(ctx, cfg); err != nil {
 					return err
 				}
-				if h.p == nil {
-					// First item, or the previous partition was quarantined:
-					// acquire lazily so a worker that just finished its rows
-					// never blocks on capacity it no longer needs.
-					if h, err = a.checkout(ctx, cfg); err != nil {
-						return err
-					}
-				}
-				if h.lease == nil || !preempted(h.lease) {
-					break
-				}
-				// Yield the fabric: count the pending item as re-queued,
-				// release the lease, and park in Acquire until compute is
-				// allowed again.
-				cfg.fab.NotePreemptedItems(1)
-				a.checkin(h)
-				h = partHandle{}
 			}
 			var itemStart time.Time
 			if cfg.rec != nil {
@@ -353,7 +315,7 @@ func (a *Accelerator) runRows(ctx context.Context, g, workers int, pm *mat.Dense
 			if cfg.rec != nil {
 				cfg.rec.Add(trace.StageCompute, time.Since(itemStart))
 			}
-			if cfg.health != nil && cfg.health.afterItem(a, cfg, h) {
+			if cfg.health != nil && cfg.health.afterItem(cfg, h) {
 				// The partition we hold just failed its calibration probe and
 				// was quarantined: hand it to the monitor and continue on
 				// whichever healthy partition the next checkout grants.
@@ -365,16 +327,6 @@ func (a *Accelerator) runRows(ctx context.Context, g, workers int, pm *mat.Dense
 		}
 	}
 	return nil
-}
-
-// preempted reports whether the lease's preemption channel has been closed.
-func preempted(l *fabric.Lease) bool {
-	select {
-	case <-l.Preempted():
-		return true
-	default:
-		return false
-	}
 }
 
 // computeItem executes one (block-row r, block-col c) work item on the

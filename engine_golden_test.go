@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"flumen/internal/fabric"
 	"flumen/internal/photonic"
 )
 
@@ -161,25 +160,9 @@ func TestEngineGoldenDigests(t *testing.T) {
 		}
 	}
 
-	// One run with every partition granted by lease from an attached, idle
-	// fabric arbiter: the lease path must produce the dedicated engine's bits
-	// and meter totals.
-	a := newEngineAccel(t, 32, 8)
-	arb, err := fabric.New(fabric.Config{Partitions: a.NumPartitions(), Nodes: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.AttachFabric(arb); err != nil {
-		t.Fatal(err)
-	}
-	check(t, a, cases[1], cases[1].name+"/clean", "under idle arbiter")
-	if st := arb.Stats(); st.LeasesGranted == 0 || st.ActiveLeases != 0 {
-		t.Fatalf("lease accounting under idle arbiter: %+v", st)
-	}
-
 	// A serial run with a drifting injector on every partition: each item
 	// steps the drift and runs the faulted plan.
-	a = newEngineAccel(t, 32, 8)
+	a := newEngineAccel(t, 32, 8)
 	a.SetWorkers(1)
 	for p := 0; p < a.NumPartitions(); p++ {
 		if err := a.InjectFaults(p, photonic.FaultConfig{DriftSigma: 0.01, Seed: int64(70 + p)}); err != nil {

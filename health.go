@@ -18,10 +18,10 @@ import (
 // Between work items each worker runs a cheap calibration probe on the
 // partition it holds — evaluate a known compiled program against its
 // golden matrix — and partitions whose probe error exceeds the threshold
-// for QuarantineAfter consecutive probes are quarantined: removed from the
-// dispatch pool (or marked unfit with the fabric arbiter), so MatMul and
-// Conv2D continue on the healthy remainder bitwise-identically to a
-// shrunken pool. A background goroutine then recalibrates the partition
+// for QuarantineAfter consecutive probes are quarantined: parked outside
+// the dispatch pool when the worker checks them in, so MatMul and Conv2D
+// continue on the healthy remainder bitwise-identically to a shrunken
+// pool. A background goroutine then recalibrates the partition
 // in situ (FaultInjector.Recalibrate, the runtime counterpart of
 // Mesh.InSituOptimize) and returns it to service, or leaves it quarantined
 // after MaxRecalAttempts failed attempts. MinHealthy partitions are always
@@ -145,7 +145,7 @@ type partitionHealth struct {
 	probes      int64
 	quarantines int64
 	recals      int64
-	parked      bool // pool mode: physical partition held by the monitor
+	parked      bool // physical partition held by the monitor
 }
 
 // healthMonitor drives probes, quarantine decisions and background
@@ -179,10 +179,10 @@ func probeProgram(n int) (*photonic.BlockProgram, error) {
 }
 
 // EnableHealthMonitor turns on per-partition calibration probes,
-// quarantine and background recalibration. It can be enabled at most once,
-// in pool mode or after AttachFabric; RoutePermutation is refused while
-// the monitor is active (quarantined partitions are parked outside the
-// pool, so a full drain could never complete).
+// quarantine and background recalibration. It can be enabled at most once;
+// RoutePermutation is refused while the monitor is active (quarantined
+// partitions are parked outside the pool, so a full drain could never
+// complete).
 func (a *Accelerator) EnableHealthMonitor(cfg HealthConfig) error {
 	bp, err := probeProgram(a.blockSize)
 	if err != nil {
@@ -282,7 +282,7 @@ func (hm *healthMonitor) snapshot(faults []*photonic.FaultInjector) HealthStats 
 // probe every ProbeInterval items, and decides quarantine. It returns true
 // when the held partition was quarantined and the worker must hand it back
 // and continue on another.
-func (hm *healthMonitor) afterItem(a *Accelerator, cfg *callConfig, h partHandle) bool {
+func (hm *healthMonitor) afterItem(cfg *callConfig, h partHandle) bool {
 	inj := cfg.injector(h.idx)
 	if inj == nil {
 		// No fault model on this partition: probes would measure exactly
@@ -330,29 +330,15 @@ func (hm *healthMonitor) afterItem(a *Accelerator, cfg *callConfig, h partHandle
 	ph.quarantines++
 	hm.quarantines++
 	hm.inService--
-	fabricMode := cfg.fab != nil
-	if fabricMode {
-		hm.wg.Add(1)
-	}
 	hm.mu.Unlock()
-
-	if fabricMode {
-		// The arbiter stops granting the partition as soon as the worker
-		// releases its lease; recalibration can start right away because it
-		// only touches injector state, never in-flight optics.
-		cfg.fab.SetQuarantine(h.idx, true)
-		go hm.recalibrate(a, h.idx, nil)
-	}
-	// Pool mode: the physical partition is parked (and recalibration
-	// spawned) by checkin via parkIfQuarantined once the worker hands it
-	// back.
+	// The physical partition is parked (and recalibration spawned) by
+	// checkin via parkIfQuarantined once the worker hands it back.
 	return true
 }
 
-// parkIfQuarantined intercepts a pool-mode checkin: a quarantined
-// partition is held by the monitor instead of returning to the pool, and
-// background recalibration starts. Returns true when the partition was
-// parked.
+// parkIfQuarantined intercepts a checkin: a quarantined partition is held
+// by the monitor instead of returning to the pool, and background
+// recalibration starts. Returns true when the partition was parked.
 func (hm *healthMonitor) parkIfQuarantined(a *Accelerator, idx int, p *photonic.Partition) bool {
 	hm.mu.Lock()
 	ph := &hm.parts[idx]
@@ -369,10 +355,8 @@ func (hm *healthMonitor) parkIfQuarantined(a *Accelerator, idx int, p *photonic.
 
 // recalibrate is the background recovery path: up to MaxRecalAttempts
 // rounds of in-situ coordinate descent against the probe program, each
-// followed by a verification probe. On success the partition returns to
-// service (back to the pool, or quarantine lifted at the arbiter); on
-// exhaustion it stays quarantined. p is the parked physical partition in
-// pool mode, nil in fabric mode.
+// followed by a verification probe. On success the parked partition p goes
+// back to the pool; on exhaustion it stays quarantined.
 func (hm *healthMonitor) recalibrate(a *Accelerator, idx int, p *photonic.Partition) {
 	defer hm.wg.Done()
 	inj := a.injectorFor(idx)
@@ -395,7 +379,7 @@ func (hm *healthMonitor) recalibrate(a *Accelerator, idx int, p *photonic.Partit
 				hm.recals++
 				hm.inService++
 				hm.mu.Unlock()
-				hm.returnToService(a, idx, p)
+				a.pool <- p
 				return
 			}
 			hm.mu.Unlock()
@@ -405,17 +389,6 @@ func (hm *healthMonitor) recalibrate(a *Accelerator, idx int, p *photonic.Partit
 	hm.parts[idx].state = HealthQuarantined
 	hm.recalFailures++
 	hm.mu.Unlock()
-}
-
-// returnToService puts a recovered partition back into dispatch.
-func (hm *healthMonitor) returnToService(a *Accelerator, idx int, p *photonic.Partition) {
-	if p != nil {
-		a.pool <- p
-		return
-	}
-	if fab := a.Fabric(); fab != nil {
-		fab.SetQuarantine(idx, false)
-	}
 }
 
 // FaultInjector returns the injector InjectFaults attached to partition

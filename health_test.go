@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"flumen/internal/fabric"
 	"flumen/internal/photonic"
 )
 
@@ -157,42 +156,6 @@ func TestHealthMinHealthyFloor(t *testing.T) {
 	st := a.HealthStats()
 	if st.Quarantines == 0 {
 		t.Fatalf("no quarantine despite heavy drift on both partitions: %+v", st)
-	}
-}
-
-func TestHealthFabricModeQuarantine(t *testing.T) {
-	a, err := NewAccelerator(32, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arb, err := fabric.New(fabric.Config{Partitions: a.NumPartitions(), Nodes: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer arb.Close()
-	if err := a.AttachFabric(arb); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.EnableHealthMonitor(healthTestConfig()); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.InjectFaults(1, photonic.FaultConfig{DriftSigma: 0.03, Seed: 4}); err != nil {
-		t.Fatal(err)
-	}
-
-	driveUntil(t, a, func(st HealthStats) bool { return st.Quarantines >= 1 })
-	if arb.Stats().QuarantinesTotal == 0 {
-		t.Fatal("arbiter never saw a quarantine")
-	}
-	// Recovery lifts the quarantine at the arbiter.
-	driveUntil(t, a, func(st HealthStats) bool { return st.Recalibrations >= 1 })
-	deadline := time.Now().Add(5 * time.Second)
-	for arb.Quarantined(1) && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	fs := arb.Stats()
-	if fs.QuarantinesTotal == 0 {
-		t.Fatalf("arbiter quarantine counters empty: %+v", fs)
 	}
 }
 

@@ -1,11 +1,6 @@
 package fabric
 
-import (
-	"context"
-	"errors"
-	"testing"
-	"time"
-)
+import "testing"
 
 // testConfig keeps windows and hysteresis small so tests drive the state
 // machine in a handful of ticks.
@@ -29,6 +24,16 @@ func mustNew(t *testing.T, cfg Config) *Arbiter {
 		t.Fatal(err)
 	}
 	return a
+}
+
+// mustAcquire takes a lease that the arbiter must grant.
+func mustAcquire(t *testing.T, a *Arbiter) *Lease {
+	t.Helper()
+	l, ok := a.TryAcquire()
+	if !ok {
+		t.Fatalf("TryAcquire refused in mode %v", a.Stats().Mode)
+	}
+	return l
 }
 
 // tickIdle feeds n cycles of zero telemetry starting at cycle from.
@@ -63,44 +68,33 @@ func TestConfigValidation(t *testing.T) {
 
 func TestLeaseLifecycle(t *testing.T) {
 	a := mustNew(t, testConfig())
-	if got := a.Mode(); got != ModeIdle {
+	if got := a.Stats().Mode; got != ModeIdle {
 		t.Fatalf("initial mode %v, want idle", got)
 	}
 
-	l1, err := a.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := a.Mode(); got != ModeCompute {
+	l1 := mustAcquire(t, a)
+	if got := a.Stats().Mode; got != ModeCompute {
 		t.Fatalf("mode after first grant %v, want compute-leased", got)
 	}
-	l2, err := a.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	l2 := mustAcquire(t, a)
 	if l1.Partition() == l2.Partition() {
 		t.Fatalf("both leases granted partition %d", l1.Partition())
 	}
 
-	// No partitions left: a bounded Acquire must time out.
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	if _, err := a.Acquire(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Acquire on exhausted pool: %v, want deadline exceeded", err)
+	// No partitions left: the next grant is refused.
+	if l, ok := a.TryAcquire(); ok {
+		t.Fatalf("exhausted pool granted partition %d", l.Partition())
 	}
 
 	l1.Release()
 	l1.Release() // idempotent
-	l3, err := a.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	l3 := mustAcquire(t, a)
 	if l3.Partition() != l1.Partition() {
 		t.Fatalf("re-grant gave partition %d, want freed %d", l3.Partition(), l1.Partition())
 	}
 	l2.Release()
 	l3.Release()
-	if got := a.Mode(); got != ModeIdle {
+	if got := a.Stats().Mode; got != ModeIdle {
 		t.Fatalf("mode after all releases %v, want idle", got)
 	}
 
@@ -112,32 +106,28 @@ func TestLeaseLifecycle(t *testing.T) {
 
 func TestStateMachineFullCycle(t *testing.T) {
 	a := mustNew(t, testConfig())
-	l, err := a.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	l := mustAcquire(t, a)
+	if l.Preempted() {
+		t.Fatal("fresh lease reports preemption")
 	}
 
 	// Traffic arrives: compute-leased → reclaiming, lease preempted.
 	cycle := tickBusy(a, 0, 3)
-	if got := a.Mode(); got != ModeReclaiming {
+	if got := a.Stats().Mode; got != ModeReclaiming {
 		t.Fatalf("mode under traffic with a lease out: %v, want reclaiming", got)
 	}
-	select {
-	case <-l.Preempted():
-	default:
+	if !l.Preempted() {
 		t.Fatal("lease not preempted in reclaiming mode")
 	}
 
 	// Grants are refused while reclaiming.
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	if _, err := a.Acquire(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Acquire during reclaim: %v, want deadline exceeded", err)
+	if _, ok := a.TryAcquire(); ok {
+		t.Fatal("TryAcquire granted during reclaim")
 	}
 
 	// Returning the last lease completes the reclaim.
 	l.Release()
-	if got := a.Mode(); got != ModeTraffic {
+	if got := a.Stats().Mode; got != ModeTraffic {
 		t.Fatalf("mode after reclaim completes: %v, want traffic", got)
 	}
 	st := a.Stats()
@@ -149,22 +139,24 @@ func TestStateMachineFullCycle(t *testing.T) {
 	}
 
 	// Idleness must persist MinIdleCycles before compute returns (plus the
-	// sliding window draining the busy samples first).
+	// sliding window draining the busy samples first). Until then every
+	// grant is refused.
 	idleTicks := 0
-	for ; idleTicks < 1000 && a.Mode() != ModeIdle; idleTicks++ {
+	for ; idleTicks < 1000 && a.Stats().Mode != ModeIdle; idleTicks++ {
+		if _, ok := a.TryAcquire(); ok {
+			t.Fatalf("TryAcquire granted in traffic mode after %d idle cycles", idleTicks)
+		}
 		a.Tick(cycle, 0, 0)
 		cycle++
 	}
-	if got := a.Mode(); got != ModeIdle {
+	if got := a.Stats().Mode; got != ModeIdle {
 		t.Fatalf("mode after %d zero-load cycles: %v, want idle", idleTicks, got)
 	}
 	if idleTicks < testConfig().MinIdleCycles {
 		t.Fatalf("fabric handed back after only %d idle cycles, hysteresis is %d",
 			idleTicks, testConfig().MinIdleCycles)
 	}
-	if _, err := a.Acquire(context.Background()); err != nil {
-		t.Fatalf("Acquire after fabric returned to idle: %v", err)
-	}
+	mustAcquire(t, a)
 	if a.Stats().ModeTransitions < 4 {
 		t.Fatalf("transitions %d, want the full idle→compute→reclaiming→traffic→idle walk", a.Stats().ModeTransitions)
 	}
@@ -173,7 +165,7 @@ func TestStateMachineFullCycle(t *testing.T) {
 func TestIdleToTrafficDirect(t *testing.T) {
 	a := mustNew(t, testConfig())
 	tickBusy(a, 0, 2)
-	if got := a.Mode(); got != ModeTraffic {
+	if got := a.Stats().Mode; got != ModeTraffic {
 		t.Fatalf("busy telemetry with no leases: mode %v, want traffic (no reclaim detour)", got)
 	}
 	if a.Stats().LeasesPreempted != 0 {
@@ -190,49 +182,29 @@ func TestOccupancyAlonAssertsBusy(t *testing.T) {
 	for i := 0; i < cfg.OccupancyPatience+1; i++ {
 		a.Tick(int64(i), 0, 3)
 	}
-	if got := a.Mode(); got != ModeTraffic {
+	if got := a.Stats().Mode; got != ModeTraffic {
 		t.Fatalf("sustained occupancy: mode %v, want traffic", got)
 	}
 }
 
+// TestAcquireUnblocksWhenFabricReturns: a caller refused while traffic owns
+// the fabric is granted once the idle detector hands it back, and not
+// before.
 func TestAcquireUnblocksWhenFabricReturns(t *testing.T) {
-	a := mustNew(t, testConfig())
-	cycle := tickBusy(a, 0, 2) // → traffic
-
-	got := make(chan error, 1)
-	go func() {
-		l, err := a.Acquire(context.Background())
-		if err == nil {
-			l.Release()
-		}
-		got <- err
-	}()
-
-	// The acquire must still be parked, then released by hysteresis expiry.
-	select {
-	case err := <-got:
-		t.Fatalf("Acquire returned (%v) while fabric was in traffic mode", err)
-	case <-time.After(20 * time.Millisecond):
-	}
 	cfg := testConfig()
-	tickIdle(a, cycle, cfg.IdleWindow+cfg.MinIdleCycles+8)
-	select {
-	case err := <-got:
-		if err != nil {
-			t.Fatalf("Acquire after idle: %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Acquire never unblocked after fabric went idle")
+	a := mustNew(t, cfg)
+	cycle := tickBusy(a, 0, 2) // → traffic
+	if _, ok := a.TryAcquire(); ok {
+		t.Fatal("TryAcquire granted while the fabric was in traffic mode")
 	}
+	tickIdle(a, cycle, cfg.IdleWindow+cfg.MinIdleCycles+8)
+	mustAcquire(t, a).Release()
 }
 
 func TestReclaimSLOViolationCountedOnce(t *testing.T) {
 	cfg := testConfig()
 	a := mustNew(t, cfg)
-	_, err := a.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	mustAcquire(t, a)
 	cycle := tickBusy(a, 0, 1) // → reclaiming; lease never released
 	tickBusy(a, cycle, cfg.ReclaimBudget+50)
 	st := a.Stats()
@@ -244,32 +216,6 @@ func TestReclaimSLOViolationCountedOnce(t *testing.T) {
 	}
 }
 
-func TestAcquireContextAndClose(t *testing.T) {
-	a := mustNew(t, testConfig())
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := a.Acquire(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Acquire with cancelled ctx: %v", err)
-	}
-
-	tickBusy(a, 0, 2) // park future acquires
-	got := make(chan error, 1)
-	go func() {
-		_, err := a.Acquire(context.Background())
-		got <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	a.Close()
-	select {
-	case err := <-got:
-		if !errors.Is(err, ErrClosed) {
-			t.Fatalf("Acquire after Close: %v, want ErrClosed", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Close did not wake blocked Acquire")
-	}
-}
-
 func TestTryAcquire(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -278,31 +224,17 @@ func TestTryAcquire(t *testing.T) {
 		mode  Mode // mode after the attempt
 	}{
 		{"idle", func(*testing.T, *Arbiter) {}, true, ModeCompute},
-		{"compute", func(t *testing.T, a *Arbiter) {
-			if _, ok := a.TryAcquire(); !ok {
-				t.Fatal("first TryAcquire refused")
-			}
-		}, true, ModeCompute},
+		{"compute", func(t *testing.T, a *Arbiter) { mustAcquire(t, a) }, true, ModeCompute},
 		{"traffic", func(_ *testing.T, a *Arbiter) { tickBusy(a, 0, 2) }, false, ModeTraffic},
 		{"reclaiming", func(t *testing.T, a *Arbiter) {
-			if _, ok := a.TryAcquire(); !ok {
-				t.Fatal("first TryAcquire refused")
-			}
+			mustAcquire(t, a)
 			tickBusy(a, 0, 2)
 		}, false, ModeReclaiming},
 		{"all held", func(t *testing.T, a *Arbiter) {
-			for i := 0; i < a.Partitions(); i++ {
-				if _, ok := a.TryAcquire(); !ok {
-					t.Fatalf("TryAcquire %d refused", i)
-				}
+			for i := 0; i < a.Stats().Partitions; i++ {
+				mustAcquire(t, a)
 			}
 		}, false, ModeCompute},
-		{"all quarantined", func(_ *testing.T, a *Arbiter) {
-			for i := 0; i < a.Partitions(); i++ {
-				a.SetQuarantine(i, true)
-			}
-		}, false, ModeIdle},
-		{"closed", func(_ *testing.T, a *Arbiter) { a.Close() }, false, ModeIdle},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -323,7 +255,7 @@ func TestTryAcquire(t *testing.T) {
 				}
 				return
 			}
-			if after.ActiveLeases != before.ActiveLeases+1 || a.Quarantined(l.Partition()) {
+			if after.ActiveLeases != before.ActiveLeases+1 || after.FreePartitions != before.FreePartitions-1 {
 				t.Fatalf("granted lease %d not accounted: %+v", l.Partition(), after)
 			}
 			l.Release()
@@ -331,15 +263,11 @@ func TestTryAcquire(t *testing.T) {
 	}
 }
 
-func TestNotePreemptedItemsAndHeldPartitions(t *testing.T) {
+func TestNotePreemptedItems(t *testing.T) {
 	a := mustNew(t, testConfig())
-	l, err := a.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	held := a.HeldPartitions()
-	if len(held) != 1 || held[0] != l.Partition() {
-		t.Fatalf("HeldPartitions = %v, want [%d]", held, l.Partition())
+	l := mustAcquire(t, a)
+	if st := a.Stats(); st.ActiveLeases != 1 || st.FreePartitions != 1 {
+		t.Fatalf("one lease out, stats %+v", st)
 	}
 	a.NotePreemptedItems(3)
 	a.NotePreemptedItems(2)
@@ -347,7 +275,7 @@ func TestNotePreemptedItemsAndHeldPartitions(t *testing.T) {
 		t.Fatalf("PreemptedItems = %d, want 5", got)
 	}
 	l.Release()
-	if held := a.HeldPartitions(); len(held) != 0 {
-		t.Fatalf("HeldPartitions after release = %v, want empty", held)
+	if st := a.Stats(); st.ActiveLeases != 0 || st.FreePartitions != 2 {
+		t.Fatalf("after release, stats %+v", st)
 	}
 }

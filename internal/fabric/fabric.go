@@ -2,16 +2,15 @@
 // Flumen MZIM genuinely dual-purpose. The paper's defining claim (Sec 3.2,
 // 3.4) is that the photonic interconnect carries chiplet traffic when
 // loaded and is re-partitioned into SVD compute sub-meshes when idle. The
-// arbiter owns the partition registry and grants time-bounded leases on
-// MZIM sub-meshes to two clients:
+// arbiter owns the partition registry and multiplexes MZIM sub-meshes
+// between the two sides of one simulated clock:
 //
 //   - the cycle-driven NoP simulator (traffic mode), which feeds the idle
 //     detector a sliding window of per-cycle injection and buffer-occupancy
-//     telemetry, and
-//   - compute (compute mode): the parallel engine checks out partitions
-//     through Acquire, and a cycle-driven harness takes them without
-//     blocking through TryAcquire; both yield them at block-item
-//     granularity when a lease is preempted.
+//     telemetry through Tick, and
+//   - compute (compute mode), which takes partitions without blocking
+//     through TryAcquire in the same loop and yields them at block-item
+//     granularity once a lease reports Preempted (see internal/fabricrun).
 //
 // The state machine is idle → compute-leased → reclaiming → traffic
 // (→ idle): traffic demand always wins — when the idle detector asserts
@@ -21,13 +20,7 @@
 // from thrashing between modes at moderate loads.
 package fabric
 
-import (
-	"errors"
-	"fmt"
-)
-
-// ErrClosed is returned by Acquire after the arbiter has been closed.
-var ErrClosed = errors.New("fabric: arbiter closed")
+import "fmt"
 
 // Mode is the arbiter's fabric-ownership state.
 type Mode int32

@@ -8,12 +8,10 @@ type Stats struct {
 	Mode  Mode
 	Cycle int64
 	// Partitions is the arbitrated partition count; ActiveLeases and
-	// FreePartitions its current split. QuarantinedPartitions counts
-	// partitions the health layer has marked unfit for compute grants.
-	Partitions            int
-	ActiveLeases          int
-	FreePartitions        int
-	QuarantinedPartitions int
+	// FreePartitions its current split.
+	Partitions     int
+	ActiveLeases   int
+	FreePartitions int
 	// ModeTransitions counts state-machine edges; LeasesGranted all
 	// grants; LeasesPreempted leases that received a preemption signal;
 	// LeasesReclaimed preempted leases whose partition has been returned.
@@ -22,7 +20,7 @@ type Stats struct {
 	LeasesPreempted int64
 	LeasesReclaimed int64
 	// PreemptedItems counts compute work items re-queued by preemption
-	// (reported by the engine via NotePreemptedItems).
+	// (reported by the lease holder via NotePreemptedItems).
 	PreemptedItems int64
 	// ComputeCyclesStolen accumulates partition-cycles unavailable to
 	// compute while the fabric was reclaiming or carrying traffic.
@@ -33,9 +31,6 @@ type Stats struct {
 	ReclaimSLOViolations int64
 	LastReclaimCycles    int64
 	MaxReclaimCycles     int64
-	// QuarantinesTotal counts quarantine transitions over the arbiter's
-	// lifetime (SetQuarantine on-edges).
-	QuarantinesTotal int64
 	// InjectionRate is the idle detector's current windowed rate
 	// (packets/node/cycle).
 	InjectionRate float64
@@ -47,22 +42,20 @@ func (a *Arbiter) Stats() Stats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return Stats{
-		Mode:                  a.mode,
-		Cycle:                 a.cycle,
-		Partitions:            a.cfg.Partitions,
-		ActiveLeases:          a.active,
-		FreePartitions:        a.cfg.Partitions - a.active,
-		QuarantinedPartitions: a.quarCount,
-		ModeTransitions:       a.c.modeTransitions,
-		LeasesGranted:         a.c.leasesGranted,
-		LeasesPreempted:       a.c.leasesPreempted,
-		LeasesReclaimed:       a.c.leasesReclaimed,
-		PreemptedItems:        a.c.preemptedItems,
-		ComputeCyclesStolen:   a.c.stolenCycles,
-		ReclaimSLOViolations:  a.c.sloViolations,
-		LastReclaimCycles:     a.c.lastReclaimCycles,
-		MaxReclaimCycles:      a.c.maxReclaimCycles,
-		QuarantinesTotal:      a.c.quarantines,
-		InjectionRate:         a.det.rate(),
+		Mode:                 a.mode,
+		Cycle:                a.cycle,
+		Partitions:           a.cfg.Partitions,
+		ActiveLeases:         a.active,
+		FreePartitions:       a.cfg.Partitions - a.active,
+		ModeTransitions:      a.c.modeTransitions,
+		LeasesGranted:        a.c.leasesGranted,
+		LeasesPreempted:      a.c.leasesPreempted,
+		LeasesReclaimed:      a.c.leasesReclaimed,
+		PreemptedItems:       a.c.preemptedItems,
+		ComputeCyclesStolen:  a.c.stolenCycles,
+		ReclaimSLOViolations: a.c.sloViolations,
+		LastReclaimCycles:    a.c.lastReclaimCycles,
+		MaxReclaimCycles:     a.c.maxReclaimCycles,
+		InjectionRate:        a.det.rate(),
 	}
 }

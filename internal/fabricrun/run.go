@@ -304,8 +304,8 @@ func newCompute(net *noc.MZIMNet, o Options) (*compute, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One worker, no attached arbiter: the harness holds the leases and
-	// the engine runs on the loop's goroutine. Results do not depend on
+	// One worker: the harness holds the leases and the engine runs on the
+	// loop's goroutine from its own partition pool. Results do not depend on
 	// which partition computes them, so the lease the harness holds and
 	// the partition the engine uses are interchangeable.
 	accel.SetWorkers(1)
@@ -328,11 +328,7 @@ func (c *compute) settle(now int64) error {
 		if !held {
 			continue
 		}
-		select {
-		case <-j.lease.Preempted():
-			j.preempted = true
-		default:
-		}
+		j.preempted = j.lease.Preempted()
 		kept = append(kept, j)
 	}
 	c.running = kept
@@ -406,18 +402,4 @@ func pumpMatrices(dim int, seed int64) (m, x [][]float64) {
 		}
 	}
 	return m, x
-}
-
-// ApplyPortWithdrawal maps compute-held partitions onto NoP ports:
-// partition i occupies endpoint port i, withdrawn from the communication
-// pool while under lease and restored otherwise.
-func ApplyPortWithdrawal(net *noc.MZIMNet, held []int, nodes int) {
-	for port := 0; port < nodes; port++ {
-		net.SetPortAvailable(port, true)
-	}
-	for _, p := range held {
-		if p < nodes {
-			net.SetPortAvailable(p, false)
-		}
-	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"flumen/internal/fabric"
-	"flumen/internal/noc"
 )
 
 func shortOpts() Options {
@@ -156,32 +155,5 @@ func TestMixedRunBadGeometry(t *testing.T) {
 	o.Fabric = &fabric.Config{}
 	if _, err := Run(o); err == nil {
 		t.Fatal("accepted more partitions than NoP ports")
-	}
-}
-
-func TestApplyPortWithdrawal(t *testing.T) {
-	net := noc.NewMZIM(4, 64, 2)
-	ApplyPortWithdrawal(net, []int{1, 3}, 4)
-	// Withdrawn source port cannot be granted: a packet queued at port 1
-	// stays queued while port 0 flows.
-	net.Inject(&noc.Packet{ID: 0, Src: 1, Dst: 2, Bits: 64}, 0)
-	net.Inject(&noc.Packet{ID: 1, Src: 0, Dst: 2, Bits: 64}, 0)
-	for c := int64(0); c < 20; c++ {
-		net.Step(c)
-	}
-	occ := net.BufferOccupancy(nil)
-	if occ[1] != 1 {
-		t.Fatalf("withdrawn port 1 drained its packet: occupancy %v", occ)
-	}
-	if occ[0] != 0 {
-		t.Fatalf("available port 0 did not drain: occupancy %v", occ)
-	}
-	// Restoring the port lets the stuck packet through.
-	ApplyPortWithdrawal(net, nil, 4)
-	for c := int64(20); c < 40; c++ {
-		net.Step(c)
-	}
-	if occ := net.BufferOccupancy(nil); occ[1] != 0 {
-		t.Fatalf("restored port 1 still stuck: occupancy %v", occ)
 	}
 }

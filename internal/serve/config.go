@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"flumen"
-	"flumen/internal/fabric"
 )
 
 // Config parameterizes the server and its scheduler.
@@ -81,13 +80,6 @@ type Config struct {
 	// recompiled and pinned before their first request. Empty runs the
 	// registry memory-only.
 	StoreDir string
-
-	// Fabric, when non-nil, attaches a dynamic fabric arbiter: compute runs
-	// under time-bounded leases and NoP traffic can reclaim the fabric at any
-	// time. While the fabric is claimed for traffic, new requests are shed
-	// with 503 backpressure instead of queuing behind a stalled fabric.
-	// Partitions and Nodes are filled in from the accelerator geometry.
-	Fabric *fabric.Config
 
 	// Health, when non-nil, enables the accelerator's device-health monitor:
 	// partitions are probed between work items, quarantined when their error

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -181,6 +182,32 @@ func TestBodyLimitIgnoresContentLength(t *testing.T) {
 	}
 	if buf.Cap() > 2*maxPooledBody {
 		t.Errorf("Content-Length %d with no body reserved %d bytes, want about %d", r.ContentLength, buf.Cap(), maxPooledBody)
+	}
+}
+
+// TestLongTimeoutClampsToMax: a timeout_ms beyond MaxTimeout gets
+// MaxTimeout, however large. A product in time.Duration overflows from
+// about 9.2e12 ms and used to wrap negative, so the request timed out at
+// once. The bodies are raw JSON because the decoder refuses 1e13 for an
+// integer field.
+func TestLongTimeoutClampsToMax(t *testing.T) {
+	cfg := testConfig()
+	_, hs := newTestServer(t, cfg)
+	for _, ms := range []string{
+		"10000000000000",
+		fmt.Sprint(int64(math.MaxInt64)),
+		fmt.Sprint(cfg.MaxTimeout.Milliseconds() + 1),
+	} {
+		body := `{"m":[[1,0],[0,1]],"x":[[1],[2]],"timeout_ms":` + ms + `}`
+		resp, err := http.Post(hs.URL+"/v1/matmul", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("timeout_ms %s: status %d (%s), want 200", ms, resp.StatusCode, b)
+		}
 	}
 }
 

@@ -17,8 +17,7 @@ import (
 // latency histograms that feed timeout alerts.
 const (
 	outcomeOK        = "ok"
-	outcomeRejected  = "rejected"  // admission-time 503 (queue full, draining, fabric reclaimed)
-	outcomeShed      = "shed"      // dequeued but shed: fabric reclaimed while the job was queued
+	outcomeRejected  = "rejected"  // admission-time 503 (queue full, draining)
 	outcomeDeadline  = "deadline"  // 504, the request's deadline expired
 	outcomeCancelled = "cancelled" // client cancelled / disconnected
 	outcomeError     = "error"     // executor-surfaced errors (registry 404s, internal)
@@ -201,8 +200,6 @@ type accelSnapshot struct {
 	CacheCapacity  int
 	CachePinned    int
 
-	// Fabric is non-nil when a dynamic fabric arbiter is attached.
-	Fabric *fabricSnapshot
 	// Health is non-nil when the device-health monitor is enabled.
 	Health *healthSnapshot
 	// Registry is always non-nil (the model registry always runs, with or
@@ -218,25 +215,6 @@ type registrySnapshot struct {
 	PrewarmPending int
 	Registrations  uint64
 	Removals       uint64
-}
-
-// fabricSnapshot decouples fabric.Stats from the exposition the same way
-// accelSnapshot decouples flumen.Stats.
-type fabricSnapshot struct {
-	Mode            int
-	ModeName        string
-	ActiveLeases    int
-	FreePartitions  int
-	ModeTransitions int64
-	Granted         int64
-	Preempted       int64
-	Reclaimed       int64
-	PreemptedItems  int64
-	StolenCycles    int64
-	SLOViolations   int64
-	LastReclaim     int64
-	MaxReclaim      int64
-	InjectionRate   float64
 }
 
 // healthSnapshot decouples flumen.HealthStats from the exposition the same
@@ -349,48 +327,6 @@ func (m *metrics) write(w io.Writer, queueDepth, queueCap int, acc accelSnapshot
 	fmt.Fprintf(w, "# HELP flumend_lambda_batches_total WDM λ-batches streamed.\n")
 	fmt.Fprintf(w, "# TYPE flumend_lambda_batches_total counter\n")
 	fmt.Fprintf(w, "flumend_lambda_batches_total %d\n", acc.Batches)
-
-	if f := acc.Fabric; f != nil {
-		fmt.Fprintf(w, "# HELP flumend_fabric_mode Arbitration mode (0=idle 1=compute-leased 2=reclaiming 3=traffic).\n")
-		fmt.Fprintf(w, "# TYPE flumend_fabric_mode gauge\n")
-		fmt.Fprintf(w, "flumend_fabric_mode{mode=%q} %d\n", f.ModeName, f.Mode)
-		fmt.Fprintf(w, "# HELP flumend_fabric_active_leases Partitions currently under compute lease.\n")
-		fmt.Fprintf(w, "# TYPE flumend_fabric_active_leases gauge\n")
-		fmt.Fprintf(w, "flumend_fabric_active_leases %d\n", f.ActiveLeases)
-		fmt.Fprintf(w, "# HELP flumend_fabric_free_partitions Partitions available for lease or traffic.\n")
-		fmt.Fprintf(w, "# TYPE flumend_fabric_free_partitions gauge\n")
-		fmt.Fprintf(w, "flumend_fabric_free_partitions %d\n", f.FreePartitions)
-		fmt.Fprintf(w, "# HELP flumend_fabric_mode_transitions_total Arbiter state-machine transitions.\n")
-		fmt.Fprintf(w, "# TYPE flumend_fabric_mode_transitions_total counter\n")
-		fmt.Fprintf(w, "flumend_fabric_mode_transitions_total %d\n", f.ModeTransitions)
-		fmt.Fprintf(w, "# HELP flumend_fabric_leases_granted_total Compute leases granted.\n")
-		fmt.Fprintf(w, "# TYPE flumend_fabric_leases_granted_total counter\n")
-		fmt.Fprintf(w, "flumend_fabric_leases_granted_total %d\n", f.Granted)
-		fmt.Fprintf(w, "# HELP flumend_fabric_leases_preempted_total Leases signalled for preemption by traffic demand.\n")
-		fmt.Fprintf(w, "# TYPE flumend_fabric_leases_preempted_total counter\n")
-		fmt.Fprintf(w, "flumend_fabric_leases_preempted_total %d\n", f.Preempted)
-		fmt.Fprintf(w, "# HELP flumend_fabric_partitions_reclaimed_total Preempted leases returned to traffic.\n")
-		fmt.Fprintf(w, "# TYPE flumend_fabric_partitions_reclaimed_total counter\n")
-		fmt.Fprintf(w, "flumend_fabric_partitions_reclaimed_total %d\n", f.Reclaimed)
-		fmt.Fprintf(w, "# HELP flumend_fabric_preempted_items_total Compute work items re-queued because their lease was preempted.\n")
-		fmt.Fprintf(w, "# TYPE flumend_fabric_preempted_items_total counter\n")
-		fmt.Fprintf(w, "flumend_fabric_preempted_items_total %d\n", f.PreemptedItems)
-		fmt.Fprintf(w, "# HELP flumend_fabric_compute_cycles_stolen_total Partition-cycles denied to compute while traffic owned the fabric.\n")
-		fmt.Fprintf(w, "# TYPE flumend_fabric_compute_cycles_stolen_total counter\n")
-		fmt.Fprintf(w, "flumend_fabric_compute_cycles_stolen_total %d\n", f.StolenCycles)
-		fmt.Fprintf(w, "# HELP flumend_fabric_reclaim_slo_violations_total Reclaims that overran the cycle-budget SLO.\n")
-		fmt.Fprintf(w, "# TYPE flumend_fabric_reclaim_slo_violations_total counter\n")
-		fmt.Fprintf(w, "flumend_fabric_reclaim_slo_violations_total %d\n", f.SLOViolations)
-		fmt.Fprintf(w, "# HELP flumend_fabric_reclaim_cycles_last Duration of the most recent reclaim, in fabric cycles.\n")
-		fmt.Fprintf(w, "# TYPE flumend_fabric_reclaim_cycles_last gauge\n")
-		fmt.Fprintf(w, "flumend_fabric_reclaim_cycles_last %d\n", f.LastReclaim)
-		fmt.Fprintf(w, "# HELP flumend_fabric_reclaim_cycles_max Worst-case reclaim duration observed, in fabric cycles.\n")
-		fmt.Fprintf(w, "# TYPE flumend_fabric_reclaim_cycles_max gauge\n")
-		fmt.Fprintf(w, "flumend_fabric_reclaim_cycles_max %d\n", f.MaxReclaim)
-		fmt.Fprintf(w, "# HELP flumend_fabric_injection_rate Windowed NoP injection rate (packets/node/cycle) seen by the idle detector.\n")
-		fmt.Fprintf(w, "# TYPE flumend_fabric_injection_rate gauge\n")
-		fmt.Fprintf(w, "flumend_fabric_injection_rate %g\n", f.InjectionRate)
-	}
 
 	if h := acc.Health; h != nil {
 		fmt.Fprintf(w, "# HELP flumend_health_partitions Partitions by health state.\n")

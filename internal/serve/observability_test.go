@@ -270,78 +270,6 @@ func TestErrorPathOutcomeMetrics(t *testing.T) {
 			t.Errorf("requests/errors/hist = %d/%d/%d, want 1/1/1: deadlines are real errors", requests, errors, histTotal)
 		}
 	})
-
-	t.Run("fabric-reclaim rejection", func(t *testing.T) {
-		cfg := fabricTestConfig()
-		s, hs := newTestServer(t, cfg)
-		arb := s.Fabric()
-		fc := arb.Config()
-		var cycle int64
-		for i := 0; i < fc.IdleWindow+4; i++ {
-			arb.Tick(cycle, fc.Nodes, fc.Nodes)
-			cycle++
-		}
-		if arb.ComputeAvailable() {
-			t.Fatal("fabric still grants compute after sustained traffic")
-		}
-		resp, body := postJSON(t, hs.URL+"/v1/matmul", MatMulRequest{
-			M: [][]float64{{1, 0}, {0, 1}}, X: [][]float64{{1}, {2}},
-		})
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("status %d (%s), want 503", resp.StatusCode, body)
-		}
-		var er errorResponse
-		if err := json.Unmarshal(body, &er); err != nil || er.Code != CodeNoCapacity {
-			t.Fatalf("503 body %q, want code %q", body, CodeNoCapacity)
-		}
-		if got := outcomeCount(s, "matmul", outcomeRejected); got != 1 {
-			t.Errorf("rejected outcome = %d, want 1", got)
-		}
-	})
-
-	t.Run("fabric-reclaim shed after admission", func(t *testing.T) {
-		cfg := fabricTestConfig()
-		s, hs := newTestServer(t, cfg)
-		release := stallExecutor(t, s)
-		defer release()
-
-		// Admit a request while compute is available, then let traffic
-		// claim the fabric before the executor dequeues it.
-		respCh := make(chan *http.Response, 1)
-		go func() {
-			resp, _ := postJSON(t, hs.URL+"/v1/matmul", MatMulRequest{
-				M: [][]float64{{1, 0}, {0, 1}}, X: [][]float64{{1}, {2}},
-			})
-			respCh <- resp
-		}()
-		waitFor(t, "request to queue", func() bool { return s.sched.depth() >= 1 })
-
-		arb := s.Fabric()
-		fc := arb.Config()
-		var cycle int64
-		for i := 0; i < fc.IdleWindow+4; i++ {
-			arb.Tick(cycle, fc.Nodes, fc.Nodes)
-			cycle++
-		}
-		if arb.ComputeAvailable() {
-			t.Fatal("fabric still grants compute after sustained traffic")
-		}
-		release()
-		resp := <-respCh
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("status %d, want 503 for work shed at dequeue", resp.StatusCode)
-		}
-		if resp.Header.Get("Retry-After") == "" {
-			t.Error("shed 503 missing Retry-After")
-		}
-		if got := outcomeCount(s, "matmul", outcomeShed); got != 1 {
-			t.Errorf("shed outcome = %d, want 1", got)
-		}
-		_, errors, _ := requestErrorCounts(s, "matmul")
-		if errors != 1 {
-			t.Errorf("errors_total = %d, want 1: a shed admitted request is an errored request", errors)
-		}
-	})
 }
 
 // Regression: every exit of a compute handler before admission — malformed

@@ -118,7 +118,6 @@ const (
 	CodeVersionConflict = "version_conflict" // 409: re-register with different weights
 	CodeQueueFull       = "queue_full"
 	CodeDraining        = "draining"
-	CodeNoCapacity      = "no_capacity"
 	CodeDeadline        = "deadline"
 	CodeCancelled       = "cancelled"
 	CodeInternal        = "internal"

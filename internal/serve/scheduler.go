@@ -25,10 +25,6 @@ var (
 	errQueueFull = errors.New("serve: admission queue full")
 	// errDraining is returned once shutdown has begun.
 	errDraining = errors.New("serve: server draining")
-	// errNoCapacity is returned while the fabric arbiter has reclaimed the
-	// partitions for NoP traffic: queued work would only stall behind a
-	// fabric it cannot lease, so new requests are shed instead.
-	errNoCapacity = errors.New("serve: fabric reclaimed for network traffic")
 )
 
 // job is one admitted request. Exactly one of (key, m, x) — a batchable
@@ -92,7 +88,7 @@ type scheduler struct {
 
 	// baseCtx is the scheduler-lifetime context: every engine call derives
 	// from it, so a drain that exhausts its budget can revoke in-flight work
-	// instead of wedging shutdown behind a stalled fabric.
+	// instead of wedging shutdown behind a long engine call.
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 }
@@ -110,26 +106,12 @@ func newScheduler(cfg Config, acc *flumen.Accelerator, met *metrics) *scheduler 
 	return s
 }
 
-// capacityErr reports whether the fabric can execute compute right now.
-// Checked at admission (backpressure instead of queuing behind a fabric the
-// job cannot lease) and again at dequeue (capacity may have been reclaimed
-// while the job waited).
-func (s *scheduler) capacityErr() error {
-	if fab := s.acc.Fabric(); fab != nil && !fab.ComputeAvailable() {
-		return errNoCapacity
-	}
-	return nil
-}
-
 // submit offers a job to the admission queue without blocking.
 func (s *scheduler) submit(j *job) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
 		return errDraining
-	}
-	if err := s.capacityErr(); err != nil {
-		return err
 	}
 	select {
 	case s.queue <- j:
@@ -166,7 +148,7 @@ func (s *scheduler) drain(ctx context.Context) error {
 	case <-ctx.Done():
 		// Drain budget exhausted: revoke the scheduler-lifetime context so
 		// in-flight engine calls abort and the executor can exit, instead of
-		// wedging shutdown behind a fabric that never frees up.
+		// wedging shutdown behind work that outlives the budget.
 		s.baseCancel()
 		return ctx.Err()
 	}
@@ -195,15 +177,6 @@ func (s *scheduler) runLoop() {
 		if err := j.ctx.Err(); err != nil {
 			// Cancelled while queued: abandon without touching the fabric.
 			s.met.observeCancelled()
-			j.done <- jobResult{err: err}
-			continue
-		}
-		if err := s.capacityErr(); err != nil {
-			// Capacity vanished while the job sat in the queue (the fabric
-			// was reclaimed for traffic after admission): shed it with the
-			// same backpressure error a fresh submit would get, rather than
-			// stalling the executor behind a fabric it cannot lease.
-			s.met.observeRejected()
 			j.done <- jobResult{err: err}
 			continue
 		}

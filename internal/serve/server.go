@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"flumen"
-	"flumen/internal/fabric"
 	"flumen/internal/registry"
 	"flumen/internal/trace"
 )
@@ -58,20 +57,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Precision > 0 {
 		acc.SetPrecision(cfg.Precision)
-	}
-	if cfg.Fabric != nil {
-		fcfg := *cfg.Fabric
-		fcfg.Partitions = acc.NumPartitions()
-		if fcfg.Nodes == 0 {
-			fcfg.Nodes = acc.NumPartitions()
-		}
-		arb, err := fabric.New(fcfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := acc.AttachFabric(arb); err != nil {
-			return nil, err
-		}
 	}
 	if cfg.Health != nil {
 		if err := acc.EnableHealthMonitor(*cfg.Health); err != nil {
@@ -158,11 +143,6 @@ func (s *Server) Accelerator() *flumen.Accelerator { return s.acc }
 // go through the /v1/models API).
 func (s *Server) Registry() *registry.Registry { return s.reg }
 
-// Fabric returns the attached dynamic fabric arbiter, or nil when the
-// server runs with dedicated compute partitions. A NoP driver feeds it
-// per-cycle telemetry via Tick.
-func (s *Server) Fabric() *fabric.Arbiter { return s.acc.Fabric() }
-
 // Addr returns the bound listen address once Run has started.
 func (s *Server) Addr() string {
 	if s.lis == nil {
@@ -233,14 +213,16 @@ func (s *Server) Close() error {
 }
 
 // reqContext derives the request's execution context: the client connection
-// context bounded by the requested (clamped) or default timeout.
+// context bounded by the requested (clamped) or default timeout. The clamp
+// compares milliseconds before converting, since a timeout_ms past about
+// 9.2e12 overflows time.Duration.
 func (s *Server) reqContext(r *http.Request, timeoutMS int64) (context.Context, context.CancelFunc) {
 	d := s.cfg.DefaultTimeout
-	if timeoutMS > 0 {
+	switch {
+	case timeoutMS > s.cfg.MaxTimeout.Milliseconds():
+		d = s.cfg.MaxTimeout
+	case timeoutMS > 0:
 		d = time.Duration(timeoutMS) * time.Millisecond
-		if d > s.cfg.MaxTimeout {
-			d = s.cfg.MaxTimeout
-		}
 	}
 	return context.WithTimeout(r.Context(), d)
 }
@@ -285,24 +267,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		CacheEntries:   st.Cache.Entries,
 		CacheCapacity:  st.Cache.Capacity,
 		CachePinned:    st.Cache.Pinned,
-	}
-	if fs := st.Fabric; fs != nil {
-		snap.Fabric = &fabricSnapshot{
-			Mode:            int(fs.Mode),
-			ModeName:        fs.Mode.String(),
-			ActiveLeases:    fs.ActiveLeases,
-			FreePartitions:  fs.FreePartitions,
-			ModeTransitions: fs.ModeTransitions,
-			Granted:         fs.LeasesGranted,
-			Preempted:       fs.LeasesPreempted,
-			Reclaimed:       fs.LeasesReclaimed,
-			PreemptedItems:  fs.PreemptedItems,
-			StolenCycles:    fs.ComputeCyclesStolen,
-			SLOViolations:   fs.ReclaimSLOViolations,
-			LastReclaim:     fs.LastReclaimCycles,
-			MaxReclaim:      fs.MaxReclaimCycles,
-			InjectionRate:   fs.InjectionRate,
-		}
 	}
 	rs := s.reg.Stats()
 	snap.Registry = &registrySnapshot{
@@ -559,11 +523,8 @@ func (s *Server) admit(w http.ResponseWriter, j *job) bool {
 		s.met.observeAdmission(j.endpoint, outcomeRejected)
 		w.Header().Set("Retry-After", s.retryAfterSecs())
 		msg, code := "admission queue full, retry later", CodeQueueFull
-		switch {
-		case errors.Is(err, errDraining):
+		if errors.Is(err, errDraining) {
 			msg, code = "server draining", CodeDraining
-		case errors.Is(err, errNoCapacity):
-			msg, code = "fabric reclaimed for network traffic, retry later", CodeNoCapacity
 		}
 		s.answer(w, j.tr, j.endpoint, http.StatusServiceUnavailable, code, msg)
 		return false
@@ -585,12 +546,6 @@ func (s *Server) await(w http.ResponseWriter, r *http.Request, ctx context.Conte
 	case res.err == nil:
 		s.met.observeRequest(j.endpoint, elapsed, outcomeOK)
 		return res, true
-	case errors.Is(res.err, errNoCapacity):
-		// The fabric was reclaimed while the job waited in the queue and the
-		// executor shed it: same 503 backpressure as an admission-time shed.
-		s.met.observeRequest(j.endpoint, elapsed, outcomeShed)
-		w.Header().Set("Retry-After", s.retryAfterSecs())
-		s.answer(w, j.tr, j.endpoint, http.StatusServiceUnavailable, CodeNoCapacity, "fabric reclaimed for network traffic, retry later")
 	case errors.Is(res.err, context.DeadlineExceeded):
 		s.met.observeRequest(j.endpoint, elapsed, outcomeDeadline)
 		s.answer(w, j.tr, j.endpoint, http.StatusGatewayTimeout, CodeDeadline, "deadline exceeded")
