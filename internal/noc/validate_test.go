@@ -39,11 +39,13 @@ func TestElecRejectsMulticast(t *testing.T) {
 }
 
 func TestConstructorValidation(t *testing.T) {
+	NewOptBus(64, 8, 256) // a head set is one 64-bit word: 64 nodes fit
 	for _, bad := range []func(){
 		func() { NewRing(1, 560, 2) },
 		func() { NewMesh(1, 1, 320, 2) },
 		func() { NewOptBus(1, 2, 256) },
 		func() { NewOptBus(4, 0, 256) },
+		func() { NewOptBus(65, 8, 256) },
 		func() { NewMZIM(1, 256, 3) },
 		func() { NewWavefrontArbiter(0) },
 	} {

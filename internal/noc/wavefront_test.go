@@ -9,7 +9,7 @@ import (
 
 // arbitrateDense is the arbiter as it was before requests were bucketed by
 // wave: every cell of every wavefront is examined in order. It is the
-// oracle the mask-based Arbitrate is held to, grant for grant.
+// oracle the mask-based Arbitrate must match, grant for grant.
 func arbitrateDense(n, priority int, req [][]bool, busyRow, busyCol []bool) []int {
 	grants := make([]int, n)
 	for i := range grants {
