@@ -71,6 +71,101 @@ func TestBaselineRunGolden(t *testing.T) {
 	}
 }
 
+// checkGolden compares a whole Result with want, the arbiter snapshot field
+// by field.
+func checkGolden(t *testing.T, o Options, want Result, wantFabric *fabric.Stats) {
+	t.Helper()
+	res, err := Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := *res
+	got.Fabric = nil
+	if got != want {
+		t.Errorf("result moved:\n got %+v\nwant %+v", got, want)
+	}
+	switch {
+	case (res.Fabric == nil) != (wantFabric == nil):
+		t.Errorf("fabric stats %+v, want %+v", res.Fabric, wantFabric)
+	case wantFabric != nil && *res.Fabric != *wantFabric:
+		t.Errorf("fabric stats moved:\n got %+v\nwant %+v", *res.Fabric, *wantFabric)
+	}
+}
+
+// TestStepRunGolden pins the network-only Result with the load held at zero
+// until cycle 200, recorded before the harness ran on noc.RunSynthetic: no
+// generation draw before the step.
+func TestStepRunGolden(t *testing.T) {
+	o := shortOpts()
+	o.StepAt = 200
+	checkGolden(t, o, Result{
+		AvgLatency:    6.908485856905158,
+		P50Latency:    6,
+		P99Latency:    18,
+		MaxLatency:    27,
+		Delivered:     601,
+		ElapsedCycles: 2004,
+		SteadyState:   true,
+	}, nil)
+}
+
+// TestMixedRunGolden pins mixed Results, arbiter snapshot included, recorded
+// before the harness ran on noc.RunSynthetic: the step scenario, and
+// compute under constant load with the default fabric configuration.
+func TestMixedRunGolden(t *testing.T) {
+	t.Run("step", func(t *testing.T) {
+		checkGolden(t, stepOpts(), Result{
+			AvgLatency:    187.55079100749376,
+			P50Latency:    180,
+			P99Latency:    481,
+			MaxLatency:    507,
+			Delivered:     2402,
+			ElapsedCycles: 2404,
+			ComputeOps:    12,
+			SteadyState:   true,
+		}, &fabric.Stats{
+			Mode:                fabric.ModeTraffic,
+			Cycle:               2403,
+			Partitions:          4,
+			FreePartitions:      4,
+			ModeTransitions:     7,
+			LeasesGranted:       12,
+			LeasesPreempted:     4,
+			LeasesReclaimed:     4,
+			ComputeCyclesStolen: 8804,
+			LastReclaimCycles:   34,
+			MaxReclaimCycles:    34,
+		})
+	})
+	t.Run("constant", func(t *testing.T) {
+		o := shortOpts()
+		o.Fabric = &fabric.Config{}
+		checkGolden(t, o, Result{
+			AvgLatency:    6.83112582781457,
+			P50Latency:    6,
+			P99Latency:    18,
+			MaxLatency:    27,
+			Delivered:     604,
+			ElapsedCycles: 2009,
+			SteadyState:   true,
+		}, &fabric.Stats{
+			Mode:                fabric.ModeTraffic,
+			Cycle:               2008,
+			Partitions:          4,
+			FreePartitions:      4,
+			ModeTransitions:     3,
+			LeasesGranted:       4,
+			LeasesPreempted:     4,
+			LeasesReclaimed:     4,
+			PreemptedItems:      60,
+			ComputeCyclesStolen: 8032,
+			LastReclaimCycles:   16,
+			MaxReclaimCycles:    16,
+			InjectionRate:       0.060546875,
+		})
+	})
+}
+
 func TestMixedRunReclaimsAndComputes(t *testing.T) {
 	o := stepOpts()
 	res, err := Run(o)
