@@ -8,76 +8,117 @@
 //
 // Usage:
 //
-//	flumen-fabric [-pattern name] [-rates list] [-budget n] [-smoke]
+//	flumen-fabric [-pattern name] [-rates list] [-ports n] [-block n] [-budget n] [-step-rate r] [-smoke]
+//
+// Every flag is checked before any output; a bad one exits with status 2.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"math"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
+	"flumen"
 	"flumen/internal/core"
 	"flumen/internal/fabric"
 	"flumen/internal/fabricrun"
 	"flumen/internal/noc"
 )
 
-func main() {
-	patFlag := flag.String("pattern", "uniform", "traffic pattern (uniform | bitrev | shuffle | bitcomp | transpose | tornado | neighbor)")
-	ratesFlag := flag.String("rates", "0.005,0.01,0.02,0.04,0.08,0.12,0.20", "comma-separated offered loads (packets/node/cycle)")
-	ports := flag.Int("ports", 64, "fabric port count")
-	block := flag.Int("block", 8, "compute partition size")
-	budget := flag.Int("budget", 5000, "reclaim cycle-budget SLO")
-	stepRate := flag.Float64("step-rate", 0.4, "offered load for the idle→busy step scenario")
-	smoke := flag.Bool("smoke", false, "short CI smoke run: assert steady state, zero leaked leases, reclaim within budget")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	np := core.DefaultNetworkParams()
-	nodes := np.Nodes
-
-	if *smoke {
-		os.Exit(runSmoke(nodes, np))
+// run is the command: it parses and checks every flag before any output,
+// writes the report to stdout and returns the exit status (2 for a bad
+// flag, 1 for a failed run or smoke check).
+func run(args []string, stdout, stderr io.Writer) int {
+	nodes := core.DefaultNetworkParams().Nodes
+	patterns := noc.AllPatterns(nodes)
+	var names []string
+	for _, p := range patterns {
+		names = append(names, p.Name)
 	}
 
-	pat, ok := findPattern(*patFlag, nodes)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown pattern %q\n", *patFlag)
-		os.Exit(1)
+	fs := flag.NewFlagSet("flumen-fabric", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	patFlag := fs.String("pattern", "uniform", "traffic pattern ("+strings.Join(names, " | ")+")")
+	ratesFlag := fs.String("rates", "0.005,0.01,0.02,0.04,0.08,0.12,0.20", "comma-separated offered loads (packets/node/cycle)")
+	ports := fs.Int("ports", 64, "fabric port count")
+	block := fs.Int("block", 8, "compute partition size")
+	budget := fs.Int("budget", 5000, "reclaim cycle-budget SLO")
+	stepRate := fs.Float64("step-rate", 0.4, "offered load for the idle→busy step scenario")
+	smoke := fs.Bool("smoke", false, "short smoke run: assert steady state, zero leaked leases, reclaim within budget")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+
+	bad := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "flumen-fabric: "+format+"\n", a...)
+		return 2
+	}
+	var pat *noc.Pattern
+	for i := range patterns {
+		if patterns[i].Name == *patFlag {
+			pat = &patterns[i]
+			break
+		}
+	}
+	if pat == nil {
+		return bad("unknown -pattern %q; valid: %s", *patFlag, strings.Join(names, ", "))
 	}
 	rates, err := parseRates(*ratesFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return bad("%v", err)
+	}
+	if !validRate(*stepRate) {
+		return bad("-step-rate %v outside (0, 1]", *stepRate)
+	}
+	if *budget <= 0 {
+		return bad("-budget %d must be positive", *budget)
+	}
+	if *block <= 0 {
+		return bad("-block %d must be positive", *block)
+	}
+	if *ports / *block > nodes {
+		return bad("-ports %d / -block %d is %d partitions, more than the %d NoP nodes",
+			*ports, *block, *ports / *block, nodes)
+	}
+	if _, err := flumen.NewAccelerator(*ports, *block); err != nil {
+		return bad("-ports %d -block %d: %v", *ports, *block, err)
 	}
 
-	base := fabricrun.Options{
-		Ports: *ports, Block: *block, Nodes: nodes,
-		WidthBits: np.MZIMWidthBits, SetupCycles: np.MZIMSetupCycles,
-		Pattern: &pat,
+	if *smoke {
+		return runSmoke(stdout, stderr, nodes)
 	}
+
+	base := fabricrun.Options{Ports: *ports, Block: *block, Nodes: nodes, Pattern: pat}
 	fcfg := &fabric.Config{ReclaimBudget: *budget}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
 
-	fmt.Printf("=== Dynamic fabric: latency vs load, network-only vs mixed (pattern %s, %d nodes, %d partitions) ===\n",
+	fmt.Fprintf(stdout, "=== Dynamic fabric: latency vs load, network-only vs mixed (pattern %s, %d nodes, %d partitions) ===\n",
 		pat.Name, nodes, *ports / *block)
-	fmt.Printf("%-8s %10s %10s %12s %12s %8s %10s %9s\n",
+	fmt.Fprintf(stdout, "%-8s %10s %10s %12s %12s %8s %10s %9s\n",
 		"rate", "base p50", "mixed p50", "base p99", "mixed p99", "Δavg%", "computeOps", "reclaims")
 	for _, rate := range rates {
 		bo := base
 		bo.Rate = rate
 		baseline, err := fabricrun.Run(bo)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
 		mo := bo
 		mo.Fabric = fcfg
 		mixed, err := fabricrun.Run(mo)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
 		delta := 0.0
 		if baseline.AvgLatency > 0 {
@@ -87,12 +128,12 @@ func main() {
 		if baseline.Saturated || mixed.Saturated {
 			sat = " (saturated)"
 		}
-		fmt.Printf("%-8.3f %10d %10d %12d %12d %+7.1f%% %10d %9d%s\n",
+		fmt.Fprintf(stdout, "%-8.3f %10d %10d %12d %12d %+7.1f%% %10d %9d%s\n",
 			rate, baseline.P50Latency, mixed.P50Latency, baseline.P99Latency, mixed.P99Latency,
 			delta, mixed.ComputeOps, mixed.Fabric.LeasesReclaimed, sat)
 	}
 
-	fmt.Printf("\n=== Step scenario: idle → %.2f packets/node/cycle ===\n", *stepRate)
+	fmt.Fprintf(stdout, "\n=== Step scenario: idle → %.2f packets/node/cycle ===\n", *stepRate)
 	so := base
 	so.Rate = *stepRate
 	so.Fabric = fcfg
@@ -100,30 +141,29 @@ func main() {
 	so.Warmup = 4000
 	step, err := fabricrun.Run(so)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(err)
 	}
-	fs := step.Fabric
-	fmt.Printf("leases granted %d, preempted %d, reclaimed %d; preempted items %d\n",
-		fs.LeasesGranted, fs.LeasesPreempted, fs.LeasesReclaimed, fs.PreemptedItems)
-	fmt.Printf("reclaim latency: last %d cycles, max %d cycles (budget %d, violations %d)\n",
-		fs.LastReclaimCycles, fs.MaxReclaimCycles, *budget, fs.ReclaimSLOViolations)
-	fmt.Printf("compute ops during idle windows: %d; compute-cycles stolen by traffic: %d\n",
-		step.ComputeOps, fs.ComputeCyclesStolen)
+	st := step.Fabric
+	fmt.Fprintf(stdout, "leases granted %d, preempted %d, reclaimed %d; preempted items %d\n",
+		st.LeasesGranted, st.LeasesPreempted, st.LeasesReclaimed, st.PreemptedItems)
+	fmt.Fprintf(stdout, "reclaim latency: last %d cycles, max %d cycles (budget %d, violations %d)\n",
+		st.LastReclaimCycles, st.MaxReclaimCycles, *budget, st.ReclaimSLOViolations)
+	fmt.Fprintf(stdout, "compute ops during idle windows: %d; compute-cycles stolen by traffic: %d\n",
+		step.ComputeOps, st.ComputeCyclesStolen)
+	return 0
 }
 
-// runSmoke is the CI job: a short mixed sweep plus a step scenario, exiting
+// runSmoke is the -smoke check: a short mixed run plus a step scenario, exiting
 // non-zero unless the system reaches steady state with zero leaked leases
 // and reclaims in a nonzero number of cycles within budget.
-func runSmoke(nodes int, np core.NetworkParams) int {
+func runSmoke(stdout, stderr io.Writer, nodes int) int {
 	fail := func(format string, args ...any) int {
-		fmt.Fprintf(os.Stderr, "SMOKE FAIL: "+format+"\n", args...)
+		fmt.Fprintf(stderr, "SMOKE FAIL: "+format+"\n", args...)
 		return 1
 	}
 	fcfg := &fabric.Config{ReclaimBudget: 5000}
 	o := fabricrun.Options{
 		Ports: 32, Block: 8, Nodes: nodes,
-		WidthBits: np.MZIMWidthBits, SetupCycles: np.MZIMSetupCycles,
 		Rate:   0.05,
 		Warmup: 1000, Measure: 3000, Drain: 15000,
 		Fabric: fcfg,
@@ -167,28 +207,22 @@ func runSmoke(nodes int, np core.NetworkParams) int {
 	if step.ComputeOps == 0 {
 		return fail("no opportunistic compute completed")
 	}
-	fmt.Printf("SMOKE OK: %d grants, %d reclaims (max %d cycles ≤ budget %d), %d compute ops, 0 leaked leases\n",
+	fmt.Fprintf(stdout, "SMOKE OK: %d grants, %d reclaims (max %d cycles ≤ budget %d), %d compute ops, 0 leaked leases\n",
 		fs.LeasesGranted, fs.LeasesReclaimed, fs.MaxReclaimCycles, fcfg.ReclaimBudget, step.ComputeOps)
 	return 0
-}
-
-func findPattern(name string, nodes int) (noc.Pattern, bool) {
-	for _, p := range noc.AllPatterns(nodes) {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return noc.Pattern{}, false
 }
 
 func parseRates(s string) ([]float64, error) {
 	var rates []float64
 	for _, f := range strings.Split(s, ",") {
 		r, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil || r <= 0 || math.IsNaN(r) {
-			return nil, fmt.Errorf("bad rate %q", f)
+		if err != nil || !validRate(r) {
+			return nil, fmt.Errorf("bad -rates entry %q: want a load in (0, 1]", f)
 		}
 		rates = append(rates, r)
 	}
 	return rates, nil
 }
+
+// validRate reports whether r is an offered load in (0, 1] packets/node/cycle.
+func validRate(r float64) bool { return r > 0 && r <= 1 }

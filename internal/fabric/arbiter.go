@@ -1,16 +1,16 @@
 package fabric
 
-import "sync"
-
 // Arbiter owns the fabric's partition registry and multiplexes it between
-// NoP traffic and compute. All state is guarded by one mutex; TryAcquire
-// grants a free partition when the mode admits compute, and Tick — driven
-// once per simulated cycle by the NoP side — advances the idle-detector
-// state machine and marks outstanding leases preempted.
+// NoP traffic and compute. TryAcquire grants a free partition when the mode
+// admits compute, and Tick — driven once per simulated cycle by the NoP
+// side — advances the idle-detector state machine and marks outstanding
+// leases preempted.
+//
+// An Arbiter and its Leases are not safe for concurrent use: one loop
+// drives them, ticking, granting, checking preemption and releasing on one
+// goroutine in simulated time.
 type Arbiter struct {
 	cfg Config
-
-	mu sync.Mutex
 
 	mode  Mode
 	cycle int64
@@ -52,11 +52,7 @@ func (l *Lease) Partition() int { return l.part }
 
 // Preempted reports whether the arbiter has reclaimed the fabric since the
 // grant; holders check it between work items.
-func (l *Lease) Preempted() bool {
-	l.arb.mu.Lock()
-	defer l.arb.mu.Unlock()
-	return l.preempted
-}
+func (l *Lease) Preempted() bool { return l.preempted }
 
 // New builds an arbiter over cfg.Partitions partitions, starting in
 // ModeIdle (no traffic observed yet, no leases outstanding).
@@ -77,8 +73,6 @@ func New(cfg Config) (*Arbiter, error) {
 // partition when the fabric is in idle or compute mode, and refuses
 // otherwise. It never blocks; a refused caller asks again on a later cycle.
 func (a *Arbiter) TryAcquire() (*Lease, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if a.mode != ModeIdle && a.mode != ModeCompute {
 		return nil, false
 	}
@@ -97,12 +91,12 @@ func (a *Arbiter) TryAcquire() (*Lease, bool) {
 	a.active++
 	a.c.leasesGranted++
 	if a.mode == ModeIdle {
-		a.setModeLocked(ModeCompute)
+		a.setMode(ModeCompute)
 	}
 	return l, true
 }
 
-func (a *Arbiter) setModeLocked(m Mode) {
+func (a *Arbiter) setMode(m Mode) {
 	if a.mode == m {
 		return
 	}
@@ -116,8 +110,6 @@ func (a *Arbiter) setModeLocked(m Mode) {
 // returns the fabric to idle.
 func (l *Lease) Release() {
 	a := l.arb
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if a.leases[l.part] != l {
 		return
 	}
@@ -134,9 +126,9 @@ func (l *Lease) Release() {
 			if d > a.c.maxReclaimCycles {
 				a.c.maxReclaimCycles = d
 			}
-			a.setModeLocked(ModeTraffic)
+			a.setMode(ModeTraffic)
 		case ModeCompute:
-			a.setModeLocked(ModeIdle)
+			a.setMode(ModeIdle)
 		}
 	}
 }
@@ -147,18 +139,16 @@ func (l *Lease) Release() {
 // outstanding lease; idleness must persist MinIdleCycles before the fabric
 // is handed back.
 func (a *Arbiter) Tick(now int64, injected, occupancy int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	a.cycle = now
 	busy, idleRun := a.det.observe(injected, occupancy)
 	switch a.mode {
 	case ModeIdle:
 		if busy {
-			a.setModeLocked(ModeTraffic)
+			a.setMode(ModeTraffic)
 		}
 	case ModeCompute:
 		if busy {
-			a.setModeLocked(ModeReclaiming)
+			a.setMode(ModeReclaiming)
 			a.reclaimStart = now
 			a.reclaimOverrun = false
 			for _, l := range a.leases {
@@ -175,7 +165,7 @@ func (a *Arbiter) Tick(now int64, injected, occupancy int) {
 		}
 	case ModeTraffic:
 		if idleRun >= a.cfg.MinIdleCycles {
-			a.setModeLocked(ModeIdle)
+			a.setMode(ModeIdle)
 		}
 	}
 	if a.mode == ModeReclaiming || a.mode == ModeTraffic {
@@ -188,7 +178,5 @@ func (a *Arbiter) Tick(now int64, injected, occupancy int) {
 // NotePreemptedItems records n compute work items that were re-queued
 // because their partition's lease was preempted mid-job.
 func (a *Arbiter) NotePreemptedItems(n int) {
-	a.mu.Lock()
 	a.c.preemptedItems += int64(n)
-	a.mu.Unlock()
 }

@@ -1,7 +1,7 @@
 package fabric
 
 // Stats is a read-only snapshot of the arbiter's observable state and
-// counters, safe to take concurrently with grants, releases and ticks.
+// counters, taken between ticks by the loop that drives the arbiter.
 type Stats struct {
 	// Mode is the arbitration mode at snapshot time; Cycle the last cycle
 	// fed through Tick.
@@ -39,8 +39,6 @@ type Stats struct {
 // Stats returns a consistent snapshot of modes, lease occupancy and
 // counters.
 func (a *Arbiter) Stats() Stats {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	return Stats{
 		Mode:                 a.mode,
 		Cycle:                a.cycle,

@@ -1,19 +1,18 @@
 // Package fabricrun is the mixed-workload harness for the dynamic fabric
-// arbiter. One loop on one goroutine steps the cycle-accurate MZIM NoP
-// simulator, feeds its per-cycle telemetry to a fabric.Arbiter, and runs
-// opportunistic compute on the partitions the arbiter leases out whenever
-// the interconnect goes idle. Compute holds a lease for a number of
-// simulated cycles taken from core.SchedulerParams, and the real engine
-// computes each answer on the loop's goroutine, so a Result is a function
-// of its Options alone. The same loop with Fabric nil produces the
-// network-only baseline, so latency comparisons see identical
+// arbiter. It drives the cycle-accurate MZIM NoP with noc.RunSynthetic and,
+// through the run's OnCycle hook, feeds each cycle's telemetry to a
+// fabric.Arbiter and runs opportunistic compute on the partitions the
+// arbiter leases out whenever the interconnect goes idle. Compute holds a
+// lease for a number of simulated cycles taken from core.SchedulerParams,
+// and the real engine computes each answer on the run's goroutine, so a
+// Result is a function of its Options alone. The same run with Fabric nil
+// produces the network-only baseline, so latency comparisons see identical
 // packet-generation RNG draws.
 package fabricrun
 
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"flumen"
 	"flumen/internal/core"
@@ -21,28 +20,20 @@ import (
 	"flumen/internal/noc"
 )
 
-const (
-	// packetBits is the size of every NoP packet, payload and header.
-	packetBits = 640
-	// jobItems is the block items of one compute MatMul: its operands are
-	// 4·Block square, so (4·Block / Block)² = 16.
-	jobItems = 16
-)
+// jobItems is the block items of one compute MatMul: its operands are
+// 4·Block square, so (4·Block / Block)² = 16.
+const jobItems = 16
 
 // Options parameterizes one mixed-workload run.
 type Options struct {
 	// Ports and Block set the accelerator geometry (Ports/Block compute
 	// partitions). Nodes is the NoP endpoint count; partitions map
 	// one-to-one onto the first NumPartitions endpoint ports, which are
-	// withdrawn from the communication pool while under compute lease.
+	// withdrawn from the communication pool while under compute lease. The
+	// MZIM's width and setup cycles are core.DefaultNetworkParams()'s.
 	Ports int
 	Block int
 	Nodes int
-
-	// WidthBits and SetupCycles configure the MZIM NoP (defaults from the
-	// paper's Sec 4.1 parameters).
-	WidthBits   int
-	SetupCycles int64
 
 	// Rate is the offered load in packets/node/cycle; Pattern the traffic
 	// pattern (uniform by default).
@@ -63,8 +54,9 @@ type Options struct {
 
 	// StepAt, when positive, holds the offered load at zero until this
 	// cycle and then steps it to Rate — the idle→busy transition that
-	// exercises reclamation. Compute re-takes a lease in the cycle its
-	// predecessor finishes, so the step always lands on held leases.
+	// exercises reclamation. It must not lie past Warmup+Measure. Compute
+	// re-takes a lease in the cycle its predecessor finishes, so the step
+	// always lands on held leases.
 	StepAt int64
 }
 
@@ -77,12 +69,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Nodes == 0 {
 		o.Nodes = 16
-	}
-	if o.WidthBits == 0 {
-		o.WidthBits = 256
-	}
-	if o.SetupCycles == 0 {
-		o.SetupCycles = 3
 	}
 	if o.Warmup == 0 {
 		o.Warmup = 2000
@@ -113,7 +99,7 @@ type Result struct {
 
 	// ComputeOps counts the MatMuls compute completed; Fabric is the
 	// arbiter's final snapshot (nil for baseline runs). LeakedLeases is the
-	// number of leases still outstanding after the loop released those it
+	// number of leases still outstanding after the run released those it
 	// held — always zero for a correct arbiter. SteadyState reports that
 	// every measured packet was delivered.
 	ComputeOps   int64
@@ -122,121 +108,57 @@ type Result struct {
 	SteadyState  bool
 }
 
-// Run executes one mixed-workload simulation. Each cycle it generates and
-// injects packets, steps the network, ticks the arbiter with the cycle's
-// telemetry, and settles compute.
+// Run executes one mixed-workload simulation: noc.RunSynthetic generates,
+// injects and steps the traffic, and after every network step Run ticks
+// the arbiter with the cycle's telemetry and settles compute.
 func Run(o Options) (*Result, error) {
 	o = o.withDefaults()
+	if o.StepAt > o.Warmup+o.Measure {
+		return nil, fmt.Errorf("fabricrun: StepAt %d lies past the generation window (%d cycles)",
+			o.StepAt, o.Warmup+o.Measure)
+	}
 	pat := noc.Uniform(o.Nodes)
 	if o.Pattern != nil {
 		pat = *o.Pattern
 	}
-	net := noc.NewMZIM(o.Nodes, o.WidthBits, o.SetupCycles)
+	np := core.DefaultNetworkParams()
+	net := noc.NewMZIM(o.Nodes, np.MZIMWidthBits, np.MZIMSetupCycles)
+
+	cfg := noc.DefaultRunConfig()
+	cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = o.Warmup, o.Measure, o.Drain
+	cfg.Seed = o.Seed
+	cfg.StepAt = o.StepAt
 
 	var cmp *compute
+	var settleErr error
 	if o.Fabric != nil {
 		var err error
 		if cmp, err = newCompute(net, o); err != nil {
 			return nil, err
 		}
-	}
-
-	rng := rand.New(rand.NewSource(o.Seed))
-	srcQ := make([][]*noc.Packet, o.Nodes)
-	var nextID int64
-	var latSum, latMax int64
-	var deliveredMeasured int64
-	genStart := o.Warmup
-	genEnd := o.Warmup + o.Measure
-	measuredSet := make(map[int64]int64)
-	var latencies []int64
-	net.SetSink(func(p *noc.Packet, now int64) {
-		if gen, ok := measuredSet[p.ID]; ok {
-			lat := now - gen
-			latSum += lat
-			latencies = append(latencies, lat)
-			if lat > latMax {
-				latMax = lat
-			}
-			deliveredMeasured++
-			delete(measuredSet, p.ID)
-		}
-	})
-
-	total := o.Warmup + o.Measure + o.Drain
-	saturated := false
-	var cycle int64
-	for cycle = 0; cycle < total; cycle++ {
-		stepped := cycle >= o.StepAt
-		rate := o.Rate
-		if !stepped {
-			rate = 0
-		}
-		generating := cycle < genEnd
-		if generating && rate > 0 {
-			for s := 0; s < o.Nodes; s++ {
-				if rng.Float64() < rate {
-					p := &noc.Packet{
-						ID:   nextID,
-						Src:  s,
-						Dst:  pat.Dest(s, rng),
-						Bits: packetBits,
-					}
-					nextID++
-					if cycle >= genStart {
-						measuredSet[p.ID] = cycle
-					}
-					srcQ[s] = append(srcQ[s], p)
-				}
-			}
-		}
-		for s := 0; s < o.Nodes; s++ {
-			for len(srcQ[s]) > 0 && net.Inject(srcQ[s][0], cycle) {
-				srcQ[s] = srcQ[s][1:]
-			}
-			if len(srcQ[s]) > 1000 {
-				saturated = true
-			}
-		}
-		net.Step(cycle)
-		if cmp != nil {
+		cfg.OnCycle = func(now int64, _ noc.Network) {
 			inj, occ := net.CycleTelemetry()
-			cmp.arb.Tick(cycle, inj, occ)
-			if err := cmp.settle(cycle); err != nil {
-				return nil, err
+			cmp.arb.Tick(now, inj, occ)
+			if settleErr == nil {
+				settleErr = cmp.settle(now)
 			}
 		}
-		if stepped && !generating && len(measuredSet) == 0 {
-			cycle++
-			break
-		}
-	}
-	delivered := deliveredMeasured
-	if len(measuredSet) > 0 {
-		saturated = true
-		for _, gen := range measuredSet {
-			latSum += cycle - gen
-			latencies = append(latencies, cycle-gen)
-			deliveredMeasured++
-		}
 	}
 
+	rr := noc.RunSynthetic(net, pat, o.Rate, cfg)
+	if settleErr != nil {
+		return nil, settleErr
+	}
 	res := &Result{
-		MaxLatency:    latMax,
-		Delivered:     delivered,
-		Saturated:     saturated,
-		ElapsedCycles: cycle,
-		SteadyState:   len(measuredSet) == 0,
+		AvgLatency:    rr.AvgLatency,
+		P50Latency:    rr.P50Latency,
+		P99Latency:    rr.P99Latency,
+		MaxLatency:    rr.MaxLatency,
+		Delivered:     rr.MeasuredDelivered,
+		Saturated:     rr.Saturated,
+		ElapsedCycles: rr.ElapsedCycles,
+		SteadyState:   rr.Undelivered == 0,
 	}
-	if deliveredMeasured > 0 {
-		res.AvgLatency = float64(latSum) / float64(deliveredMeasured)
-	}
-	if len(latencies) > 0 {
-		sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-		res.P50Latency = latencies[len(latencies)/2]
-		res.P99Latency = latencies[len(latencies)*99/100]
-	}
-
 	if cmp != nil {
 		// Release what compute still holds before the final snapshot, so
 		// LeakedLeases counts genuinely stuck leases, not in-flight ones.
@@ -305,7 +227,7 @@ func newCompute(net *noc.MZIMNet, o Options) (*compute, error) {
 		return nil, err
 	}
 	// One worker: the harness holds the leases and the engine runs on the
-	// loop's goroutine from its own partition pool. Results do not depend on
+	// run's goroutine from its own partition pool. Results do not depend on
 	// which partition computes them, so the lease the harness holds and
 	// the partition the engine uses are interchangeable.
 	accel.SetWorkers(1)

@@ -252,3 +252,15 @@ func TestMixedRunBadGeometry(t *testing.T) {
 		t.Fatal("accepted more partitions than NoP ports")
 	}
 }
+
+func TestRunRejectsStepPastGeneration(t *testing.T) {
+	o := shortOpts()
+	o.StepAt = o.Warmup + o.Measure + 1 // the load would step after generation ends
+	if _, err := Run(o); err == nil {
+		t.Fatal("accepted a StepAt past Warmup+Measure")
+	}
+	o.StepAt--
+	if _, err := Run(o); err != nil {
+		t.Fatalf("StepAt at the end of generation: %v", err)
+	}
+}

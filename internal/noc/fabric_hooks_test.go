@@ -1,6 +1,9 @@
 package noc
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // Table-driven checks of the deterministic permutation patterns against
 // hand-computed destinations.
@@ -145,5 +148,56 @@ func TestRunSyntheticOnCycleHook(t *testing.T) {
 	if int64(injSeen) != res.Counters.InjectedPackets {
 		t.Fatalf("per-cycle telemetry saw %d injections, counters say %d",
 			injSeen, res.Counters.InjectedPackets)
+	}
+}
+
+// TestRunSyntheticStepAt holds the load at zero until StepAt: nothing is
+// injected before it, and the measured packets generated — counted by
+// replaying the generation draws from StepAt on, which only holds if none
+// was made before it — are each either delivered or left undelivered.
+func TestRunSyntheticStepAt(t *testing.T) {
+	const nodes = 8
+	pat := BitReversal(nodes) // draws nothing from the run's RNG
+	for _, c := range []struct {
+		name  string
+		rate  float64
+		drain int64
+	}{
+		{"drained", 0.05, 2000},
+		{"cut short", 0.9, 10},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := DefaultRunConfig()
+			cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 50, 200, c.drain
+			cfg.StepAt = 100
+			firstInjected := int64(-1)
+			cfg.OnCycle = func(now int64, net Network) {
+				if firstInjected < 0 && net.Counters().InjectedPackets > 0 {
+					firstInjected = now
+				}
+			}
+			res := RunSynthetic(NewMZIM(nodes, 256, 3), pat, c.rate, cfg)
+			genEnd := cfg.WarmupCycles + cfg.MeasureCycles
+			if firstInjected < cfg.StepAt || firstInjected >= genEnd {
+				t.Fatalf("first injection in cycle %d, want one in [%d, %d)", firstInjected, cfg.StepAt, genEnd)
+			}
+
+			rng := rand.New(rand.NewSource(cfg.Seed))
+			var measured int64
+			for cycle := cfg.StepAt; cycle < genEnd; cycle++ {
+				for s := 0; s < nodes; s++ {
+					if rng.Float64() < c.rate && cycle >= cfg.WarmupCycles {
+						measured++
+					}
+				}
+			}
+			if got := res.MeasuredDelivered + res.Undelivered; got != measured {
+				t.Fatalf("delivered %d + undelivered %d = %d, want the %d measured packets generated",
+					res.MeasuredDelivered, res.Undelivered, got, measured)
+			}
+			if (res.Undelivered > 0) != (c.drain < 100) || res.Saturated != (res.Undelivered > 0) {
+				t.Fatalf("drain %d left %d undelivered (saturated %v)", c.drain, res.Undelivered, res.Saturated)
+			}
+		})
 	}
 }

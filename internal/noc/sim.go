@@ -15,9 +15,15 @@ type RunConfig struct {
 	Seed          int64
 	ClockGHz      float64 // for Gbps conversions
 
+	// StepAt holds the offered load at zero until this cycle: no packet is
+	// generated, and no generation draw made, before it. fabricrun's
+	// idle→busy step scenario sets it; a sweep leaves it 0.
+	StepAt int64
+
 	// OnCycle, when set, is invoked after every network step with the cycle
-	// just simulated — the hook a fabric arbiter uses to sample per-cycle
-	// telemetry (injections, buffer occupancy) in lockstep with the run.
+	// just simulated. fabricrun.Run is its client: it samples the MZIM's
+	// per-cycle telemetry (injections, buffer occupancy), ticks a fabric
+	// arbiter with it and settles compute in lockstep with the run.
 	OnCycle func(now int64, net Network)
 }
 
@@ -50,6 +56,14 @@ type RunResult struct {
 	LinkUtilization float64
 	Counters        Counters
 	ElapsedCycles   int64
+
+	// MeasuredDelivered counts the measured packets that arrived, and
+	// Undelivered those still on their way when the run ended (charged at
+	// their age in the latencies). Both are left out of JSON: the NoP
+	// goldens and the benchmark's sim digests hash json.Marshal(RunResult),
+	// and a new marshalled field would move every digest.
+	MeasuredDelivered int64 `json:"-"`
+	Undelivered       int64 `json:"-"`
 }
 
 // String renders one sweep row.
@@ -107,7 +121,7 @@ func RunSynthetic(net Network, pat Pattern, injectRate float64, cfg RunConfig) R
 	var cycle int64
 	for cycle = 0; cycle < total; cycle++ {
 		generating := cycle < genEnd
-		if generating {
+		if generating && cycle >= cfg.StepAt {
 			for s := 0; s < n; s++ {
 				if rng.Float64() < injectRate {
 					p := &Packet{
@@ -155,16 +169,13 @@ func RunSynthetic(net Network, pat Pattern, injectRate float64, cfg RunConfig) R
 			if gen >= 0 {
 				latSum += cycle - gen
 				latencies = append(latencies, cycle-gen)
-				deliveredMeasured++
 			}
 		}
 	}
 	avg := 0.0
-	if deliveredMeasured > 0 {
-		avg = float64(latSum) / float64(deliveredMeasured)
-	}
 	var p50, p99 int64
 	if len(latencies) > 0 {
+		avg = float64(latSum) / float64(len(latencies))
 		slices.Sort(latencies)
 		p50 = latencies[len(latencies)/2]
 		p99 = latencies[len(latencies)*99/100]
@@ -185,6 +196,9 @@ func RunSynthetic(net Network, pat Pattern, injectRate float64, cfg RunConfig) R
 		LinkUtilization: c.LinkUtilization(cycle),
 		Counters:        c,
 		ElapsedCycles:   cycle,
+
+		MeasuredDelivered: deliveredMeasured,
+		Undelivered:       int64(outstanding),
 	}
 }
 
