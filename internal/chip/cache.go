@@ -28,20 +28,38 @@ type Cache struct {
 // NewCache builds a cache of the given capacity in bytes, associativity,
 // and line size (power of two).
 func NewCache(capacityBytes, ways, lineBytes int) *Cache {
+	a := newCacheArena(cacheLines(capacityBytes, ways, lineBytes))
+	return a.carve(capacityBytes, ways, lineBytes)
+}
+
+// cacheLines checks a cache geometry and returns its line count, sets ×
+// ways.
+func cacheLines(capacityBytes, ways, lineBytes int) int {
 	if capacityBytes <= 0 || ways <= 0 || lineBytes <= 0 || lineBytes&(lineBytes-1) != 0 {
 		panic(fmt.Sprintf("chip: invalid cache geometry cap=%d ways=%d line=%d", capacityBytes, ways, lineBytes))
 	}
-	lines := capacityBytes / lineBytes
-	sets := lines / ways
-	if sets == 0 {
-		sets = 1
-	}
-	c := &Cache{sets: sets, ways: ways}
+	return max(1, capacityBytes/lineBytes/ways) * ways
+}
+
+// cacheArena holds the tag and LRU arrays of a group of caches, zeroed;
+// carve hands them out from the front.
+type cacheArena struct {
+	tags []uint64
+	lru  []int64
+}
+
+func newCacheArena(lines int) *cacheArena {
+	return &cacheArena{tags: make([]uint64, lines), lru: make([]int64, lines)}
+}
+
+// carve builds an empty cache over the arena's next lines.
+func (a *cacheArena) carve(capacityBytes, ways, lineBytes int) *Cache {
+	n := cacheLines(capacityBytes, ways, lineBytes)
+	c := &Cache{sets: n / ways, ways: ways, tags: a.tags[:n:n], lruTick: a.lru[:n:n]}
 	for lb := lineBytes; lb > 1; lb >>= 1 {
 		c.lineBits++
 	}
-	c.tags = make([]uint64, sets*ways)
-	c.lruTick = make([]int64, sets*ways)
+	a.tags, a.lru = a.tags[n:], a.lru[n:]
 	return c
 }
 

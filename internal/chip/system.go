@@ -2,7 +2,9 @@ package chip
 
 import (
 	"fmt"
+	"sync"
 
+	"flumen/internal/fifo"
 	"flumen/internal/noc"
 )
 
@@ -89,14 +91,16 @@ type System struct {
 	net   noc.Network
 	cores []*coreState
 	l3    []*Cache
+	// arena backs every cache above; Run gives it back to arenas.
+	arena *cacheArena
 
 	handler OffloadHandler
 
 	now       int64
 	events    eventHeap
 	recurring []*recurringEvent
-	sendQ     []fifo[*noc.Packet] // per-node packets awaiting injection
-	mcFree    []int64             // per-memory-controller next-free cycle, by chiplet
+	sendQ     []fifo.Queue[*noc.Packet] // per-node packets awaiting injection
+	mcFree    []int64                   // per-memory-controller next-free cycle, by chiplet
 	inFlight  int
 
 	// Packets get consecutive IDs, so the delivery each one awaits sits at
@@ -104,7 +108,7 @@ type System struct {
 	// packets arrive.
 	pktID   int64
 	dlvBase int64
-	dlv     fifo[pending]
+	dlv     fifo.Queue[pending]
 	// Delivered packets, reused by send: a network keeps no reference to a
 	// packet it has handed to the sink.
 	freePkts []*noc.Packet
@@ -146,7 +150,6 @@ type coreState struct {
 	curValid bool
 	lineIdx  int
 
-	l1i *Cache
 	l1d *Cache
 	l2  *Cache
 
@@ -207,8 +210,33 @@ type recurringEvent struct {
 // never is later than any cycle a run reaches.
 const never = int64(1) << 62
 
+// arenas keeps the cache arrays of finished systems for the next ones:
+// NewSystem takes an arena, Run gives it back. A system's caches hold
+// 13 MB of tags and LRU ticks, which, allocated afresh, were 90 % of the
+// bytes a suite pass allocated.
+var arenas sync.Pool
+
+// takeArena returns a zeroed arena of the given line count, reusing a
+// pooled one when it has that size (one of another size is dropped).
+func takeArena(lines int) *cacheArena {
+	if a, ok := arenas.Get().(*cacheArena); ok && len(a.tags) == lines {
+		clear(a.tags)
+		clear(a.lru)
+		return a
+	}
+	return newCacheArena(lines)
+}
+
+// systemCacheLines is the line count of a system's caches: each core's L1d
+// and L2, each chiplet's L3 slice.
+func systemCacheLines(cfg Config) int {
+	perCore := cacheLines(cfg.L1Bytes, cfg.L1Ways, cfg.LineBytes) + cacheLines(cfg.L2Bytes, cfg.L2Ways, cfg.LineBytes)
+	return cfg.Cores*perCore + cfg.Chiplets*cacheLines(cfg.L3SliceBytes, cfg.L3Ways, cfg.LineBytes)
+}
+
 // NewSystem builds a system over the given network. The network must have
-// one endpoint per chiplet.
+// one endpoint per chiplet. Its caches are carved out of one pooled arena,
+// which Run returns.
 func NewSystem(cfg Config, net noc.Network) *System {
 	if cfg.Cores%cfg.Chiplets != 0 {
 		panic("chip: cores must divide evenly across chiplets")
@@ -219,8 +247,9 @@ func NewSystem(cfg Config, net noc.Network) *System {
 	s := &System{
 		cfg:    cfg,
 		net:    net,
+		arena:  takeArena(systemCacheLines(cfg)),
 		mcFree: make([]int64, cfg.Chiplets),
-		sendQ:  make([]fifo[*noc.Packet], cfg.Chiplets),
+		sendQ:  make([]fifo.Queue[*noc.Packet], cfg.Chiplets),
 	}
 	if cfg.CyclesPerMAC < 1 {
 		s.cfg.CyclesPerMAC = 1
@@ -229,14 +258,14 @@ func NewSystem(cfg Config, net noc.Network) *System {
 		s.cfg.DRAMServiceCycles = 1
 	}
 	perChiplet := cfg.Cores / cfg.Chiplets
+	rest := *s.arena // carved from the front
 	for id := 0; id < cfg.Cores; id++ {
 		c := &coreState{
 			id:      id,
 			chiplet: id / perChiplet,
 			stream:  EmptyStream{},
-			l1i:     NewCache(cfg.L1Bytes, cfg.L1Ways, cfg.LineBytes),
-			l1d:     NewCache(cfg.L1Bytes, cfg.L1Ways, cfg.LineBytes),
-			l2:      NewCache(cfg.L2Bytes, cfg.L2Ways, cfg.LineBytes),
+			l1d:     rest.carve(cfg.L1Bytes, cfg.L1Ways, cfg.LineBytes),
+			l2:      rest.carve(cfg.L2Bytes, cfg.L2Ways, cfg.LineBytes),
 		}
 		c.offloadDone = func() {
 			c.offload = false
@@ -248,7 +277,7 @@ func NewSystem(cfg Config, net noc.Network) *System {
 		s.cores = append(s.cores, c)
 	}
 	for ch := 0; ch < cfg.Chiplets; ch++ {
-		s.l3 = append(s.l3, NewCache(cfg.L3SliceBytes, cfg.L3Ways, cfg.LineBytes))
+		s.l3 = append(s.l3, rest.carve(cfg.L3SliceBytes, cfg.L3Ways, cfg.LineBytes))
 	}
 	s.running = len(s.cores)
 	net.SetSink(s.onDeliver)
@@ -310,9 +339,9 @@ func (s *System) send(src, dst, bits int, what delivery, t int32) {
 		p = new(noc.Packet)
 	}
 	*p = noc.Packet{ID: s.pktID, Src: src, Dst: dst, Bits: bits}
-	s.sendQ[src].push(p)
+	s.sendQ[src].Push(p)
 	s.pktID++
-	s.dlv.push(pending{what: what, txn: t})
+	s.dlv.Push(pending{what: what, txn: t})
 	s.inFlight++
 }
 
@@ -320,11 +349,11 @@ func (s *System) send(src, dst, bits int, what delivery, t int32) {
 func (s *System) onDeliver(p *noc.Packet, now int64) {
 	s.inFlight--
 	s.freePkts = append(s.freePkts, p)
-	d := s.dlv.at(int(p.ID - s.dlvBase))
+	d := s.dlv.At(int(p.ID - s.dlvBase))
 	what, t := d.what, d.txn
 	d.what = dlvDelivered
-	for s.dlv.len() > 0 && s.dlv.at(0).what == dlvDelivered {
-		s.dlv.pop()
+	for s.dlv.Len() > 0 && s.dlv.At(0).what == dlvDelivered {
+		s.dlv.Pop()
 		s.dlvBase++
 	}
 	switch what {
@@ -361,6 +390,9 @@ func (s *System) fire(e event) {
 }
 
 // Run executes all op streams to completion and returns the statistics.
+// It hands the cache arena back to the pool and drops the system's caches,
+// so a system runs once: any later use of its caches panics rather than
+// read lines another system has since written.
 func (s *System) Run() Stats {
 	for s.running > 0 || s.inFlight > 0 || len(s.events) > 0 {
 		if s.now >= s.cfg.MaxCycles {
@@ -385,15 +417,22 @@ func (s *System) Run() Stats {
 		}
 		for node := range s.sendQ {
 			q := &s.sendQ[node]
-			for q.len() > 0 && s.net.Inject(*q.at(0), s.now) {
-				q.pop()
+			for q.Len() > 0 && s.net.Inject(*q.At(0), s.now) {
+				q.Pop()
 			}
 		}
 		s.net.Step(s.now)
 		s.sampleUtilization()
 		s.fastForward()
 	}
-	return s.collect()
+	st := s.collect()
+	for _, c := range s.cores {
+		c.l1d, c.l2 = nil, nil
+	}
+	s.l3 = nil
+	arenas.Put(s.arena)
+	s.arena = nil
+	return st
 }
 
 // fastForward jumps over quiescent stretches: no packets in flight or
@@ -464,8 +503,7 @@ func (s *System) stepCore(c *coreState) {
 			c.cur = op
 			c.curValid = true
 			c.lineIdx = 0
-			c.l1iAccesses++
-			c.l1i.Access(uint64(c.id)<<40 | uint64(c.l1iAccesses%512)<<6)
+			c.l1iAccesses++ // an instruction fetch, counted as an L1i hit
 		}
 		s.execOp(c)
 	}

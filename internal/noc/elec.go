@@ -3,6 +3,8 @@ package noc
 import (
 	"fmt"
 	"math/bits"
+
+	"flumen/internal/fifo"
 )
 
 // elecNet is an input-queued, credit-based virtual cut-through electrical
@@ -22,7 +24,7 @@ type elecNet struct {
 	// route[cur*nodes+dst] is the link to take from cur toward dst, or -1
 	// for local delivery.
 	route   []int
-	injectQ []fifo[*Packet]
+	injectQ []fifo.Queue[*Packet]
 	feeders [][]feeder // per node: its injection queue, then each incoming link's buffer
 
 	// Occupancy, kept at every move so that Step visits only the links
@@ -61,7 +63,7 @@ func firstFrom(mask uint64, from int) int {
 // feeder is a candidate packet source at a router: the injection queue
 // (link -1) or the input buffer of an incoming link.
 type feeder struct {
-	q    *fifo[*Packet]
+	q    *fifo.Queue[*Packet]
 	link int
 }
 
@@ -70,11 +72,11 @@ type elecLink struct {
 	slot      int // index of this link's buffer in feeders[to]
 	busyUntil int64
 	credits   int
-	queue     fifo[*Packet] // input buffer at the downstream router
+	queue     fifo.Queue[*Packet] // input buffer at the downstream router
 	// arrivals holds the packets on the wire. A link serialises its sends
 	// (busyUntil), so they land in the order they left: only the head can
 	// be due.
-	arrivals fifo[arrival]
+	arrivals fifo.Queue[arrival]
 	rrPtr    int // round-robin over upstream feeder queues
 }
 
@@ -87,7 +89,7 @@ func newElecNet(name string, nodes, widthBits, bufPkts, injectCap int, routerLat
 	return &elecNet{
 		name: name, nodes: nodes, widthBits: widthBits, bufPkts: bufPkts,
 		routerLatency: routerLatency, injectCap: injectCap,
-		injectQ: make([]fifo[*Packet], nodes),
+		injectQ: make([]fifo.Queue[*Packet], nodes),
 	}
 }
 
@@ -145,15 +147,15 @@ func (n *elecNet) wantHead(node, slot int, p *Packet) {
 
 // popHead takes the head of feeder slot q of router node, withdraws its
 // want and records the want of the head it exposes.
-func (n *elecNet) popHead(node, slot int, q *fifo[*Packet]) *Packet {
-	p := q.pop()
+func (n *elecNet) popHead(node, slot int, q *fifo.Queue[*Packet]) *Packet {
+	p := q.Pop()
 	if li := n.route[node*n.nodes+p.Dst]; li >= 0 {
 		if n.want[li] &^= 1 << uint(slot); n.want[li] == 0 {
 			n.wanted.remove(li)
 		}
 	}
-	if q.len() > 0 {
-		n.wantHead(node, slot, q.at(0))
+	if q.Len() > 0 {
+		n.wantHead(node, slot, *q.At(0))
 	}
 	return p
 }
@@ -163,12 +165,12 @@ func (n *elecNet) Inject(p *Packet, now int64) bool {
 	if p.Multicast != nil {
 		panic("noc: electrical networks replicate multicast at the source; expand before injecting")
 	}
-	if n.injectQ[p.Src].len() >= n.injectCap {
+	if n.injectQ[p.Src].Len() >= n.injectCap {
 		return false
 	}
 	p.InjectCycle = now
 	q := &n.injectQ[p.Src]
-	if q.push(p); q.len() == 1 {
+	if q.Push(p); q.Len() == 1 {
 		n.wantHead(p.Src, 0, p)
 	}
 	n.counters.InjectedPackets++
@@ -191,14 +193,14 @@ func (n *elecNet) Step(now int64) {
 		for ; w != 0; w &= w - 1 {
 			li := wi<<6 | bits.TrailingZeros64(w)
 			l := &n.links[li]
-			for l.arrivals.len() > 0 && l.arrivals.at(0).at <= now {
-				p := l.arrivals.pop().p
-				if l.queue.push(p); l.queue.len() == 1 {
+			for l.arrivals.Len() > 0 && l.arrivals.At(0).at <= now {
+				p := l.arrivals.Pop().p
+				if l.queue.Push(p); l.queue.Len() == 1 {
 					n.wantHead(l.to, l.slot, p)
 				}
 				n.buffered.add(li)
 			}
-			if l.arrivals.len() == 0 {
+			if l.arrivals.Len() == 0 {
 				n.wired.remove(li)
 			}
 		}
@@ -206,7 +208,7 @@ func (n *elecNet) Step(now int64) {
 	// 2. Eject packets that have reached their destination: injection
 	// queue heads destined to self, then link buffer heads.
 	for node := range n.injectQ {
-		if q := &n.injectQ[node]; q.len() > 0 && q.at(0).Dst == node {
+		if q := &n.injectQ[node]; q.Len() > 0 && (*q.At(0)).Dst == node {
 			n.deliver(n.popHead(node, 0, q), now)
 		}
 	}
@@ -214,11 +216,11 @@ func (n *elecNet) Step(now int64) {
 		for ; w != 0; w &= w - 1 {
 			li := wi<<6 | bits.TrailingZeros64(w)
 			l := &n.links[li]
-			if l.queue.at(0).Dst != l.to {
+			if (*l.queue.At(0)).Dst != l.to {
 				continue
 			}
 			p := n.popHead(l.to, l.slot, &l.queue)
-			if l.queue.len() == 0 {
+			if l.queue.Len() == 0 {
 				n.buffered.remove(li)
 			}
 			l.credits++
@@ -260,14 +262,14 @@ func (n *elecNet) transmit(li int, l *elecLink, now int64) {
 	if f.link >= 0 {
 		// Free the slot in the buffer the packet came from.
 		n.links[f.link].credits++
-		if f.q.len() == 0 {
+		if f.q.Len() == 0 {
 			n.buffered.remove(f.link)
 		}
 	}
 	ser := serCycles(p.Bits, n.widthBits)
 	l.busyUntil = now + ser
 	l.credits--
-	l.arrivals.push(arrival{p: p, at: now + ser + n.routerLatency})
+	l.arrivals.Push(arrival{p: p, at: now + ser + n.routerLatency})
 	n.wired.add(li)
 	n.counters.BitHops += int64(p.Bits)
 	n.counters.LinkBusyCycles += ser

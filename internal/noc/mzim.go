@@ -3,6 +3,8 @@ package noc
 import (
 	"fmt"
 	"math/bits"
+
+	"flumen/internal/fifo"
 )
 
 // MZIMNet models the Flumen photonic fabric as a NoP: a non-blocking
@@ -18,7 +20,7 @@ type MZIMNet struct {
 	setupCycles int64
 	bufCap      int
 
-	queues []fifo[*Packet]
+	queues []fifo.Queue[*Packet]
 	arb    *WavefrontArbiter
 	conns  []mzimConn
 	rrMC   int
@@ -69,7 +71,7 @@ func NewMZIM(nodes, widthBits int, setupCycles int64) *MZIMNet {
 	return &MZIMNet{
 		nodes: nodes, widthBits: widthBits, setupCycles: setupCycles,
 		bufCap:    16,
-		queues:    make([]fifo[*Packet], nodes),
+		queues:    make([]fifo.Queue[*Packet], nodes),
 		arb:       arb,
 		conns:     make([]mzimConn, nodes),
 		portOK:    arb.ports,
@@ -120,7 +122,7 @@ func (m *MZIMNet) SetPortAvailable(port int, ok bool) {
 func (m *MZIMNet) BufferOccupancy(buf []int) []int {
 	buf = buf[:0]
 	for i := range m.queues {
-		buf = append(buf, m.queues[i].len())
+		buf = append(buf, m.queues[i].Len())
 	}
 	return buf
 }
@@ -131,11 +133,11 @@ func (m *MZIMNet) BufferCapacity() int { return m.bufCap }
 func (m *MZIMNet) Inject(p *Packet, now int64) bool {
 	validatePacket(p, m.nodes)
 	q := &m.queues[p.Src]
-	if q.len() >= m.bufCap {
+	if q.Len() >= m.bufCap {
 		return false
 	}
 	p.InjectCycle = now
-	q.push(p)
+	q.Push(p)
 	m.nonEmpty |= 1 << uint(p.Src)
 	m.queued++
 	if p.Multicast != nil {
@@ -173,8 +175,8 @@ func dstMask(p *Packet) uint64 {
 // p.Multicast must not change while p is in the network.
 func (m *MZIMNet) connect(s, k int, now int64) {
 	q := &m.queues[s]
-	p := q.remove(k)
-	if q.len() == 0 {
+	p := q.Remove(k)
+	if q.Len() == 0 {
 		m.nonEmpty &^= 1 << uint(s)
 	}
 	m.queued--
@@ -241,7 +243,7 @@ func (m *MZIMNet) Step(now int64) {
 			if (m.nonEmpty&m.portOK&^m.sending)>>uint(s)&1 == 0 {
 				continue
 			}
-			p := m.queues[s].at(0)
+			p := *m.queues[s].At(0)
 			if p.Multicast == nil {
 				continue
 			}
@@ -262,8 +264,8 @@ func (m *MZIMNet) Step(now int64) {
 		s := bits.TrailingZeros64(rest)
 		q := &m.queues[s]
 		var row uint64
-		for k := 0; k < m.lookahead && k < q.len(); k++ {
-			p := q.at(k)
+		for k := 0; k < m.lookahead && k < q.Len(); k++ {
+			p := *q.At(k)
 			if p.Multicast != nil {
 				// A multicast head waits for its destinations to free
 				// up; one further back is not reordered around.
@@ -286,8 +288,8 @@ func (m *MZIMNet) Step(now int64) {
 			continue
 		}
 		q := &m.queues[s]
-		for k := 0; k < m.lookahead && k < q.len(); k++ {
-			if p := q.at(k); p.Dst == d && p.Multicast == nil {
+		for k := 0; k < m.lookahead && k < q.Len(); k++ {
+			if p := *q.At(k); p.Dst == d && p.Multicast == nil {
 				m.connect(s, k, now)
 				break
 			}

@@ -31,12 +31,18 @@ type Network interface {
 	Nodes() int
 	// Inject offers a packet at its source node's injection queue at the
 	// current cycle; it returns false when the injection queue is full
-	// (the caller retries later, modelling source queueing).
+	// (the caller retries later, modelling source queueing). A refused
+	// packet is the caller's again at once: the network keeps no
+	// reference to it.
 	Inject(p *Packet, now int64) bool
 	// Step advances the network one cycle; delivered packets are passed to
 	// the sink callback with their receive cycle set.
 	Step(now int64)
-	// SetSink registers the delivery callback.
+	// SetSink registers the delivery callback. Once the network has handed
+	// a packet to the sink it keeps no reference to it and never reads or
+	// writes it again, so the receiver may reuse it for a later Inject:
+	// chip.System and RunSynthetic both do. A multicast is delivered as
+	// one fresh copy per destination.
 	SetSink(func(p *Packet, now int64))
 	// Counters returns the accumulated event counters.
 	Counters() Counters

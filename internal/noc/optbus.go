@@ -1,5 +1,7 @@
 package noc
 
+import "flumen/internal/fifo"
+
 // optBus models the shared-waveguide optical bus topology (Fig. 10c) as a
 // multiple-writer single-reader (MWSR) design: each receiving endpoint owns
 // a home wavelength-group channel on the circular waveguide (nodes share
@@ -16,9 +18,9 @@ type optBus struct {
 	propCycles int64
 	injectCap  int
 
-	queues []fifo[*Packet] // per-node FIFO awaiting a channel
-	queued int             // packets in queues (skip the grant scan when zero)
-	busy   []int64         // per channel: cycle at which it frees
+	queues []fifo.Queue[*Packet] // per-node FIFO awaiting a channel
+	queued int                   // packets in queues (skip the grant scan when zero)
+	busy   []int64               // per channel: cycle at which it frees
 	// Head sets, one bit per node, kept where a head changes (wantHead,
 	// popHead): want[ch] holds the nodes whose unicast head has home
 	// channel ch, mcHeads those whose head is a multicast, which may take
@@ -52,7 +54,7 @@ func NewOptBus(nodes, channels, widthBits int) Network {
 		// Waveguide propagation plus the shared-medium arbitration round
 		// trip (token/grant on the arbitration waveguide).
 		propCycles: 4, injectCap: 16,
-		queues: make([]fifo[*Packet], nodes),
+		queues: make([]fifo.Queue[*Packet], nodes),
 		busy:   make([]int64, channels),
 		want:   make([]uint64, channels),
 	}
@@ -70,12 +72,12 @@ func (b *optBus) Counters() Counters {
 
 func (b *optBus) Inject(p *Packet, now int64) bool {
 	validatePacket(p, b.nodes)
-	if b.queues[p.Src].len() >= b.injectCap {
+	if b.queues[p.Src].Len() >= b.injectCap {
 		return false
 	}
 	p.InjectCycle = now
 	q := &b.queues[p.Src]
-	if q.push(p); q.len() == 1 {
+	if q.Push(p); q.Len() == 1 {
 		b.wantHead(p.Src, p)
 	}
 	b.queued++
@@ -100,14 +102,14 @@ func (b *optBus) wantHead(node int, p *Packet) {
 // set, and records the head it exposes.
 func (b *optBus) popHead(node int) *Packet {
 	q := &b.queues[node]
-	p := q.pop()
+	p := q.Pop()
 	if p.Multicast != nil {
 		b.mcHeads &^= 1 << uint(node)
 	} else {
 		b.want[b.homeChannel(p.Dst)] &^= 1 << uint(node)
 	}
-	if q.len() > 0 {
-		b.wantHead(node, q.at(0))
+	if q.Len() > 0 {
+		b.wantHead(node, *q.At(0))
 	}
 	return p
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+
+	"flumen/internal/fifo"
 )
 
 // RunConfig parameterizes a synthetic-traffic run.
@@ -23,7 +25,10 @@ type RunConfig struct {
 	// OnCycle, when set, is invoked after every network step with the cycle
 	// just simulated. fabricrun.Run is its client: it samples the MZIM's
 	// per-cycle telemetry (injections, buffer occupancy), ticks a fabric
-	// arbiter with it and settles compute in lockstep with the run.
+	// arbiter with it and settles compute in lockstep with the run. A
+	// packet the hook injects must carry a negative ID: RunSynthetic
+	// measures and reuses the packets it numbered from 0, and leaves the
+	// others alone.
 	OnCycle func(now int64, net Network)
 }
 
@@ -76,14 +81,27 @@ func (r RunResult) String() string {
 		r.Topology, r.PatternName, r.OfferedGbps, r.AvgLatency, 100*r.LinkUtilization, sat)
 }
 
+// waiting is a generated packet in its source queue.
+type waiting struct {
+	id  int64
+	dst int
+}
+
 // RunSynthetic drives a network with Bernoulli packet generation at
 // injectRate packets/node/cycle under the given pattern and reports average
 // packet latency over the measurement window. Saturation is reported when
 // source queues grow without bound or measured packets fail to drain.
+//
+// It generates unicast packets only, numbered from 0, and pays for the
+// packets in flight, not for the backlog: a source queue holds each
+// waiting packet's ID and destination, a Packet is filled when its source
+// offers it to Inject, and a delivered packet is reused for a later one
+// (the network keeps no reference to it; see Network.SetSink).
 func RunSynthetic(net Network, pat Pattern, injectRate float64, cfg RunConfig) RunResult {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := net.Nodes()
-	srcQ := make([]fifo[*Packet], n) // unbounded source-side queues
+	srcQ := make([]fifo.Queue[waiting], n) // unbounded source-side queues
+	var free []*Packet                     // delivered packets, refilled by injection
 	var nextID int64
 	var deliveredMeasured int64
 	var latSum, latMax int64
@@ -100,6 +118,10 @@ func RunSynthetic(net Network, pat Pattern, injectRate float64, cfg RunConfig) R
 	var firstMeasured int64
 	outstanding := 0
 	net.SetSink(func(p *Packet, now int64) {
+		if p.ID < 0 {
+			return // an OnCycle hook's packet: neither measured nor reused
+		}
+		free = append(free, p)
 		i := p.ID - firstMeasured
 		if i < 0 || i >= int64(len(genCycle)) || genCycle[i] < 0 {
 			return
@@ -124,31 +146,36 @@ func RunSynthetic(net Network, pat Pattern, injectRate float64, cfg RunConfig) R
 		if generating && cycle >= cfg.StepAt {
 			for s := 0; s < n; s++ {
 				if rng.Float64() < injectRate {
-					p := &Packet{
-						ID:   nextID,
-						Src:  s,
-						Dst:  pat.Dest(s, rng),
-						Bits: cfg.PacketBits,
-					}
+					w := waiting{id: nextID, dst: pat.Dest(s, rng)}
 					nextID++
 					if cycle >= genStart {
 						if len(genCycle) == 0 {
-							firstMeasured = p.ID
+							firstMeasured = w.id
 						}
 						genCycle = append(genCycle, cycle)
 						outstanding++
 					}
-					srcQ[s].push(p)
+					srcQ[s].Push(w)
 				}
 			}
 		}
-		// Drain source queues into the network.
+		// Drain source queues into the network. The packet offered stays
+		// on the free list until Inject takes it.
 		for s := 0; s < n; s++ {
 			q := &srcQ[s]
-			for q.len() > 0 && net.Inject(q.at(0), cycle) {
-				q.pop()
+			for q.Len() > 0 {
+				if len(free) == 0 {
+					free = append(free, new(Packet))
+				}
+				p, w := free[len(free)-1], q.At(0)
+				*p = Packet{ID: w.id, Src: s, Dst: w.dst, Bits: cfg.PacketBits}
+				if !net.Inject(p, cycle) {
+					break
+				}
+				free = free[:len(free)-1]
+				q.Pop()
 			}
-			if q.len() > 1000 {
+			if q.Len() > 1000 {
 				saturated = true
 			}
 		}

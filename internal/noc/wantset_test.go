@@ -26,10 +26,10 @@ func checkWantSets(t *testing.T, net Network, call int) {
 		wanted := make(linkSet, len(n.wanted))
 		for v, fs := range n.feeders {
 			for slot, f := range fs {
-				if f.q.len() == 0 {
+				if f.q.Len() == 0 {
 					continue
 				}
-				if li := n.route[v*n.nodes+f.q.at(0).Dst]; li >= 0 {
+				if li := n.route[v*n.nodes+(*f.q.At(0)).Dst]; li >= 0 {
 					want[li] |= 1 << uint(slot)
 					wanted.add(li)
 				}
@@ -44,10 +44,10 @@ func checkWantSets(t *testing.T, net Network, call int) {
 		queued := 0
 		for node := range n.queues {
 			q := &n.queues[node]
-			if queued += q.len(); q.len() == 0 {
+			if queued += q.Len(); q.Len() == 0 {
 				continue
 			}
-			if p := q.at(0); p.Multicast != nil {
+			if p := *q.At(0); p.Multicast != nil {
 				mcHeads |= 1 << uint(node)
 			} else {
 				want[n.homeChannel(p.Dst)] |= 1 << uint(node)
