@@ -159,7 +159,7 @@ func (rt *Router) handleModelList(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	w.Header().Set("Retry-After", rt.retryAfterSecs())
+	w.Header().Set("Retry-After", serve.RetryAfterSecs(rt.cfg.RetryAfter))
 	rt.answerError(w, "models", start, nil, http.StatusServiceUnavailable, "no healthy backend available, retry later")
 }
 

@@ -7,32 +7,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"flumen/internal/serve"
 )
-
-// Regression: the router's Retry-After helper duplicated the serve-side
-// bug — Round where the docs promise "rounded up".
-func TestRouterRetryAfterSecsCeil(t *testing.T) {
-	cases := []struct {
-		d    time.Duration
-		want string
-	}{
-		{0, "1"},
-		{100 * time.Millisecond, "1"},
-		{time.Second, "1"},
-		{1400 * time.Millisecond, "2"}, // Round would say "1"
-		{2 * time.Second, "2"},
-		{2500 * time.Millisecond, "3"},
-	}
-	for _, c := range cases {
-		rt := &Router{cfg: Config{RetryAfter: c.d}}
-		if got := rt.retryAfterSecs(); got != c.want {
-			t.Errorf("retryAfterSecs(%v) = %q, want %q", c.d, got, c.want)
-		}
-	}
-}
 
 // Regression: a backend's 504 for a request the client itself cancelled
 // used to count as a backend failure — one impatient client per

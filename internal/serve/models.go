@@ -52,11 +52,11 @@ func (s *Server) handleModelRegister(w http.ResponseWriter, r *http.Request) {
 	if created {
 		status = http.StatusCreated
 	}
-	writeJSON(w, status, ModelRegisterResponse{Model: modelInfo(m), Created: created})
+	WriteJSON(w, status, ModelRegisterResponse{Model: modelInfo(m), Created: created})
 }
 
 func (s *Server) handleModelList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, ModelListResponse{Models: s.reg.List()})
+	WriteJSON(w, http.StatusOK, ModelListResponse{Models: s.reg.List()})
 }
 
 func (s *Server) handleModelDelete(w http.ResponseWriter, r *http.Request) {
@@ -66,7 +66,7 @@ func (s *Server) handleModelDelete(w http.ResponseWriter, r *http.Request) {
 		writeErrorCode(w, status, code, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"removed": ref})
+	WriteJSON(w, http.StatusOK, map[string]string{"removed": ref})
 }
 
 // resolveModel looks up a by-reference model for a compute endpoint,

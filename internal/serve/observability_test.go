@@ -67,9 +67,8 @@ func TestRetryAfterSecsCeil(t *testing.T) {
 		{2600 * time.Millisecond, "3"},
 	}
 	for _, c := range cases {
-		s := &Server{cfg: Config{RetryAfter: c.d}}
-		if got := s.retryAfterSecs(); got != c.want {
-			t.Errorf("retryAfterSecs(%v) = %q, want %q", c.d, got, c.want)
+		if got := RetryAfterSecs(c.d); got != c.want {
+			t.Errorf("RetryAfterSecs(%v) = %q, want %q", c.d, got, c.want)
 		}
 	}
 }

@@ -71,5 +71,5 @@ func (s *Server) reject(w http.ResponseWriter, tr *trace.Trace, endpoint string,
 // mounted: with tracing off the ring only holds header-opted requests, and
 // an empty ring answers [].
 func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.ring.Snapshot())
+	WriteJSON(w, http.StatusOK, s.ring.Snapshot())
 }
