@@ -222,18 +222,6 @@ type KernelStats struct {
 	Fallbacks int64
 }
 
-// ProgramCacheStats reports hit/miss/eviction counts and occupancy of the
-// weight-program cache (zero value when caching is disabled).
-func (a *Accelerator) ProgramCacheStats() CacheStats {
-	a.mu.RLock()
-	c := a.cache
-	a.mu.RUnlock()
-	if c == nil {
-		return CacheStats{}
-	}
-	return c.stats()
-}
-
 // EnergyPJ returns the accumulated photonic compute energy (Fig. 12b
 // model).
 func (a *Accelerator) EnergyPJ() float64 { return a.meter.EnergyPJ() }

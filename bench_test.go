@@ -310,43 +310,6 @@ func BenchmarkAblationLossEqualization(b *testing.B) {
 	b.ReportMetric(eqSpreadDB, "equalized-spread-dB")
 }
 
-// BenchmarkAblationReckVsClements programs the same random unitary into
-// the rectangular Clements mesh the paper adopts and into a triangular
-// Reck mesh, comparing circuit depth (worst-case loss ∝ depth × per-MZI
-// insertion loss) and the per-port device-count spread the attenuator
-// column must equalize — the geometry choice DESIGN.md calls out.
-func BenchmarkAblationReckVsClements(b *testing.B) {
-	d := optics.DefaultDevices()
-	perMZI := d.MZIInsertionLossDB()
-	rng := rand.New(rand.NewSource(7))
-	const n = 16
-	u := mat.RandomUnitary(n, rng)
-	var clemDepth, reckDepth int
-	var reckSpread int
-	for i := 0; i < b.N; i++ {
-		clem := photonic.NewMesh(n)
-		clem.ProgramUnitary(u)
-		clemDepth = clem.Depth()
-		reck := photonic.NewReckMesh(n)
-		reck.ProgramUnitary(u)
-		reckDepth = reck.Depth()
-		touches := reck.WireTouches()
-		minT, maxT := touches[0], touches[0]
-		for _, t := range touches {
-			if t < minT {
-				minT = t
-			}
-			if t > maxT {
-				maxT = t
-			}
-		}
-		reckSpread = maxT - minT
-	}
-	b.ReportMetric(float64(clemDepth)*perMZI, "clements-worstloss-dB")
-	b.ReportMetric(float64(reckDepth)*perMZI, "reck-worstloss-dB")
-	b.ReportMetric(float64(reckSpread), "reck-touch-spread")
-}
-
 // BenchmarkAblationPhaseNoise measures matrix error versus phase-noise
 // sigma for a programmed 8×8 mesh — the thermal/fabrication robustness
 // property Sec 6 credits MZI meshes with.

@@ -25,18 +25,33 @@ import (
 	"flumen/internal/workload"
 )
 
-func main() {
-	out := flag.String("o", "", "write the report to this file (default stdout)")
-	scale := flag.Int("scale", 1, "linear workload shrink factor (1 = paper scale)")
-	csvPath := flag.String("csv", "", "also write the full benchmark×topology grid as CSV")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	var w io.Writer = os.Stdout
+// run is the command: it parses args, writes the report and returns the
+// exit status (2 for a bad flag, before any output).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("flumen-repro", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	out := fs.String("o", "", "write the report to this file (default stdout)")
+	scale := fs.Int("scale", 1, "linear workload shrink factor (1 = paper scale)")
+	csvPath := fs.String("csv", "", "also write the full benchmark×topology grid as CSV")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	if *scale < 1 {
+		fmt.Fprintf(stderr, "flumen-repro: -scale must be at least 1 (1 = paper scale), got %d\n", *scale)
+		return 2
+	}
+
+	var w io.Writer = stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		defer f.Close()
 		w = f
@@ -44,10 +59,11 @@ func main() {
 	report(w, *scale)
 	if *csvPath != "" {
 		if err := writeCSV(*csvPath, *scale); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 	}
+	return 0
 }
 
 // writeCSV dumps the full suite grid with one row per (benchmark,

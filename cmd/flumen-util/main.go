@@ -18,7 +18,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"flumen"
@@ -29,17 +31,37 @@ func main() {
 	if len(os.Args) > 1 && os.Args[1] == "models" {
 		os.Exit(runModels(os.Args[2:]))
 	}
-	benchFlag := flag.String("benchmark", "", "ImageBlur | VGG16FC (default: both)")
-	scale := flag.Int("scale", 1, "linear workload shrink factor")
-	trace := flag.Bool("trace", false, "print the windowed utilization trace")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run is the Fig. 1 command: it parses args, writes the table and returns
+// the exit status (2 for a bad flag or benchmark name, before any output).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("flumen-util", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	benchFlag := fs.String("benchmark", "", "ImageBlur | VGG16FC (default: both)")
+	scale := fs.Int("scale", 1, "linear workload shrink factor")
+	trace := fs.Bool("trace", false, "print the windowed utilization trace")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	if *scale < 1 {
+		fmt.Fprintf(stderr, "flumen-util: -scale must be at least 1 (1 = paper scale), got %d\n", *scale)
+		return 2
+	}
 	names := []string{"ImageBlur", "VGG16FC"}
 	if *benchFlag != "" {
+		if !slices.Contains(flumen.Benchmarks(), *benchFlag) {
+			fmt.Fprintf(stderr, "flumen-util: unknown -benchmark %q; valid: %s\n", *benchFlag, strings.Join(flumen.Benchmarks(), ", "))
+			return 2
+		}
 		names = []string{*benchFlag}
 	}
-	fmt.Println("=== Fig. 1: photonic link utilization vs WDM provisioning (Flumen-I, 16 nodes) ===")
-	fmt.Printf("%-12s %-6s %-12s %14s\n", "benchmark", "λs", "BW (Gbps)", "avg link util")
+	fmt.Fprintln(stdout, "=== Fig. 1: photonic link utilization vs WDM provisioning (Flumen-I, 16 nodes) ===")
+	fmt.Fprintf(stdout, "%-12s %-6s %-12s %14s\n", "benchmark", "λs", "BW (Gbps)", "avg link util")
 	for _, name := range names {
 		var w workload.Workload
 		for _, cand := range workload.ScaledAll(*scale) {
@@ -47,27 +69,24 @@ func main() {
 				w = cand
 			}
 		}
-		if w == nil {
-			fmt.Fprintf(os.Stderr, "unknown benchmark %q\n", name)
-			os.Exit(1)
-		}
 		for _, lambdas := range []int{16, 32, 64} {
 			cfg := flumen.DefaultConfig()
 			cfg.Wavelengths = lambdas
 			cfg.UtilWindow = 500
 			res, err := flumen.RunWorkload(w, "Flumen-I", cfg)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				fmt.Fprintln(stderr, err)
+				return 1
 			}
-			fmt.Printf("%-12s %-6d %-12d %13.2f%%\n", name, lambdas, lambdas*10, 100*res.AvgLinkUtilization)
+			fmt.Fprintf(stdout, "%-12s %-6d %-12d %13.2f%%\n", name, lambdas, lambdas*10, 100*res.AvgLinkUtilization)
 			if *trace {
-				fmt.Print(sparkline(res.UtilizationTrace))
+				fmt.Fprint(stdout, sparkline(res.UtilizationTrace))
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
-	fmt.Println("paper: 64 λ → 5.5% (Blur) / 1.9% (VGG FC); 16 λ → 19.7% / 7.5%")
+	fmt.Fprintln(stdout, "paper: 64 λ → 5.5% (Blur) / 1.9% (VGG FC); 16 λ → 19.7% / 7.5%")
+	return 0
 }
 
 // sparkline renders a utilization trace as coarse text bars.

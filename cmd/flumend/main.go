@@ -26,12 +26,10 @@ import (
 	"flag"
 	"log"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
 	"flumen"
-	"flumen/internal/photonic"
 	"flumen/internal/serve"
 )
 
@@ -40,7 +38,6 @@ func main() {
 	flag.StringVar(&cfg.Addr, "addr", cfg.Addr, "listen address")
 	flag.IntVar(&cfg.Ports, "ports", cfg.Ports, "fabric port count (multiple of 4)")
 	flag.IntVar(&cfg.BlockSize, "block", cfg.BlockSize, "compute block size (even, ≤ ports/2)")
-	flag.IntVar(&cfg.Workers, "workers", 0, "engine worker count (0 = one per partition)")
 	flag.IntVar(&cfg.CacheSize, "cache", 0, "weight-program cache capacity (0 = default, <0 disables)")
 	flag.IntVar(&cfg.Precision, "bits", 0, "DAC/ADC bit depth, 1–24 (0 = default 8)")
 	flag.IntVar(&cfg.QueueDepth, "queue", cfg.QueueDepth, "admission queue depth")
@@ -54,25 +51,14 @@ func main() {
 	flag.Int64Var(&cfg.MaxBodyBytes, "max-body", cfg.MaxBodyBytes, "request body size limit in bytes (oversized bodies get 413)")
 	healthOn := flag.Bool("health", false, "enable the device-health monitor (probe, quarantine, recalibrate)")
 	probeEvery := flag.Int("health-probe-interval", 0, "work items between calibration probes (0 = default)")
-	faultDrift := flag.Float64("fault-drift", 0, "demo: inject phase drift of this sigma per step into -fault-parts partitions (implies -health)")
-	faultParts := flag.Int("fault-parts", 1, "demo: number of partitions given injected faults (with -fault-drift)")
 	flag.BoolVar(&cfg.TraceEnabled, "trace", cfg.TraceEnabled, "trace every request's per-stage latency into /debug/requests and flumend_stage_seconds (off: only X-Flumen-Trace requests are traced)")
 	flag.IntVar(&cfg.TraceRing, "trace-ring", cfg.TraceRing, "recent-trace ring size at /debug/requests (0 = default 256)")
 	flag.DurationVar(&cfg.SlowRequest, "trace-slow", cfg.SlowRequest, "log a stage breakdown for traced requests slower than this (0 = off)")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (trusted networks only)")
-	mutexFrac := flag.Int("mutex-profile-frac", 0, "runtime mutex-contention sampling rate for /debug/pprof/mutex (0 = off)")
-	blockRate := flag.Int("block-profile-rate", 0, "runtime blocking-event sampling rate in ns for /debug/pprof/block (0 = off)")
 	flag.Parse()
 
 	cfg.EnablePprof = *pprofOn
-	if *mutexFrac > 0 {
-		runtime.SetMutexProfileFraction(*mutexFrac)
-	}
-	if *blockRate > 0 {
-		runtime.SetBlockProfileRate(*blockRate)
-	}
-
-	if *healthOn || *faultDrift > 0 {
+	if *healthOn {
 		cfg.Health = &flumen.HealthConfig{ProbeInterval: *probeEvery}
 	}
 
@@ -99,23 +85,10 @@ func main() {
 		log.Printf("flumend: device-health monitor enabled (probe threshold %g)", srv.Accelerator().HealthStats().ProbeThreshold)
 	}
 	if *pprofOn {
-		log.Printf("flumend: pprof mounted at /debug/pprof/ (mutex fraction %d, block rate %d ns)", *mutexFrac, *blockRate)
+		log.Printf("flumend: pprof mounted at /debug/pprof/")
 	}
 	if cfg.TraceEnabled {
 		log.Printf("flumend: request tracing on (ring %d, slow threshold %s)", cfg.TraceRing, cfg.SlowRequest)
-	}
-	if *faultDrift > 0 {
-		acc := srv.Accelerator()
-		n := *faultParts
-		if n > st.Partitions {
-			n = st.Partitions
-		}
-		for i := 0; i < n; i++ {
-			if err := acc.InjectFaults(i, photonic.FaultConfig{DriftSigma: *faultDrift, Seed: int64(1 + i)}); err != nil {
-				log.Fatalf("flumend: %v", err)
-			}
-		}
-		log.Printf("flumend: demo fault injection on %d partition(s), drift sigma %g/step", n, *faultDrift)
 	}
 
 	start := time.Now()

@@ -26,7 +26,7 @@ func TestPrewarmWeightsPinsAgainstEviction(t *testing.T) {
 	if pinned != 4 {
 		t.Fatalf("PrewarmWeights pinned %d programs, want 4", pinned)
 	}
-	st := a.ProgramCacheStats()
+	st := a.Stats().Cache
 	if st.Pinned != 4 || st.Entries != 4 {
 		t.Fatalf("after prewarm: %+v, want 4 pinned of 4 entries", st)
 	}
@@ -36,7 +36,7 @@ func TestPrewarmWeightsPinsAgainstEviction(t *testing.T) {
 	if _, err := a.MatMul(m, x); err != nil {
 		t.Fatal(err)
 	}
-	st = a.ProgramCacheStats()
+	st = a.Stats().Cache
 	if st.Misses != 4 || st.Hits != 4 {
 		t.Fatalf("prewarmed serve: %+v, want 4 misses (from prewarm), 4 hits", st)
 	}
@@ -47,7 +47,7 @@ func TestPrewarmWeightsPinsAgainstEviction(t *testing.T) {
 	if _, err := a.MatMul(other, x); err != nil {
 		t.Fatal(err)
 	}
-	st = a.ProgramCacheStats()
+	st = a.Stats().Cache
 	if st.Pinned != 4 {
 		t.Fatalf("churn broke pins: %+v", st)
 	}
@@ -55,7 +55,7 @@ func TestPrewarmWeightsPinsAgainstEviction(t *testing.T) {
 	if _, err := a.MatMul(m, x); err != nil {
 		t.Fatal(err)
 	}
-	if st = a.ProgramCacheStats(); st.Misses != before {
+	if st = a.Stats().Cache; st.Misses != before {
 		t.Fatalf("pinned weights recompiled under churn: %+v", st)
 	}
 	churnEvictions := st.Evictions
@@ -65,13 +65,13 @@ func TestPrewarmWeightsPinsAgainstEviction(t *testing.T) {
 	if released := a.UnpinWeights(m); released != 4 {
 		t.Fatalf("UnpinWeights released %d, want 4", released)
 	}
-	if st = a.ProgramCacheStats(); st.Pinned != 0 {
+	if st = a.Stats().Cache; st.Pinned != 0 {
 		t.Fatalf("after unpin: %+v, want 0 pinned", st)
 	}
 	if _, err := a.MatMul(randMatrix(rng, 16, 16), x); err != nil {
 		t.Fatal(err)
 	}
-	st = a.ProgramCacheStats()
+	st = a.Stats().Cache
 	if st.Evictions <= churnEvictions || st.Entries > 4 {
 		t.Fatalf("after unpin + churn: %+v, want unpinned entries evicted and the cache back at capacity", st)
 	}
@@ -108,7 +108,7 @@ func TestPrewarmWeightsBitwiseNeutral(t *testing.T) {
 	if p := warm.Stats().Programs; p != 0 {
 		t.Fatalf("prewarm programmed %d partitions", p)
 	}
-	missesAfterPrewarm := warm.ProgramCacheStats().Misses
+	missesAfterPrewarm := warm.Stats().Cache.Misses
 
 	gotMM, err := warm.MatMul(m, x)
 	if err != nil {
@@ -120,7 +120,7 @@ func TestPrewarmWeightsBitwiseNeutral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := warm.ProgramCacheStats(); st.Misses != missesAfterPrewarm {
+	if st := warm.Stats().Cache; st.Misses != missesAfterPrewarm {
 		t.Fatalf("prewarmed serving still compiled: %+v", st)
 	}
 	for i := range wantMM {
@@ -148,11 +148,11 @@ func TestCacheResizeDropsPins(t *testing.T) {
 	if _, err := a.PrewarmWeights(m); err != nil {
 		t.Fatal(err)
 	}
-	if st := a.ProgramCacheStats(); st.Pinned != 4 {
+	if st := a.Stats().Cache; st.Pinned != 4 {
 		t.Fatalf("prewarm pinned %d, want 4", st.Pinned)
 	}
 	a.SetProgramCacheSize(64)
-	if st := a.ProgramCacheStats(); st.Pinned != 0 {
+	if st := a.Stats().Cache; st.Pinned != 0 {
 		t.Fatalf("pins survived a cache resize: %+v", st)
 	}
 	if released := a.UnpinWeights(m); released != 0 {

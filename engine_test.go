@@ -153,7 +153,7 @@ func TestEngineProgramCacheHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := a.ProgramCacheStats()
+	st := a.Stats().Cache
 	if st.Misses != 4 || st.Hits != 0 || st.Entries != 4 {
 		t.Fatalf("after first call: %+v, want 4 misses, 0 hits, 4 entries", st)
 	}
@@ -161,7 +161,7 @@ func TestEngineProgramCacheHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st = a.ProgramCacheStats()
+	st = a.Stats().Cache
 	if st.Misses != 4 || st.Hits != 4 {
 		t.Fatalf("after second call: %+v, want 4 misses, 4 hits", st)
 	}
@@ -194,7 +194,7 @@ func TestEngineProgramCacheEviction(t *testing.T) {
 	if _, err := a.MatMul(m, x); err != nil {
 		t.Fatal(err)
 	}
-	st := a.ProgramCacheStats()
+	st := a.Stats().Cache
 	if st.Capacity != 1 || st.Entries != 1 {
 		t.Fatalf("stats %+v, want capacity 1, entries 1", st)
 	}
@@ -206,7 +206,7 @@ func TestEngineProgramCacheEviction(t *testing.T) {
 	if _, err := a.MatMul(m, x); err != nil {
 		t.Fatal(err)
 	}
-	st = a.ProgramCacheStats()
+	st = a.Stats().Cache
 	if st.Misses != 4 || st.Evictions != 3 {
 		t.Fatalf("stats after thrash %+v, want 4 misses, 3 evictions", st)
 	}
@@ -235,7 +235,7 @@ func TestEngineCacheDisabledMatchesEnabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := uncached.ProgramCacheStats(); st != (CacheStats{}) {
+	if st := uncached.Stats().Cache; st != (CacheStats{}) {
 		t.Fatalf("disabled cache reported stats %+v", st)
 	}
 
@@ -415,7 +415,7 @@ func TestColdMatMulAllocations(t *testing.T) {
 	allocs := testing.AllocsPerRun(runs, func() { call(ms[next]); next++ })
 	runtime.ReadMemStats(&after)
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
-	if misses := a.ProgramCacheStats().Misses; misses != 16*(runs+2) {
+	if misses := a.Stats().Cache.Misses; misses != 16*(runs+2) {
 		t.Fatalf("%d cache misses, want every block of every call (%d)", misses, 16*(runs+2))
 	}
 	// Under -race sync.Pool drops pooled compilers, so the looser budget
@@ -479,7 +479,7 @@ func TestEngineConcurrentColdCallsBitwise(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if st := a.ProgramCacheStats(); st.Evictions == 0 {
+	if st := a.Stats().Cache; st.Evictions == 0 {
 		t.Fatalf("no evictions (%+v): the cache held the working set", st)
 	}
 }

@@ -25,13 +25,6 @@ type Cache struct {
 	Misses   int64
 }
 
-// NewCache builds a cache of the given capacity in bytes, associativity,
-// and line size (power of two).
-func NewCache(capacityBytes, ways, lineBytes int) *Cache {
-	a := newCacheArena(cacheLines(capacityBytes, ways, lineBytes))
-	return a.carve(capacityBytes, ways, lineBytes)
-}
-
 // cacheLines checks a cache geometry and returns its line count, sets ×
 // ways.
 func cacheLines(capacityBytes, ways, lineBytes int) int {

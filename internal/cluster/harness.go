@@ -2,10 +2,8 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
-	"net/http"
 	"path/filepath"
 	"sync"
 	"time"
@@ -138,43 +136,6 @@ func (h *Harness) Backend(i int) *serve.Server {
 
 // NodeID returns node i's cluster identity.
 func (h *Harness) NodeID(i int) string { return h.nodes[i].nodeID }
-
-// Kill tears node i down abruptly — open connections reset, no drain — the
-// in-process equivalent of SIGKILL. The address stays reserved for Restart.
-func (h *Harness) Kill(i int) error {
-	h.mu.Lock()
-	node := h.nodes[i]
-	h.mu.Unlock()
-	if node.srv == nil {
-		return fmt.Errorf("cluster: backend %d is not running", i)
-	}
-	err := node.srv.Close()
-	node.cancel()
-	select {
-	case runErr := <-node.done:
-		if runErr != nil && !errors.Is(runErr, http.ErrServerClosed) && err == nil {
-			err = runErr
-		}
-	case <-time.After(5 * time.Second):
-		return fmt.Errorf("cluster: backend %d did not exit after Close", i)
-	}
-	h.mu.Lock()
-	node.srv = nil
-	h.mu.Unlock()
-	return err
-}
-
-// Restart brings a killed node back on its original address with its
-// original identity (a fresh process: caches cold, counters zeroed).
-func (h *Harness) Restart(i int) error {
-	h.mu.Lock()
-	node := h.nodes[i]
-	h.mu.Unlock()
-	if node.srv != nil {
-		return fmt.Errorf("cluster: backend %d is already running", i)
-	}
-	return h.start(node, node.addr)
-}
 
 // Stop gracefully drains every running node and waits for exit.
 func (h *Harness) Stop() {

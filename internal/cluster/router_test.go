@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"flumen/internal/loadgen"
 	"flumen/internal/registry"
@@ -316,51 +315,6 @@ func TestRouterRequestIDFlow(t *testing.T) {
 	}
 	if got, _ := seen.Load().(string); got != minted {
 		t.Fatalf("backend saw %q, response carried %q", got, minted)
-	}
-}
-
-func TestRouterHedgingWinsOnSlowPrimary(t *testing.T) {
-	release := make(chan struct{})
-	slow := fakeBackend(t, "slow", func(w http.ResponseWriter, r *http.Request) {
-		<-release
-		w.Header().Set(serve.HeaderNode, "slow")
-		io.WriteString(w, `{"who":"slow"}`)
-	})
-	fast := fakeBackend(t, "fast", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(serve.HeaderNode, "fast")
-		io.WriteString(w, `{"who":"fast"}`)
-	})
-	defer close(release)
-
-	cfg := DefaultConfig()
-	cfg.Backends = []string{slow.URL, fast.URL}
-	cfg.HedgeDelay = 10 * time.Millisecond
-	rt := newTestRouter(t, cfg)
-
-	// Only keys whose primary is the slow node demonstrate the hedge win.
-	for k := 0; ; k++ {
-		body := fmt.Sprintf(`{"m": [[%d,0],[0,1]], "x": [[1],[2]]}`, k)
-		if orderFor(t, rt, body)[0].name != slow.URL {
-			continue
-		}
-		done := make(chan *httptest.ResponseRecorder, 1)
-		go func() { done <- postRouter(rt, "/v1/matmul", body, nil) }()
-		select {
-		case w := <-done:
-			if w.Code != http.StatusOK {
-				t.Fatalf("status %d: %s", w.Code, w.Body)
-			}
-			if got := w.Header().Get(serve.HeaderNode); got != "fast" {
-				t.Fatalf("served by %q, want the hedged fast node", got)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("hedged request did not settle while the primary hung")
-		}
-		st := rt.Stats()
-		if st.Hedges != 1 || st.HedgeWins != 1 {
-			t.Fatalf("hedges=%d hedgeWins=%d, want 1/1", st.Hedges, st.HedgeWins)
-		}
-		return
 	}
 }
 

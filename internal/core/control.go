@@ -134,14 +134,6 @@ type ControlStats struct {
 	BetaSum           float64
 }
 
-// AvgBeta returns the mean sampled buffer utilization.
-func (s ControlStats) AvgBeta() float64 {
-	if s.BetaSamples == 0 {
-		return 0
-	}
-	return s.BetaSum / float64(s.BetaSamples)
-}
-
 // ControlUnit is the MZIM control unit of Fig. 8.
 type ControlUnit struct {
 	sys    *chip.System
@@ -194,10 +186,6 @@ func NewControlUnit(sys *chip.System, net *noc.MZIMNet, params SchedulerParams, 
 
 // Stats returns the accumulated control statistics.
 func (cu *ControlUnit) Stats() ControlStats { return cu.stats }
-
-// LastBeta returns the most recent buffer-utilization sample, the value the
-// control unit conveys back to the chiplets over the arbitration waveguide.
-func (cu *ControlUnit) LastBeta() float64 { return cu.lastBeta }
 
 // handleOffload is the chip.OffloadHandler: nodes consult the conveyed
 // utilization before requesting (Sec 3.4); accepted requests join the

@@ -102,11 +102,11 @@ func TestBetaSmoothingDecays(t *testing.T) {
 	cu := NewControlUnit(sys, net, DefaultSchedulerParams(), energy.Default())
 	sys.SetStream(0, chip.NewSliceStream([]chip.Op{{Kind: chip.KindCompute, N: 2000}}))
 	sys.Run()
-	if cu.LastBeta() != 0 {
-		t.Fatalf("beta %g with no traffic", cu.LastBeta())
+	if cu.lastBeta != 0 {
+		t.Fatalf("beta %g with no traffic", cu.lastBeta)
 	}
-	if cu.Stats().AvgBeta() != 0 {
-		t.Fatalf("avg beta %g with no traffic", cu.Stats().AvgBeta())
+	if st := cu.Stats(); st.BetaSum != 0 {
+		t.Fatalf("beta sum %g over %d samples with no traffic", st.BetaSum, st.BetaSamples)
 	}
 }
 

@@ -204,9 +204,6 @@ func TestTopologyNamesAndBuilders(t *testing.T) {
 	if TopoRing.String() != "Ring" || TopoFlumenA.String() != "Flumen-A" {
 		t.Fatal("topology names wrong")
 	}
-	if TopoMesh.IsPhotonic() || !TopoOptBus.IsPhotonic() {
-		t.Fatal("IsPhotonic wrong")
-	}
 }
 
 func TestNoPEnergyShapes(t *testing.T) {

@@ -131,8 +131,3 @@ func NoPEnergyPJ(kind TopologyKind, c noc.Counters, seconds float64, nodes int, 
 	}
 	panic("core: unknown topology")
 }
-
-// IsPhotonic reports whether the topology uses the photonic medium.
-func (t TopologyKind) IsPhotonic() bool {
-	return t == TopoOptBus || t == TopoFlumenI || t == TopoFlumenA
-}

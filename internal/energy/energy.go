@@ -146,13 +146,6 @@ func (p Params) FlumenMACEnergyPJ(n, v int) float64 {
 	return p.FlumenComputePJ(n, v) / (float64(n) * float64(n) * float64(v))
 }
 
-// ElecMACTimeNS returns the electrical time to execute the given MACs on
-// `cores` cores with the configured per-core MAC cost.
-func (p Params) ElecMACTimeNS(macs int64, cores int) float64 {
-	cycles := float64(macs) * float64(p.CyclesPerMAC) / float64(cores)
-	return cycles / p.CoreClockGHz
-}
-
 // FlumenBatchTimeNS returns the photonic time for one programmed matrix
 // batch: MZIM switch/program delay plus ceil(v/p) input symbol slots at the
 // input modulation rate.

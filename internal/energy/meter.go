@@ -24,13 +24,6 @@ func (m *Meter) Add(pj float64, programs, batches int64) {
 	m.mu.Unlock()
 }
 
-// AddEnergyPJ accumulates energy only.
-func (m *Meter) AddEnergyPJ(pj float64) {
-	m.mu.Lock()
-	m.energyPJ += pj
-	m.mu.Unlock()
-}
-
 // EnergyPJ returns the accumulated energy.
 func (m *Meter) EnergyPJ() float64 {
 	m.mu.Lock()

@@ -61,19 +61,6 @@ func (f Floorplan) RingLinkLengthsMM() []float64 {
 	return out
 }
 
-// SerpentineRingLinkLengthsMM returns the per-hop lengths of the optimized
-// boustrophedon embedding, where only the closing link crosses the die —
-// the layout-aware alternative an implementer would choose.
-func (f Floorplan) SerpentineRingLinkLengthsMM() []float64 {
-	order := f.SerpentineOrder()
-	n := len(order)
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = f.Distance(order[i], order[(i+1)%n])
-	}
-	return out
-}
-
 // AvgRingLinkLengthMM returns the mean hop length of the index-order ring.
 func (f Floorplan) AvgRingLinkLengthMM() float64 {
 	var s float64
@@ -82,23 +69,6 @@ func (f Floorplan) AvgRingLinkLengthMM() float64 {
 		s += l
 	}
 	return s / float64(len(ls))
-}
-
-// SerpentineOrder returns the boustrophedon visit order of the grid.
-func (f Floorplan) SerpentineOrder() []int {
-	var order []int
-	for r := 0; r < f.Rows; r++ {
-		if r%2 == 0 {
-			for c := 0; c < f.Cols; c++ {
-				order = append(order, r*f.Cols+c)
-			}
-		} else {
-			for c := f.Cols - 1; c >= 0; c-- {
-				order = append(order, r*f.Cols+c)
-			}
-		}
-	}
-	return order
 }
 
 // WaveguideRunCM returns the waveguide length from chiplet i to the MZIM

@@ -35,53 +35,11 @@ func TestPositionPanicsOutOfRange(t *testing.T) {
 	DefaultFloorplan().Position(16)
 }
 
-func TestSerpentineVisitsAllOnce(t *testing.T) {
-	f := DefaultFloorplan()
-	order := f.SerpentineOrder()
-	seen := map[int]bool{}
-	for _, v := range order {
-		if seen[v] {
-			t.Fatalf("chiplet %d visited twice", v)
-		}
-		seen[v] = true
-	}
-	if len(seen) != 16 {
-		t.Fatalf("visited %d chiplets", len(seen))
-	}
-}
-
-func TestSerpentineHopsAreMostlyUnitPitch(t *testing.T) {
-	f := DefaultFloorplan()
-	ls := f.SerpentineRingLinkLengthsMM()
-	long := 0
-	for _, l := range ls {
-		if l > f.PitchMM+1e-9 {
-			long++
-		}
-	}
-	// Only the closing link crosses the die.
-	if long != 1 {
-		t.Fatalf("%d long hops in serpentine embedding, want 1", long)
-	}
-}
-
 func TestIndexRingLongerThanMesh(t *testing.T) {
 	f := DefaultFloorplan()
 	scale := f.RingEnergyScaleVsMesh()
 	if scale < 1.5 || scale > 2.5 {
 		t.Fatalf("ring/mesh wire-length scale %.2f, expected ≈1.9", scale)
-	}
-	// The serpentine embedding is strictly shorter on average.
-	var serp float64
-	for _, l := range f.SerpentineRingLinkLengthsMM() {
-		serp += l
-	}
-	var naive float64
-	for _, l := range f.RingLinkLengthsMM() {
-		naive += l
-	}
-	if serp >= naive {
-		t.Fatalf("serpentine total %g not below index-order %g", serp, naive)
 	}
 }
 

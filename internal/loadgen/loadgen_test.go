@@ -14,7 +14,6 @@ func testServeConfig() serve.Config {
 	cfg := serve.DefaultConfig()
 	cfg.Ports = 8
 	cfg.BlockSize = 4
-	cfg.Workers = 2
 	return cfg
 }
 

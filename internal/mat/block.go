@@ -153,10 +153,3 @@ func BlockMatMul(m, a *Dense, n int, mvm func(block *Dense, x []complex128) []co
 	}
 	return out
 }
-
-// BlockCount returns the number of N×N block MVM operations required to
-// compute M·a for an n×m matrix with p parallel input vectors, accounting
-// for WDM batching: p vectors share one pass through each block.
-func BlockCount(rows, cols, n int) int {
-	return (ceilMultiple(rows, n) / n) * (ceilMultiple(cols, n) / n)
-}

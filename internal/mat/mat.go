@@ -26,21 +26,6 @@ func New(r, c int) *Dense {
 	return &Dense{rows: r, cols: c, data: make([]complex128, r*c)}
 }
 
-// FromRows builds a matrix from a slice of equal-length rows.
-func FromRows(rows [][]complex128) *Dense {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		panic("mat: empty row data")
-	}
-	m := New(len(rows), len(rows[0]))
-	for i, row := range rows {
-		if len(row) != m.cols {
-			panic(fmt.Sprintf("mat: ragged rows: row %d has %d cols, want %d", i, len(row), m.cols))
-		}
-		copy(m.data[i*m.cols:(i+1)*m.cols], row)
-	}
-	return m
-}
-
 // FromReal builds a complex matrix from real-valued row data.
 func FromReal(rows [][]float64) *Dense {
 	if len(rows) == 0 || len(rows[0]) == 0 {
@@ -63,16 +48,6 @@ func Identity(n int) *Dense {
 	m := New(n, n)
 	for i := 0; i < n; i++ {
 		m.data[i*n+i] = 1
-	}
-	return m
-}
-
-// Diag returns a square matrix with d on the diagonal.
-func Diag(d []complex128) *Dense {
-	n := len(d)
-	m := New(n, n)
-	for i, v := range d {
-		m.data[i*n+i] = v
 	}
 	return m
 }
@@ -114,13 +89,6 @@ func (m *Dense) CopyFrom(src *Dense) {
 	m.rows, m.cols = src.rows, src.cols
 	m.data = grow(m.data, len(src.data))
 	copy(m.data, src.data)
-}
-
-// Row returns a copy of row i.
-func (m *Dense) Row(i int) []complex128 {
-	out := make([]complex128, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
 }
 
 // Col returns a copy of column j.
@@ -344,17 +312,6 @@ func (m *Dense) FrobeniusNorm() float64 {
 		s += real(v)*real(v) + imag(v)*imag(v)
 	}
 	return math.Sqrt(s)
-}
-
-// MaxAbs returns max_ij |a_ij|.
-func (m *Dense) MaxAbs() float64 {
-	var max float64
-	for _, v := range m.data {
-		if a := cmplx.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
 }
 
 // MaxAbsPart returns the largest |real| or |imaginary| part of any element:

@@ -302,16 +302,3 @@ func completeBasis(u *Dense, rank int, vec []complex128) {
 		panic("mat: failed to complete orthonormal basis")
 	}
 }
-
-// Reconstruct multiplies the factors of an SVD back together, returning
-// U·diag(Σ)·V* with the dimensions of the original matrix.
-func (r SVDResult) Reconstruct() *Dense {
-	m := r.U.Rows()
-	n := r.V.Rows()
-	k := len(r.Sigma)
-	s := New(m, n)
-	for i := 0; i < k && i < m && i < n; i++ {
-		s.data[i*n+i] = complex(r.Sigma[i], 0)
-	}
-	return Mul(Mul(r.U, s), r.V.Adjoint())
-}

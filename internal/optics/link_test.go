@@ -5,6 +5,59 @@ import (
 	"testing"
 )
 
+// WDM link energy budget: Table 1 quotes 0.703 pJ/bit for the 64-λ
+// photonic NoP link; this file derives that figure from the Table 2
+// device parameters, component by component, the way the paper's
+// Lumerical+device-survey methodology would.
+
+// LinkEnergyBudget itemizes the per-bit energy of a point-to-point WDM
+// link (Fig. 2): modulator, driver, thermal tuning for the transmit and
+// receive ring banks, receive amplification, serialization, and the laser
+// share implied by the link's loss budget.
+type LinkEnergyBudget struct {
+	ModulatorPJ float64
+	DriverPJ    float64
+	ThermalPJ   float64
+	TIAPJ       float64
+	SerDesPJ    float64
+	LaserPJ     float64
+}
+
+// TotalPJPerBit sums the components.
+func (b LinkEnergyBudget) TotalPJPerBit() float64 {
+	return b.ModulatorPJ + b.DriverPJ + b.ThermalPJ + b.TIAPJ + b.SerDesPJ + b.LaserPJ
+}
+
+// WDMLinkBudget computes the per-bit energy budget of a WDM link with p
+// wavelengths at the given per-λ modulation rate over a waveguide of the
+// given length. Every wavelength carries an independent bit stream, so
+// per-λ device powers divide by the per-λ bit rate.
+func WDMLinkBudget(d DeviceParams, p int, modulationGHz, waveguideCM float64) LinkEnergyBudget {
+	gbps := modulationGHz // per λ
+	perBit := func(mw float64) float64 { return mw / gbps }
+
+	// Laser share: each wavelength must deliver the photodiode sensitivity
+	// after the link's loss: the modulator bank's thru passes on both ends
+	// (2·p·thru), one resonant drop, and the waveguide run.
+	var loss LossBudget
+	loss.Add("mod+demux thru", 2*p, d.MRRThruLossDB)
+	loss.Add("drop", 1, d.MRRDropLossDB)
+	loss.Add("waveguide", 1, d.WaveguideStraightLossDBcm*waveguideCM)
+	laserPerLambdaMW := DBmToMW(d.PDSensitivityDBm) * DBToPowerRatio(loss.TotalDB()) / d.LaserOWPE
+
+	return LinkEnergyBudget{
+		ModulatorPJ: perBit(d.MRRModulationMW),
+		DriverPJ:    perBit(d.MRRDriverMW),
+		ThermalPJ:   perBit(2 * d.MRRThermalMW), // tx ring + rx ring
+		TIAPJ:       perBit(d.TIAPerLambdaMW()),
+		SerDesPJ:    perBit(d.SerDesPowerMW),
+		LaserPJ:     perBit(laserPerLambdaMW),
+	}
+}
+
+// TIAPerLambdaMW returns the receive amplifier power per wavelength.
+func (d DeviceParams) TIAPerLambdaMW() float64 { return d.TIAPowerUW / 1000 }
+
 func TestWDMLinkBudgetReproducesTable1(t *testing.T) {
 	// The Table 1 photonic link: 64 λ at 10 Gbps over ~1 cm of waveguide
 	// should come out near the quoted 0.703 pJ/bit when built from the

@@ -17,14 +17,8 @@ import (
 // positive dB gives a ratio > 1 to compensate).
 func DBToPowerRatio(db float64) float64 { return math.Pow(10, db/10) }
 
-// PowerRatioToDB converts a linear power ratio to dB.
-func PowerRatioToDB(r float64) float64 { return 10 * math.Log10(r) }
-
 // DBmToMW converts absolute optical power in dBm to mW.
 func DBmToMW(dbm float64) float64 { return math.Pow(10, dbm/10) }
-
-// MWToDBm converts mW to dBm.
-func MWToDBm(mw float64) float64 { return 10 * math.Log10(mw) }
 
 // LossBudget accumulates component losses along an optical path.
 type LossBudget struct {
@@ -105,11 +99,4 @@ func OptBusLaserPowerMW(d DeviceParams, k, p int, waveguideCM float64) float64 {
 // FlumenLaserPowerMW sizes the Flumen MZIM laser (Fig. 12a).
 func FlumenLaserPowerMW(d DeviceParams, k, p int, waveguideCM float64) float64 {
 	return LaserPowerMW(d, FlumenWorstCaseLossDB(d, k, p, waveguideCM), p)
-}
-
-// MeshPathLossDB returns the loss for a routed mesh path crossing nMZIs
-// MZIs plus the attenuator column, used to drive per-route loss
-// equalization.
-func MeshPathLossDB(d DeviceParams, nMZIs int) float64 {
-	return float64(nMZIs+1) * d.MZIInsertionLossDB()
 }

@@ -57,11 +57,6 @@ func (r MRR) ThruPower(lambdaNM float64) float64 {
 	return 1 - (1-floor)*r.lorentzian(lambdaNM-r.ResonanceNM)
 }
 
-// ThermalShiftNM returns the resonance shift for a temperature delta,
-// using the silicon thermo-optic coefficient (≈0.08 nm/K near 1550 nm) —
-// why MRRs need the Table 2 thermal tuning power and MZIs do not.
-func (r MRR) ThermalShiftNM(deltaK float64) float64 { return 0.08 * deltaK }
-
 // WDMDemux is a bank of drop rings separating `Channels` wavelengths at
 // the given spacing, as at every Flumen/OptBus receiver.
 type WDMDemux struct {

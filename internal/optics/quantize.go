@@ -28,9 +28,6 @@ func NewQuantizer(bits int, fullScale float64) Quantizer {
 	return Quantizer{Bits: bits, FullScale: fullScale}
 }
 
-// Levels returns the number of quantization levels, 2^Bits.
-func (q Quantizer) Levels() int { return 1 << q.Bits }
-
 // maxCode returns the largest signed code, 2^(Bits-1)−1. The symmetric
 // signed grid k·Step for k ∈ [−maxCode, maxCode] represents zero and both
 // full-scale extremes exactly.
@@ -38,12 +35,6 @@ func (q Quantizer) maxCode() int { return 1<<(q.Bits-1) - 1 }
 
 // Step returns the quantization step size.
 func (q Quantizer) Step() float64 { return q.FullScale / float64(q.maxCode()) }
-
-// Quantize rounds x to the nearest representable level, clipping to full
-// scale.
-func (q Quantizer) Quantize(x float64) float64 {
-	return quantize(x, q.Step(), float64(q.maxCode()))
-}
 
 // quantize is Quantize with the step and the largest code already derived,
 // so the vector forms pay for the division behind Step once per vector
@@ -68,12 +59,6 @@ func (q Quantizer) QuantizeVec(xs []float64) []float64 {
 	return xs
 }
 
-// QuantizeComplex quantizes the real and imaginary parts independently
-// (I/Q modulation).
-func (q Quantizer) QuantizeComplex(x complex128) complex128 {
-	return complex(q.Quantize(real(x)), q.Quantize(imag(x)))
-}
-
 // QuantizeComplexVec quantizes a complex vector in place and returns it.
 func (q Quantizer) QuantizeComplexVec(xs []complex128) []complex128 {
 	step, max := q.Step(), float64(q.maxCode())
@@ -82,10 +67,6 @@ func (q Quantizer) QuantizeComplexVec(xs []complex128) []complex128 {
 	}
 	return xs
 }
-
-// MaxError returns the worst-case rounding error for in-range inputs
-// (half a step).
-func (q Quantizer) MaxError() float64 { return q.Step() / 2 }
 
 // NoiseModel adds the analog noise sources of the photonic receive chain:
 // laser relative intensity noise and an aggregate thermal/shot noise floor,
@@ -106,14 +87,6 @@ func (n NoiseModel) Apply(x float64) float64 {
 	x *= 1 + n.Rng.NormFloat64()*n.RINSigma
 	x += n.Rng.NormFloat64() * n.ThermalSigma * n.FullScale
 	return x
-}
-
-// ApplyVec injects noise into each element of xs in place and returns it.
-func (n NoiseModel) ApplyVec(xs []float64) []float64 {
-	for i, x := range xs {
-		xs[i] = n.Apply(x)
-	}
-	return xs
 }
 
 // DefaultNoise returns a noise model consistent with the Table 2 devices:

@@ -54,9 +54,3 @@ func ComputePrecisionBits(d DeviceParams, rxPowerDBm float64, l LinkParams) floa
 	nyquistGHz := l.InputModulationGHz / 2
 	return EquivalentBits(ReceiverSNRdB(d, rxPowerDBm, nyquistGHz))
 }
-
-// RINLimitedSNRdB returns the SNR ceiling imposed by laser RIN alone at
-// the given bandwidth — the bound that dominates at high received power.
-func RINLimitedSNRdB(d DeviceParams, bandwidthGHz float64) float64 {
-	return -(d.LaserRINdB + 10*math.Log10(bandwidthGHz*1e9))
-}

@@ -21,7 +21,7 @@ func TestReceiverSNRBoundedByRIN(t *testing.T) {
 	// At very high received power, RIN dominates and the SNR saturates at
 	// the RIN-limited ceiling.
 	d := DefaultDevices()
-	ceiling := RINLimitedSNRdB(d, 2.5)
+	ceiling := -(d.LaserRINdB + 10*math.Log10(2.5e9)) // RIN alone over the 2.5 GHz band
 	high := ReceiverSNRdB(d, +10, 2.5)
 	if high > ceiling {
 		t.Fatalf("SNR %g exceeds the RIN ceiling %g", high, ceiling)

@@ -18,8 +18,7 @@ import (
 // Every propagating type reads a plan: a BlockProgram is born with its plan
 // (program.go), FaultInjector.Corrupt compiles the faulted coefficients of a
 // program into a plan that shares the program's wires and diagonals
-// (fault.go), Mesh and FlumenMesh cache one per device generation, and
-// ReckMesh rebuilds its own whenever it is programmed or perturbed.
+// (fault.go), and Mesh and FlumenMesh cache one per device generation.
 // ForwardBatch is the one loop that applies an MZI; Matrix and MatrixInto
 // run the identity through it. The device-by-device walker every plan must
 // match bit for bit lives on in oracle_test.go.
@@ -57,9 +56,6 @@ type CompiledPlan struct {
 
 // N returns the state width (number of wires) the plan propagates.
 func (pl *CompiledPlan) N() int { return pl.n }
-
-// NumOps returns the number of MZI applications in the plan.
-func (pl *CompiledPlan) NumOps() int { return len(pl.wires) }
 
 // ForwardBatch propagates k vectors through the plan in place. states holds
 // the vectors back to back (vector v occupies states[v*n : (v+1)*n]); one

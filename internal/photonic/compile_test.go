@@ -11,7 +11,7 @@ import (
 )
 
 // Bitwise-equivalence tests for the one executor: every plan — mesh,
-// fabric, program, faulted program, Reck — must reproduce the
+// fabric, program, faulted program — must reproduce the
 // device-by-device oracle (oracle_test.go) bit for bit, not merely within
 // tolerance, because the engine's serial≡parallel guarantee is stated at
 // the bit level and the plan slots underneath it.
@@ -247,28 +247,6 @@ func TestCorruptedPlanMatchesOracle(t *testing.T) {
 		}
 		if d := mat.MaxAbsDiff(bp.Matrix(), clean); d != 0 {
 			t.Fatalf("n=%d: Corrupt changed the program's own plan by %g", n, d)
-		}
-	}
-}
-
-// TestReckPlanMatchesOracle holds the Reck triangle's plan to its op list,
-// after programming and after PerturbPhases (which edits op settings and
-// the screen, and must rebuild the plan).
-func TestReckPlanMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	for _, n := range []int{2, 3, 5, 8} {
-		m := NewReckMesh(n)
-		m.ProgramUnitary(mat.RandomUnitary(n, rng))
-		for stage, perturb := range []float64{0, 0.05} {
-			if perturb > 0 {
-				m.PerturbPhases(perturb, rng)
-			}
-			for trial := 0; trial < 10; trial++ {
-				in := randVec(n, rng)
-				if !bitsEqualVec(m.Forward(in), oracleReck(m, in)) {
-					t.Fatalf("n=%d stage %d trial %d: Reck plan differs from the oracle", n, stage, trial)
-				}
-			}
 		}
 	}
 }

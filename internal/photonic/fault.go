@@ -114,13 +114,6 @@ func NewFaultInjector(size int, cfg FaultConfig) *FaultInjector {
 // Size returns the partition dimension the injector targets.
 func (fi *FaultInjector) Size() int { return fi.size }
 
-// Steps returns how many drift steps have elapsed.
-func (fi *FaultInjector) Steps() int64 {
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	return fi.steps
-}
-
 // Counts reports the number of stuck and dead devices across both
 // lattices.
 func (fi *FaultInjector) Counts() (stuck, dead int) {

@@ -350,20 +350,6 @@ func (p *Partition) Apply(bp *BlockProgram) error {
 	return nil
 }
 
-// ProgramScaled programs the partition with m/‖m‖₂ and records the scale in
-// p.Scale; callers multiply outputs by p.Scale (Sec 3.3.1). A zero
-// matrix programs the zero map with Scale 0.
-func (p *Partition) ProgramScaled(m *mat.Dense) error {
-	if m.Rows() != p.Size || m.Cols() != p.Size {
-		return fmt.Errorf("photonic: partition is %d-input, matrix is %d×%d", p.Size, m.Rows(), m.Cols())
-	}
-	bp, err := CompileBlockScaled(m)
-	if err != nil {
-		return err
-	}
-	return p.Apply(bp)
-}
-
 // absorbPending rewrites the intended MZI op so that incoming parasitic
 // phases (pTop, pBot) are cancelled: it solves
 // T_op·diag(conj pTop, conj pBot) = diag(q1,q2)·T_phys and returns the new

@@ -77,15 +77,6 @@ func (m *Mesh) HasSlot(c, w int) bool {
 	return c >= 0 && c < m.depth && w >= 0 && w <= m.n-2 && m.cols[c][w] != nil
 }
 
-// MZIAt returns the MZI at column c, top wire w. It panics if the slot does
-// not exist.
-func (m *Mesh) MZIAt(c, w int) MZI {
-	if !m.HasSlot(c, w) {
-		panic(fmt.Sprintf("photonic: no MZI at column %d wire %d", c, w))
-	}
-	return *m.cols[c][w]
-}
-
 // SetMZI assigns the MZI at column c, top wire w.
 func (m *Mesh) SetMZI(c, w int, z MZI) {
 	if !m.HasSlot(c, w) {
@@ -121,9 +112,6 @@ func (m *Mesh) SetOutputPhase(w int, p complex128) {
 	m.outPhase[w] = p
 	m.invalidate()
 }
-
-// OutputPhase returns the phase screen element at wire w.
-func (m *Mesh) OutputPhase(w int) complex128 { return m.outPhase[w] }
 
 // Matrix returns the N×N unitary implemented by the mesh: the identity
 // propagated through the mesh's plan.

@@ -39,17 +39,6 @@ func Cross() MZI { return MZI{Theta: 0} }
 // Bar returns an MZI in the bar state (θ=π).
 func Bar() MZI { return MZI{Theta: math.Pi} }
 
-// Splitter returns an MZI that sends fraction r of the power entering the
-// top port to the top output (bar-like path) and 1-r to the bottom output.
-// r=0.5 gives the 50:50 split used to build broadcast trees (Fig. 6b).
-func Splitter(r float64) MZI {
-	if r < 0 || r > 1 {
-		panic(fmt.Sprintf("photonic: split ratio %g outside [0,1]", r))
-	}
-	// Power at top output from top input is |T00|² = sin²(θ/2).
-	return MZI{Theta: 2 * math.Asin(math.Sqrt(r))}
-}
-
 // IsCross reports whether the MZI is (numerically) in the cross state.
 func (z MZI) IsCross() bool { return math.Abs(z.Theta) < 1e-9 }
 

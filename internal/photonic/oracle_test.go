@@ -102,13 +102,3 @@ func oracleCorrupted(fi *FaultInjector, bp *BlockProgram, in []complex128) []com
 		func(i int, z MZI) [2][2]complex128 { return fi.v[i].faultedTransfer(z) },
 		func(i int, z MZI) [2][2]complex128 { return fi.u[i].faultedTransfer(z) })
 }
-
-// oracleReck propagates in through a Reck triangle's op list and screen.
-func oracleReck(m *ReckMesh, in []complex128) []complex128 {
-	s := slices.Clone(in)
-	for _, op := range m.ops {
-		s[op.Mode], s[op.Mode+1] = op.MZI.Apply(s[op.Mode], s[op.Mode+1])
-	}
-	oracleScreen(s, m.outPhase)
-	return s
-}

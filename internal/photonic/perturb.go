@@ -53,21 +53,6 @@ func (f *FlumenMesh) PerturbPhases(sigma float64, rng *rand.Rand) int {
 	return count
 }
 
-// PerturbPhases perturbs a Reck triangle's devices and screen.
-func (m *ReckMesh) PerturbPhases(sigma float64, rng *rand.Rand) int {
-	for i := range m.ops {
-		theta := m.ops[i].MZI.Theta + rng.NormFloat64()*sigma
-		phi := m.ops[i].MZI.Phi + rng.NormFloat64()*sigma
-		theta, phi = normalizePhases(theta, phi)
-		m.ops[i].MZI = MZI{Theta: theta, Phi: phi}
-	}
-	for i := range m.outPhase {
-		m.outPhase[i] *= phaseFactor(rng.NormFloat64() * sigma)
-	}
-	m.compile()
-	return len(m.ops)
-}
-
 // phaseFactor returns e^{jφ} as a complex factor.
 func phaseFactor(phi float64) complex128 {
 	return complex(math.Cos(phi), math.Sin(phi))

@@ -458,7 +458,7 @@ func TestDecomposeMatchesSeedBitwise(t *testing.T) {
 		mesh := NewMesh(n)
 		mesh.ProgramUnitary(u)
 		for key, z := range slots {
-			if !sameMZI(mesh.MZIAt(key[0], key[1]), z) {
+			if !sameMZI(*mesh.cols[key[0]][key[1]], z) {
 				t.Fatalf("n=%d: mesh slot %v differs from the seed's placement", n, key)
 			}
 		}

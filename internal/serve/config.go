@@ -33,9 +33,6 @@ type Config struct {
 	Ports     int
 	BlockSize int
 
-	// Workers overrides the accelerator's dispatch concurrency when > 0
-	// (default: one worker per partition).
-	Workers int
 	// CacheSize overrides the weight-program cache capacity when != 0;
 	// negative disables caching.
 	CacheSize int

