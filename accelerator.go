@@ -20,10 +20,10 @@ import (
 // fabric. Matrices are zero-padded and split into BlockSize×BlockSize
 // sub-blocks (Eq. 2-3); each block is scaled by its spectral norm,
 // decomposed via SVD, compiled with the Clements algorithm into the phase
-// program of a mesh partition, and evaluated by exact complex E-field
-// propagation through that program. Inputs and detected outputs pass through
-// DAC/ADC quantizers, reproducing the paper's 8-bit equivalent analog
-// precision.
+// program of a mesh partition, and evaluated through the complex transfer
+// matrix that program's lattice realizes (measured once by E-field
+// propagation). Inputs and detected outputs pass through DAC/ADC
+// quantizers, reproducing the paper's 8-bit equivalent analog precision.
 //
 // The fabric is carved into ports/blockSize independent compute
 // partitions (the k/2 concurrent sub-meshes of Sec 3.2); MatMul/Conv2D
@@ -374,11 +374,7 @@ func (a *Accelerator) MatVecCtx(ctx context.Context, m [][]float64, x []float64)
 	if err != nil {
 		return nil, err
 	}
-	y := make([]float64, len(m))
-	for i := range y {
-		y[i] = real(out[i])
-	}
-	return y, nil
+	return out[:len(m):len(m)], nil
 }
 
 // MatMul computes C = M·X photonically, batching up to 8 columns of X per
@@ -413,13 +409,10 @@ func (a *Accelerator) MatMulCtx(ctx context.Context, m, x [][]float64) ([][]floa
 	if err != nil {
 		return nil, err
 	}
-	// Truncate padding and convert to real.
+	// Truncate padding: each result row is a view of out.
 	result := make([][]float64, rows)
-	for i := 0; i < rows; i++ {
-		result[i] = make([]float64, nrhs)
-		for j := 0; j < nrhs; j++ {
-			result[i][j] = real(out[i*nrhs+j])
-		}
+	for i := range result {
+		result[i] = out[i*nrhs : (i+1)*nrhs : (i+1)*nrhs]
 	}
 	return result, nil
 }
@@ -506,7 +499,7 @@ func (a *Accelerator) Conv2DCtx(ctx context.Context, input [][][]float64, kernel
 		for y := range out[k] {
 			out[k][y] = make([]float64, shape.OutW())
 			for x := range out[k][y] {
-				out[k][y][x] = real(prod[k*shape.Patches()+y*shape.OutW()+x])
+				out[k][y][x] = prod[k*shape.Patches()+y*shape.OutW()+x]
 			}
 		}
 	}
@@ -597,19 +590,6 @@ func checkPlanes(planes [][][]float64, check func([][]float64) error) error {
 		}
 	}
 	return nil
-}
-
-func maxAbs(xs []complex128) float64 {
-	var m float64
-	for _, x := range xs {
-		if a := math.Abs(real(x)); a > m {
-			m = a
-		}
-		if a := math.Abs(imag(x)); a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 func min(a, b int) int {

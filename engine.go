@@ -18,8 +18,12 @@ import (
 // matrix-matrix product decomposes into (block-row, block-col) work items.
 // The right-hand side passes the DAC once per call; each item then fetches
 // (or compiles into the weight-program cache) its block's SVD + Clements
-// program, propagates its block column's modulated vectors through the
-// program's compiled plan, and detects the result straight into the output.
+// program, multiplies its block column's modulated vectors by the
+// program's transfer matrix, and detects the result straight into the
+// output. The lattice is linear and noise enters only at detection, so the
+// transfer matrix — measured once at compile by propagating the identity
+// through the program's plan — is the block's whole effect on any input
+// (DESIGN §3c).
 //
 // A partition is the engine's unit of capacity (the checkout pool), of
 // fault injection and of health; the engine executes the program and
@@ -61,9 +65,9 @@ type callConfig struct {
 	// enabled) probes and quarantines between items (see health.go).
 	faults []*photonic.FaultInjector
 	health *healthMonitor
-	// rec receives lease-wait and compute stage durations for a traced
-	// request. Resolved once per call from the context (nil for untraced
-	// calls, which is the only per-call cost of disabled tracing); the
+	// rec receives lease-wait, compute, dac, propagate and detect stage
+	// durations for a traced request. Resolved once per call from the
+	// context (nil for untraced calls, which then pay nil checks only); the
 	// workers' adds are atomic, so concurrent partition stripes may record
 	// into one recorder.
 	rec trace.Recorder
@@ -78,13 +82,13 @@ func (cfg *callConfig) injector(idx int) *photonic.FaultInjector {
 }
 
 // modulated is a call's right-hand side after the DAC: for every block
-// column c and vector v, the n inputs scaled into the modulator's
+// column c and vector v, the n real inputs scaled into the modulator's
 // full-scale range and quantized (states[(c*nrhs+v)*n:][:n]) and the scale
 // that was divided out (scales[c*nrhs+v]; 0 marks a dark vector, which is
 // never detected). Workers only read it.
 type modulated struct {
 	nrhs   int
-	states []complex128
+	states []float64
 	scales []float64
 }
 
@@ -93,36 +97,41 @@ type modulated struct {
 // each re-converting its block column.
 func (a *Accelerator) modulate(xd *mat.Dense, bj int, dac optics.Quantizer) *modulated {
 	n, nrhs := a.blockSize, xd.Cols()
-	in := &modulated{nrhs: nrhs, states: make([]complex128, bj*nrhs*n), scales: make([]float64, bj*nrhs)}
+	in := &modulated{nrhs: nrhs, states: make([]float64, bj*nrhs*n), scales: make([]float64, bj*nrhs)}
 	for c := 0; c < bj; c++ {
 		rows := min(n, xd.Rows()-c*n) // the last block column may be zero-padded
 		for v := 0; v < nrhs; v++ {
 			seg := in.states[(c*nrhs+v)*n:][:n]
+			var scale float64 // the largest |x|; NaN entries never win
 			for i := 0; i < rows; i++ {
-				seg[i] = xd.At(c*n+i, v)
+				seg[i] = real(xd.At(c*n+i, v))
+				if a := math.Abs(seg[i]); a > scale {
+					scale = a
+				}
 			}
-			scale := maxAbs(seg)
 			in.scales[c*nrhs+v] = scale
 			if scale == 0 {
-				// Dark (or all-NaN) vector: its slab still rides through a
-				// batched plan — vectors are isolated, so nothing leaks into a
-				// neighbour — but it is never detected.
+				// Dark (or all-NaN) vector: its slab still rides through the
+				// item's product — vectors are isolated, so nothing leaks
+				// into a neighbour — but it is never detected.
 				clear(seg)
 				continue
 			}
 			for i := range seg {
-				seg[i] /= complex(scale, 0)
+				seg[i] /= scale
 			}
-			dac.QuantizeComplexVec(seg)
+			dac.QuantizeVec(seg)
 		}
 	}
 	return in
 }
 
-// workerScratch holds one worker's reusable buffers: the states its current
-// item propagates and the storage of its program lookups.
+// workerScratch holds one worker's reusable buffers: the fields its current
+// item detects, the transfer matrix a faulted item measures (allocated on
+// the first one) and the storage of its program lookups.
 type workerScratch struct {
-	states []complex128
+	states  []complex128
+	faulted []complex128
 	blockScratch
 }
 
@@ -136,13 +145,13 @@ type blockScratch struct {
 
 // matMulCtx computes the product md·xd across the partition pool and returns
 // it row-major with xd.Cols() columns and md's row count padded to a block
-// multiple (callers truncate and project). Cancellation is cooperative: the
+// multiple (callers truncate). xd's entries are read as real. Cancellation is cooperative: the
 // context is checked before each partition checkout and before every work
 // item, so a cancelled call abandons its remaining items (and never starts
 // any when the context arrives already cancelled). Partitions checked out
 // before cancellation are always returned to the pool; a cancelled call
 // contributes nothing to the energy meter.
-func (a *Accelerator) matMulCtx(ctx context.Context, md, xd *mat.Dense) ([]complex128, error) {
+func (a *Accelerator) matMulCtx(ctx context.Context, md, xd *mat.Dense) ([]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -174,14 +183,19 @@ func (a *Accelerator) matMulCtx(ctx context.Context, md, xd *mat.Dense) ([]compl
 	cfg.rec = trace.FromContext(ctx)
 
 	// The DAC pass is per-request CPU work like the conv lowering; for
-	// traced calls it books under the compute stage it feeds.
-	dacStart := time.Now()
+	// traced calls it books under dac and the compute stage it feeds.
+	var dacStart time.Time
+	if cfg.rec != nil {
+		dacStart = time.Now()
+	}
 	in := a.modulate(xd, bj, cfg.dac)
 	if cfg.rec != nil {
-		cfg.rec.Add(trace.StageCompute, time.Since(dacStart))
+		d := time.Since(dacStart)
+		cfg.rec.Add(trace.StageDAC, d)
+		cfg.rec.Add(trace.StageCompute, d)
 	}
 
-	out := make([]complex128, pm.Rows()*nrhs)
+	out := make([]float64, pm.Rows()*nrhs)
 	workers := min(cfg.workers, bi)
 	if workers <= 1 {
 		if err := a.runRows(ctx, 0, 1, pm, in, out, &cfg); err != nil {
@@ -283,7 +297,7 @@ func (a *Accelerator) checkin(h partHandle) {
 // the serial path because the rows of out a worker accumulates into are its
 // alone, it visits their items in the serial order, and a compiled block
 // program propagates independently of the partition that runs it.
-func (a *Accelerator) runRows(ctx context.Context, g, workers int, pm *mat.Dense, in *modulated, out []complex128, cfg *callConfig) error {
+func (a *Accelerator) runRows(ctx context.Context, g, workers int, pm *mat.Dense, in *modulated, out []float64, cfg *callConfig) error {
 	n := a.blockSize
 	var h partHandle
 	var err error
@@ -331,25 +345,37 @@ func (a *Accelerator) runRows(ctx context.Context, g, workers int, pm *mat.Dense
 
 // computeItem executes one (block-row r, block-col c) work item on the
 // partition with index pidx: fetch or compile the block's weight program,
-// propagate block column c's modulated vectors through its plan in one
-// multi-RHS pass, and detect the result into block row r of out.
-func (a *Accelerator) computeItem(pidx int, s *workerScratch, pm *mat.Dense, in *modulated, out []complex128, r, c int, cfg *callConfig) error {
+// multiply block column c's modulated vectors by its transfer matrix, and
+// detect the result into block row r of out.
+func (a *Accelerator) computeItem(pidx int, s *workerScratch, pm *mat.Dense, in *modulated, out []float64, r, c int, cfg *callConfig) error {
 	n, nrhs := a.blockSize, in.nrhs
 	bp, err := a.programFor(pm, r, c, cfg.cache, &s.blockScratch)
 	if err != nil {
 		return err
 	}
-	plan, _ := bp.Plan()
+	var start time.Time
+	if cfg.rec != nil {
+		start = time.Now()
+	}
+	t := bp.Transfer()
 	// With a fault injector attached, the hardware realizes a corrupted
 	// version of the program it was asked for: drift advances one step per
-	// item and the item runs the plan of the faulted transfers. The cached
-	// program itself is never touched.
+	// item, and the item measures the faulted lattice's matrix through its
+	// plan and multiplies by that. The cached program itself is never
+	// touched.
 	if inj := cfg.injector(pidx); inj != nil {
 		inj.Step(1)
-		plan = inj.Corrupt(bp)
+		if s.faulted == nil {
+			s.faulted = make([]complex128, n*n)
+		}
+		t = inj.Corrupt(bp).TransferInto(s.faulted)
 	}
-	copy(s.states, in.states[c*nrhs*n:][:nrhs*n])
-	plan.ForwardBatch(s.states, nrhs)
+	propagate(s.states, t, in.states[c*nrhs*n:][:nrhs*n], n)
+	if cfg.rec != nil {
+		now := time.Now()
+		cfg.rec.Add(trace.StagePropagate, now.Sub(start))
+		start = now
+	}
 
 	var noise *optics.NoiseModel
 	if cfg.noiseOn {
@@ -357,47 +383,78 @@ func (a *Accelerator) computeItem(pidx int, s *workerScratch, pm *mat.Dense, in 
 		nm := optics.DefaultNoise(1, rng)
 		noise = &nm
 	}
-	a.detect(out[r*n*nrhs:][:n*nrhs], s.states, in.scales[c*nrhs:][:nrhs], bp.Scale, noise, cfg.adc)
+	detect(out[r*n*nrhs:][:n*nrhs], s.states, in.scales[c*nrhs:][:nrhs], bp.Scale, noise, cfg.adc)
+	if cfg.rec != nil {
+		cfg.rec.Add(trace.StageDetect, time.Since(start))
+	}
 	return nil
+}
+
+// propagate writes into fields the output field T·x of every n-wide real
+// vector x of xs, where t holds T column-major: the lattice response
+// ForwardBatch gives, up to float64 rounding that the ADC masks (DESIGN
+// §3g).
+func propagate(fields, t []complex128, xs []float64, n int) {
+	for off := 0; off < len(xs); off += n {
+		x, y := xs[off:off+n], fields[off:off+n]
+		x0 := x[0]
+		for i, c := range t[:n] {
+			y[i] = complex(real(c)*x0, imag(c)*x0)
+		}
+		for j := 1; j < n; j++ {
+			xj := x[j]
+			for i, c := range t[j*n : (j+1)*n] {
+				y[i] += complex(real(c)*xj, imag(c)*xj)
+			}
+		}
+	}
 }
 
 // detect is the one post-propagation stage: for each live vector in
 // ascending order (so noise draws are reproducible) it applies the block's
 // spectral scale, detection noise and the ADC, restores the modulator scale
-// the DAC divided out, and adds the n detected values into column v of
-// rows, the item's n output rows (row-major, one column per vector).
-func (a *Accelerator) detect(rows, states []complex128, scales []float64, blockScale float64, noise *optics.NoiseModel, adc optics.Quantizer) {
-	n, nrhs := a.blockSize, len(scales)
+// the DAC divided out, and adds the real part of the n detected values
+// into column v of rows, the item's n output rows (row-major, one column
+// per vector). Each step is the receive chain's complex arithmetic; the
+// division by the real block scale is the runtime's complex division by a
+// real divisor written out, which falls back to it only when both parts of
+// the quotient are NaN.
+func detect(rows []float64, fields []complex128, scales []float64, blockScale float64, noise *optics.NoiseModel, adc optics.Quantizer) {
+	n, nrhs := len(fields)/len(scales), len(scales)
 	scaleC := complex(blockScale, 0)
+	ratio := 0 / blockScale
 	for v, scale := range scales {
 		if scale == 0 {
 			continue
 		}
-		det := states[v*n:][:n]
-		if blockScale != 1 {
-			for i := range det {
-				det[i] *= scaleC
-			}
-		}
-		if noise != nil {
-			for i := range det {
-				det[i] = complex(noise.Apply(real(det[i])), noise.Apply(imag(det[i])))
-			}
-		}
-		// ADC quantization of detected outputs, in the normalized
-		// (pre-spectral-rescale) domain.
-		if blockScale != 0 {
-			for i := range det {
-				det[i] /= scaleC
-			}
-			adc.QuantizeComplexVec(det)
-			for i := range det {
-				det[i] *= scaleC
-			}
-		}
-		sc := complex(scale, 0)
+		det := fields[v*n:][:n]
 		for i, d := range det {
-			rows[i*nrhs+v] += d * sc
+			if blockScale != 1 {
+				d *= scaleC
+			}
+			if noise != nil {
+				d = complex(noise.Apply(real(d)), noise.Apply(imag(d)))
+			}
+			// ADC quantization of detected outputs happens in the
+			// normalized (pre-spectral-rescale) domain.
+			if blockScale != 0 {
+				re, im := real(d), imag(d)
+				q := complex((re+im*ratio)/blockScale, (im-re*ratio)/blockScale)
+				if math.IsNaN(real(q)) && math.IsNaN(imag(q)) {
+					q = d / scaleC
+				}
+				d = q
+			}
+			det[i] = d
+		}
+		if blockScale != 0 {
+			adc.QuantizeComplexVec(det)
+		}
+		for i, d := range det {
+			if blockScale != 0 {
+				d *= scaleC
+			}
+			rows[i*nrhs+v] += real(d)*scale - imag(d)*0
 		}
 	}
 }

@@ -1,16 +1,26 @@
 package flumen
 
 import (
+	"context"
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
+	"time"
+
+	"flumen/internal/mat"
+	"flumen/internal/optics"
+	"flumen/internal/photonic"
+	"flumen/internal/trace"
 )
 
-// Engine-level tests of the compiled plans every work item runs: non-finite
-// right-hand sides stay in their own column, serial ≡ parallel, and plan
-// accounting follows the weight-program cache. The plans' bit-for-bit
-// equivalence with the device-by-device oracle is pinned in
-// internal/photonic.
+// Engine-level tests of the transfer matrices every work item multiplies
+// by: the product agrees with propagating through the plan, and the ADC
+// masks the difference bit for bit; non-finite right-hand sides stay in
+// their own column, serial ≡ parallel, and plan accounting follows the
+// weight-program cache. The plans' bit-for-bit equivalence with the
+// device-by-device oracle, and the transfer matrix's with the plan's
+// Matrix, are pinned in internal/photonic.
 
 func matsBitsEqual(t *testing.T, a, b [][]float64, label string) {
 	t.Helper()
@@ -133,5 +143,135 @@ func TestKernelStatsPlanReuseAndEviction(t *testing.T) {
 	}
 	if st := a.Stats(); st.Cache.Evictions == 0 || st.Kernel.PlanCompiles != st.Cache.Misses {
 		t.Fatalf("thrashing cache: %+v, kernel %+v", st.Cache, st.Kernel)
+	}
+}
+
+// transferCase is one compiled block and k right-hand sides through the
+// call's DAC: the real slab the engine multiplies, and the same slab as
+// the complex field ForwardBatch propagates.
+type transferCase struct {
+	bp     *photonic.BlockProgram
+	xs     []float64
+	states []complex128
+	scales []float64
+}
+
+func newTransferCase(t *testing.T, rng *rand.Rand, n, k int, dac optics.Quantizer) transferCase {
+	t.Helper()
+	bp, err := photonic.CompileBlockScaled(mat.RandomReal(n, n, rng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	xd := mat.New(n, k)
+	for i := 0; i < n; i++ {
+		for v := 0; v < k; v++ {
+			xd.Set(i, v, complex(rng.NormFloat64()*math.Ldexp(1, rng.Intn(9)-4), 0))
+		}
+	}
+	in := (&Accelerator{blockSize: n}).modulate(xd, 1, dac)
+	tc := transferCase{bp: bp, xs: in.states, states: make([]complex128, n*k), scales: in.scales}
+	for i, x := range in.states {
+		tc.states[i] = complex(x, 0)
+	}
+	return tc
+}
+
+// fields returns the pre-ADC field of every vector two ways: the engine's
+// product with the program's transfer matrix, and the plan's propagation.
+func (tc transferCase) fields() (product, propagated []complex128) {
+	n := tc.bp.Size
+	product = make([]complex128, len(tc.states))
+	propagate(product, tc.bp.Transfer(), tc.xs, n)
+	propagated = append([]complex128(nil), tc.states...)
+	plan, _ := tc.bp.Plan()
+	plan.ForwardBatch(propagated, len(tc.scales))
+	return product, propagated
+}
+
+// TestTransferProductMatchesPlan is the seeded property behind every work
+// item: for sizes 2–16 and DAC/ADC depths of 4, 8, 12 and 24 bits, the
+// field T·x of a real DAC slab lies within 1e-12, relative to the field's
+// norm, of the field ForwardBatch propagates through the same program.
+func TestTransferProductMatchesPlan(t *testing.T) {
+	rng := rand.New(rand.NewSource(131))
+	for _, bits := range []int{4, 8, 12, 24} {
+		for n := 2; n <= 16; n++ {
+			tc := newTransferCase(t, rng, n, 40, optics.NewQuantizer(bits, 1))
+			product, propagated := tc.fields()
+			for v := range tc.scales {
+				y, z := product[v*n:(v+1)*n], propagated[v*n:(v+1)*n]
+				var diff, norm float64
+				for i := range z {
+					diff = max(diff, cmplx.Abs(y[i]-z[i]))
+					norm += real(z[i])*real(z[i]) + imag(z[i])*imag(z[i])
+				}
+				if diff > 1e-12*math.Sqrt(norm) {
+					t.Fatalf("%d bits, n=%d, vector %d: |T·x − plan| = %g against a field of norm %g", bits, n, v, diff, math.Sqrt(norm))
+				}
+			}
+		}
+	}
+}
+
+// TestTransferProductDetectsLikePlan states the masking argument as a
+// test: the product and the plan differ only in float64 rounding, far
+// below one step of the served 8-bit ADC, so over 10⁵ seeded vectors —
+// sizes 2–16, with and without detection noise — every detected output
+// agrees bit for bit.
+func TestTransferProductDetectsLikePlan(t *testing.T) {
+	const k = 1700
+	rng := rand.New(rand.NewSource(137))
+	vectors := 0
+	for n := 2; n <= 16; n++ {
+		adc := optics.NewQuantizer(8, math.Sqrt(float64(n)))
+		for block := 0; block < 4; block++ {
+			tc := newTransferCase(t, rng, n, k, optics.NewQuantizer(8, 1))
+			product, propagated := tc.fields()
+			got, want := make([]float64, n*k), make([]float64, n*k)
+			for _, run := range []struct {
+				rows   []float64
+				fields []complex128
+			}{{got, product}, {want, propagated}} {
+				var noise *optics.NoiseModel
+				if block%2 == 1 {
+					nm := optics.DefaultNoise(1, rand.New(rand.NewSource(int64(n*4+block))))
+					noise = &nm
+				}
+				detect(run.rows, run.fields, tc.scales, tc.bp.Scale, noise, adc)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d block %d: output %d detects %v from T·x, %v from the plan", n, block, i, got[i], want[i])
+				}
+			}
+			vectors += k
+		}
+	}
+	if vectors < 100000 {
+		t.Fatalf("only %d vectors checked", vectors)
+	}
+}
+
+// TestTracedCallOpensCompute: a traced 64×64·64 call books the DAC pass,
+// the products and the detection chains as their own stages, each inside
+// compute.
+func TestTracedCallOpensCompute(t *testing.T) {
+	rng := rand.New(rand.NewSource(139))
+	a := newEngineAccel(t, 32, 8)
+	m, x := randMatrix(rng, 64, 64), randMatrix(rng, 64, 64)
+	tr := trace.New("opens-compute")
+	if _, err := a.MatMulCtx(trace.NewContext(context.Background(), tr), m, x); err != nil {
+		t.Fatal(err)
+	}
+	rec := tr.Record("matmul", 200)
+	var sum time.Duration
+	for _, s := range []trace.Stage{trace.StageDAC, trace.StagePropagate, trace.StageDetect} {
+		if rec.Duration(s) <= 0 {
+			t.Fatalf("stage %s = %v, want > 0", s, rec.Duration(s))
+		}
+		sum += rec.Duration(s)
+	}
+	if compute := rec.Duration(trace.StageCompute); sum > compute {
+		t.Fatalf("dac + propagate + detect = %v exceeds compute %v", sum, compute)
 	}
 }

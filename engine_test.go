@@ -358,11 +358,14 @@ func TestEngineRoutePermutationRestoresPool(t *testing.T) {
 // TestWarmMatMulAllocations is the warm path's allocation budget. A cached
 // 64×64·64 product (the serve_wide call) made 487 allocations when every
 // item carried its own output slab, block copy and key strings; the budget
-// of 200 fails long before that returns. The second check pins the shape of
-// the cost: four times the items may allocate only the extra result rows the
-// caller gets back, so nothing can be allocated per item.
+// of 200 fails long before that returns. It allocated 339 KB while the DAC
+// slab and the output were complex; with both real the call needs about
+// 240 KB, and the byte budget of 290 KB fails if either turns complex
+// again. The last check pins the shape of the cost: four times the items
+// may allocate at most one object per extra result row, so nothing can be
+// allocated per item.
 func TestWarmMatMulAllocations(t *testing.T) {
-	warmAllocs := func(dim int) float64 {
+	warmAllocs := func(dim int) (allocs, bytes float64) {
 		a := newEngineAccel(t, 32, 8)
 		rng := rand.New(rand.NewSource(21))
 		m := randMatrix(rng, dim, dim)
@@ -373,11 +376,20 @@ func TestWarmMatMulAllocations(t *testing.T) {
 			}
 		}
 		call() // compile and cache every block program and plan
-		return testing.AllocsPerRun(20, call)
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(runs, call)
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) // AllocsPerRun makes one warm-up call
 	}
-	wide, quarter := warmAllocs(64), warmAllocs(32) // 64 items, 16 items
+	wide, wideBytes := warmAllocs(64) // 64 items
+	quarter, _ := warmAllocs(32)      // 16 items
 	if wide > 200 {
 		t.Errorf("warm 64×64·64 MatMul: %.0f allocations, budget 200", wide)
+	}
+	if wideBytes > 290*1024 {
+		t.Errorf("warm 64×64·64 MatMul: %.0f KB allocated, budget 290 KB", wideBytes/1024)
 	}
 	if extraRows := 64.0 - 32.0; wide-quarter > extraRows {
 		t.Errorf("64 items allocate %.0f, 16 items %.0f: %.0f more, only the %.0f extra result rows are allowed",

@@ -19,8 +19,8 @@ import (
 // (program.go), FaultInjector.Corrupt compiles the faulted coefficients of a
 // program into a plan that shares the program's wires and diagonals
 // (fault.go), and Mesh and FlumenMesh cache one per device generation.
-// ForwardBatch is the one loop that applies an MZI; Matrix and MatrixInto
-// run the identity through it. The device-by-device walker every plan must
+// ForwardBatch is the one loop that applies an MZI; Matrix, MatrixInto and
+// TransferInto run the identity through it. The device-by-device walker every plan must
 // match bit for bit lives on in oracle_test.go.
 //
 // Plans over live device state (Mesh, FlumenMesh) are invalidated by a
@@ -108,23 +108,39 @@ func (pl *CompiledPlan) MatrixInto(m *mat.Dense) *mat.Dense {
 	return pl.blockInto(m, 0)
 }
 
+// TransferInto writes the plan's N×N matrix into t column-major (column j
+// at t[j·N : (j+1)·N]) and returns t[:N·N], with the same propagation as
+// MatrixInto, so the values are its bit for bit.
+func (pl *CompiledPlan) TransferInto(t []complex128) []complex128 {
+	return pl.basisResponse(t, 0, pl.n)
+}
+
 // blockInto writes into the k×k matrix m the block of the plan's matrix on
 // wires [lo, lo+k) — the response of those outputs to those inputs with
-// every other input dark — propagating its k basis vectors as one batch.
+// every other input dark.
 func (pl *CompiledPlan) blockInto(m *mat.Dense, lo int) *mat.Dense {
 	n, k := pl.n, m.Rows()
 	if m.Cols() != k || lo < 0 || lo+k > n {
 		panic("photonic: MatrixInto size mismatch")
 	}
-	states := make([]complex128, k*n)
-	for j := 0; j < k; j++ {
-		states[j*n+lo+j] = 1
-	}
-	pl.ForwardBatch(states, k)
+	states := pl.basisResponse(make([]complex128, k*n), lo, k)
 	for j := 0; j < k; j++ {
 		m.SetCol(j, states[j*n+lo:][:k])
 	}
 	return m
+}
+
+// basisResponse propagates basis vectors lo … lo+k−1 through ForwardBatch
+// as one slab in states[:k·N], overwriting it, and returns the slab.
+func (pl *CompiledPlan) basisResponse(states []complex128, lo, k int) []complex128 {
+	n := pl.n
+	states = states[:k*n]
+	clear(states)
+	for j := 0; j < k; j++ {
+		states[j*n+lo+j] = 1
+	}
+	pl.ForwardBatch(states, k)
+	return states
 }
 
 // setCoef points the plan's four coefficient arrays at the consecutive

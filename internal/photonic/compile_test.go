@@ -414,3 +414,37 @@ func TestMatrixIntoMatchesMatrix(t *testing.T) {
 		}
 	}
 }
+
+// TestTransferMatchesMatrix pins the matrix every engine work item
+// multiplies by: for sizes 2–16, a program's compiled Transfer and the
+// matrix a faulted item measures with TransferInto on the faulted plan
+// (into a dirty buffer) equal Matrix column by column, bit for bit.
+func TestTransferMatchesMatrix(t *testing.T) {
+	rng := rand.New(rand.NewSource(113))
+	for n := 2; n <= 16; n++ {
+		bp, err := CompileBlockScaled(mat.RandomReal(n, n, rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fi := NewFaultInjector(n, FaultConfig{DriftSigma: 0.05, StuckFrac: 0.15, DeadFrac: 0.15, Seed: int64(n)})
+		fi.Step(3)
+		dirty := randVec(n*n+1, rng)
+		for _, tc := range []struct {
+			name string
+			got  []complex128
+			want *mat.Dense
+		}{
+			{"program", bp.Transfer(), bp.Matrix()},
+			{"faulted", fi.Corrupt(bp).TransferInto(dirty), fi.Corrupt(bp).Matrix()},
+		} {
+			if len(tc.got) != n*n {
+				t.Fatalf("n=%d %s: transfer holds %d entries, want %d", n, tc.name, len(tc.got), n*n)
+			}
+			for j := 0; j < n; j++ {
+				if !bitsEqualVec(tc.got[j*n:(j+1)*n], tc.want.Col(j)) {
+					t.Fatalf("n=%d %s: transfer column %d differs from Matrix", n, tc.name, j)
+				}
+			}
+		}
+	}
+}

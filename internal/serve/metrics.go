@@ -316,7 +316,7 @@ func (m *metrics) write(w io.Writer, queueDepth, queueCap int, acc flumen.Stats,
 	fmt.Fprintf(w, "# TYPE flumend_registry_prewarm_hits_total counter\n")
 	fmt.Fprintf(w, "flumend_registry_prewarm_hits_total %d\n", m.prewarmHits)
 
-	fmt.Fprintf(w, "# HELP flumend_stage_seconds Per-stage time of traced requests; lease_wait and compute are engine sub-stages that overlap exec.\n")
+	fmt.Fprintf(w, "# HELP flumend_stage_seconds Per-stage time of traced requests; lease_wait and compute (opened into dac, propagate and detect) are engine sub-stages that overlap exec.\n")
 	fmt.Fprintf(w, "# TYPE flumend_stage_seconds histogram\n")
 	for s := trace.Stage(0); s < trace.NumStages; s++ {
 		h := m.stages[s]

@@ -13,12 +13,13 @@
 // Server-side wall stages (decode, queue_wait, coalesce, exec, write)
 // partition a request's end-to-end latency: each nanosecond of handler wall
 // time lands in exactly one of them. The engine sub-stages (lease_wait,
-// compute) overlap exec — they are recorded per partition worker, so their
-// sum can legitimately exceed wall time on a multi-partition fabric — and
-// the router stages (router_select, router_hop) exist only in router
-// traces. Aggregation fans out three ways: per-stage Prometheus histograms,
-// a bounded ring of recent Records served at /debug/requests, and a
-// slow-request log line above a configurable threshold.
+// compute, and dac, propagate and detect inside compute) overlap exec —
+// they are recorded per partition worker, so their sum can legitimately
+// exceed wall time on a multi-partition fabric — and the router stages
+// (router_select, router_hop) exist only in router traces. Aggregation fans
+// out three ways: per-stage Prometheus histograms, a bounded ring of recent
+// Records served at /debug/requests, and a slow-request log line above a
+// configurable threshold.
 package trace
 
 import (
@@ -60,6 +61,14 @@ const (
 	// StageCompute is per-partition photonic compute inside the engine,
 	// plus CPU lowering (im2col) on the conv path. Overlaps StageExec.
 	StageCompute
+	// StageDAC, StagePropagate and StageDetect open StageCompute: the
+	// call's DAC pass, each work item's transfer-matrix product (a faulted
+	// item's matrix measurement included) and its detection chain (noise,
+	// ADC, accumulation). Each overlaps StageExec and lies inside
+	// StageCompute.
+	StageDAC
+	StagePropagate
+	StageDetect
 	// StageWrite is response serialization + write.
 	StageWrite
 
@@ -76,6 +85,9 @@ var stageNames = [NumStages]string{
 	"exec",
 	"lease_wait",
 	"compute",
+	"dac",
+	"propagate",
+	"detect",
 	"write",
 }
 
@@ -89,7 +101,7 @@ func (s Stage) String() string {
 // overlapsExec reports whether the stage is an engine sub-stage recorded
 // inside StageExec's wall time (so it is excluded from WallSum).
 func (s Stage) overlapsExec() bool {
-	return s == StageLeaseWait || s == StageCompute
+	return s == StageLeaseWait || (s >= StageCompute && s <= StageDetect)
 }
 
 // Recorder receives stage durations. *Trace is the unit recorder; Group

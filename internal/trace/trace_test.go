@@ -47,6 +47,9 @@ func TestWallSumExcludesEngineSubStages(t *testing.T) {
 	// sum can exceed wall time and must not inflate WallSum.
 	tr.Add(StageLeaseWait, 40*time.Millisecond)
 	tr.Add(StageCompute, 40*time.Millisecond)
+	tr.Add(StageDAC, 5*time.Millisecond)
+	tr.Add(StagePropagate, 20*time.Millisecond)
+	tr.Add(StageDetect, 10*time.Millisecond)
 	rec := tr.Record("matmul", 200)
 	if got := rec.WallSum(); got != 13*time.Millisecond {
 		t.Fatalf("WallSum = %v, want 13ms", got)
