@@ -9,10 +9,10 @@ import (
 	"time"
 
 	"flumen/internal/energy"
-	"flumen/internal/mat"
 	"flumen/internal/optics"
 	"flumen/internal/photonic"
 	"flumen/internal/trace"
+	"flumen/internal/wfp"
 	"flumen/internal/workload"
 )
 
@@ -30,13 +30,14 @@ import (
 // dispatch block work items across them with a worker pool (see
 // engine.go), and an LRU weight-program cache amortizes the SVD +
 // Clements decomposition across calls that reuse the same weights.
+// Operands stay real row-major [][]float64 from the caller to the DAC; the
+// zero padding of Eq. 2 is implicit (entries past an edge read as 0).
 type Accelerator struct {
-	fabric     *photonic.FlumenMesh
-	partitions []*photonic.Partition
-	// pool hands out exclusive use of one partition per worker. It is
-	// created once and kept across RoutePermutation rebuilds so blocked
-	// receivers never observe a stale channel.
-	pool chan *photonic.Partition
+	ports int
+	// parts is the partition count; a partition is its index, 0 ≤ i < parts.
+	parts int
+	// pool hands out exclusive use of one partition (by index) per worker.
+	pool chan int
 
 	// mu guards the call-time configuration (quant, workers, cache, noise
 	// switches); a consistent snapshot is taken at the top of each matMul.
@@ -47,9 +48,6 @@ type Accelerator struct {
 	noiseOn   bool
 	noiseSeed int64
 
-	// partIdx maps each partition back to its index so pool-mode checkouts
-	// know which health/fault record they hold; rebuilt with partitions.
-	partIdx map[*photonic.Partition]int
 	// faults holds the per-partition runtime fault injectors (nil entries
 	// = pristine device); replaced copy-on-write by InjectFaults so
 	// call-time snapshots never see a torn slice.
@@ -72,60 +70,33 @@ type Accelerator struct {
 
 // NewAccelerator builds an accelerator over a `ports`-input Flumen mesh
 // carved into ports/blockSize compute partitions. ports must be a positive
-// multiple of 4; blockSize must be even, ≥2 and ≤ ports/2.
+// multiple of 4; blockSize must be even, ≥2 and ≤ ports/2 (a partition's
+// SVD layout needs blockSize mesh columns on each side of the attenuator
+// column: the device model's partition rule).
 func NewAccelerator(ports, blockSize int) (*Accelerator, error) {
 	if ports < 4 || ports%4 != 0 {
 		return nil, fmt.Errorf("flumen: ports must be a positive multiple of 4, got %d", ports)
 	}
+	if blockSize < 2 || blockSize%2 != 0 || blockSize > ports/2 {
+		return nil, fmt.Errorf("flumen: block size %d must be even, ≥ 2 and ≤ ports/2 = %d", blockSize, ports/2)
+	}
+	parts := ports / blockSize
 	a := &Accelerator{
-		fabric:    photonic.NewFlumenMesh(ports),
+		ports:     ports,
+		parts:     parts,
+		pool:      make(chan int, parts),
+		faults:    make([]*photonic.FaultInjector, parts),
 		quant:     optics.NewQuantizer(8, 1),
+		workers:   parts,
 		ep:        energy.Default(),
 		blockSize: blockSize,
 		lambdas:   8,
 		cache:     newProgramCache(DefaultProgramCacheSize),
 	}
-	if err := a.buildPartitions(); err != nil {
-		return nil, err
+	for i := 0; i < parts; i++ {
+		a.pool <- i
 	}
-	a.workers = len(a.partitions)
 	return a, nil
-}
-
-// buildPartitions carves the fabric into as many blockSize partitions as
-// fit and (re)fills the worker pool. Invalid block sizes surface as the
-// canonical NewPartition error for the first region.
-func (a *Accelerator) buildPartitions() error {
-	count := 1
-	if a.blockSize >= 2 && a.blockSize <= a.fabric.N()/2 {
-		count = a.fabric.N() / a.blockSize
-	}
-	parts := make([]*photonic.Partition, 0, count)
-	for i := 0; i < count; i++ {
-		p, err := a.fabric.NewPartition(i*a.blockSize, a.blockSize)
-		if err != nil {
-			return err
-		}
-		parts = append(parts, p)
-	}
-	idx := make(map[*photonic.Partition]int, len(parts))
-	for i, p := range parts {
-		idx[p] = i
-	}
-	a.mu.Lock()
-	a.partitions = parts
-	a.partIdx = idx
-	if len(a.faults) != len(parts) {
-		a.faults = make([]*photonic.FaultInjector, len(parts))
-	}
-	a.mu.Unlock()
-	if a.pool == nil {
-		a.pool = make(chan *photonic.Partition, count)
-	}
-	for _, p := range parts {
-		a.pool <- p
-	}
-	return nil
 }
 
 // SetPrecision configures the DAC/ADC bit depth (default 8).
@@ -167,11 +138,7 @@ func (a *Accelerator) BlockSize() int { return a.blockSize }
 
 // NumPartitions returns the number of independent compute partitions the
 // fabric is carved into (ports/blockSize).
-func (a *Accelerator) NumPartitions() int {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return len(a.partitions)
-}
+func (a *Accelerator) NumPartitions() int { return a.parts }
 
 // SetWorkers sets the number of concurrent workers used by MatMul/Conv2D,
 // clamped to [1, NumPartitions]. The default is NumPartitions. Noiseless
@@ -181,8 +148,8 @@ func (a *Accelerator) SetWorkers(n int) {
 	if n < 1 {
 		n = 1
 	}
-	if n > len(a.partitions) {
-		n = len(a.partitions)
+	if n > a.parts {
+		n = a.parts
 	}
 	a.workers = n
 	a.mu.Unlock()
@@ -247,13 +214,12 @@ func (a *Accelerator) PrewarmWeights(m [][]float64) (int, error) {
 	if cache == nil {
 		return 0, nil
 	}
-	n := a.blockSize
-	pm := mat.PadTo(mat.FromReal(m), n)
+	bi, bj := a.blocks(m)
 	pinned := 0
 	var s blockScratch
-	for c := 0; c < pm.Cols()/n; c++ {
-		for r := 0; r < pm.Rows()/n; r++ {
-			if _, err := a.programFor(pm, r, c, cache, &s); err != nil {
+	for c := 0; c < bj; c++ {
+		for r := 0; r < bi; r++ {
+			if _, err := a.programFor(m, r, c, cache, &s); err != nil {
 				return pinned, err
 			}
 			if cache.pin(s.key) {
@@ -278,13 +244,12 @@ func (a *Accelerator) UnpinWeights(m [][]float64) int {
 	if cache == nil {
 		return 0
 	}
-	n := a.blockSize
-	pm := mat.PadTo(mat.FromReal(m), n)
+	bi, bj := a.blocks(m)
 	released := 0
 	var key []byte
-	for c := 0; c < pm.Cols()/n; c++ {
-		for r := 0; r < pm.Rows()/n; r++ {
-			key = mat.AppendBlockFingerprint(key[:0], pm, n, r, c)
+	for c := 0; c < bj; c++ {
+		for r := 0; r < bi; r++ {
+			key = wfp.AppendBlock(key[:0], m, a.blockSize, r, c)
 			if cache.unpin(key) {
 				released++
 			}
@@ -328,9 +293,9 @@ type Stats struct {
 func (a *Accelerator) Stats() Stats {
 	a.mu.RLock()
 	s := Stats{
-		Ports:      a.fabric.N(),
+		Ports:      a.ports,
 		BlockSize:  a.blockSize,
-		Partitions: len(a.partitions),
+		Partitions: a.parts,
 		Workers:    a.workers,
 		Precision:  a.quant.Bits,
 	}
@@ -366,11 +331,12 @@ func (a *Accelerator) MatVecCtx(ctx context.Context, m [][]float64, x []float64)
 	if len(m[0]) != len(x) {
 		return nil, fmt.Errorf("flumen: MatVec dimension mismatch: %d×%d · %d", len(m), len(m[0]), len(x))
 	}
-	xd := mat.New(len(x), 1)
-	for i, v := range x {
-		xd.Set(i, 0, complex(v, 0))
+	// x as a one-column matrix: each row a view of one element.
+	col := make([][]float64, len(x))
+	for i := range x {
+		col[i] = x[i : i+1 : i+1]
 	}
-	out, err := a.matMulCtx(ctx, mat.FromReal(m), xd)
+	out, err := a.matMulCtx(ctx, m, col)
 	if err != nil {
 		return nil, err
 	}
@@ -405,7 +371,7 @@ func (a *Accelerator) MatMulCtx(ctx context.Context, m, x [][]float64) ([][]floa
 		return nil, err
 	}
 	nrhs := len(x[0])
-	out, err := a.matMulCtx(ctx, mat.FromReal(m), mat.FromReal(x))
+	out, err := a.matMulCtx(ctx, m, x)
 	if err != nil {
 		return nil, err
 	}
@@ -484,12 +450,11 @@ func (a *Accelerator) Conv2DCtx(ctx context.Context, input [][][]float64, kernel
 			}
 		}
 	}
-	km := workload.KernelMatrix(shape, ravel)
 	cols := workload.Im2Col(shape, vol)
 	if rec := trace.FromContext(ctx); rec != nil {
 		rec.Add(trace.StageCompute, time.Since(lowerStart))
 	}
-	prod, err := a.matMulCtx(ctx, km, cols)
+	prod, err := a.matMulCtx(ctx, ravel, cols)
 	if err != nil {
 		return nil, err
 	}
@@ -506,38 +471,8 @@ func (a *Accelerator) Conv2DCtx(ctx context.Context, input [][][]float64, kernel
 	return out, nil
 }
 
-// RoutePermutation demonstrates the fabric's communication mode: it routes
-// input port i to output perm[i] and returns the per-port MZI path counts
-// whose spread the attenuator column equalizes. It waits for all in-flight
-// compute work to drain before reconfiguring the fabric.
-func (a *Accelerator) RoutePermutation(perm []int) ([]int, error) {
-	if len(perm) != a.fabric.N() {
-		return nil, fmt.Errorf("flumen: permutation length %d, fabric has %d ports", len(perm), a.fabric.N())
-	}
-	if a.healthRef() != nil {
-		// Quarantined partitions are parked outside the pool, so the full
-		// drain below could block forever.
-		return nil, fmt.Errorf("flumen: cannot re-route fabric while the health monitor is enabled")
-	}
-	// Take every partition out of the pool so no worker is mid-flight while
-	// the fabric is re-routed; buildPartitions refills the same channel.
-	for range a.partitions {
-		<-a.pool
-	}
-	a.fabric.RoutePermutation(perm)
-	counts := make([]int, len(perm))
-	for src := range perm {
-		counts[src], _ = a.fabric.PathMZICount(src)
-	}
-	// Restore the compute partitions (routing reset the fabric).
-	if err := a.buildPartitions(); err != nil {
-		return nil, err
-	}
-	return counts, nil
-}
-
 // Ports returns the fabric port count.
-func (a *Accelerator) Ports() int { return a.fabric.N() }
+func (a *Accelerator) Ports() int { return a.ports }
 
 func colsOf(m [][]float64) int {
 	if len(m) == 0 {
@@ -590,11 +525,4 @@ func checkPlanes(planes [][][]float64, check func([][]float64) error) error {
 		}
 	}
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -216,39 +216,6 @@ func TestAcceleratorEnergyAccumulates(t *testing.T) {
 	}
 }
 
-func TestAcceleratorRoutePermutation(t *testing.T) {
-	a, err := NewAccelerator(8, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts, err := a.RoutePermutation([]int{7, 6, 5, 4, 3, 2, 1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(counts) != 8 {
-		t.Fatalf("counts %v", counts)
-	}
-	for _, c := range counts {
-		if c < 1 || c > 8 {
-			t.Fatalf("path MZI count %d out of range", c)
-		}
-	}
-	// The fabric must still compute after restoring the partition.
-	rng := rand.New(rand.NewSource(6))
-	m := randomMatrix(4, 4, rng)
-	x := []float64{0.1, 0.2, 0.3, 0.4}
-	got, err := a.MatVec(m, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := matVecRef(m, x)
-	for i := range got {
-		if math.Abs(got[i]-want[i]) > 0.05 {
-			t.Fatalf("post-route MatVec diverged: %g vs %g", got[i], want[i])
-		}
-	}
-}
-
 func TestPropertyAcceleratorAccuracy(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -12,10 +12,12 @@ import (
 	"flumen/internal/optics"
 	"flumen/internal/photonic"
 	"flumen/internal/trace"
+	"flumen/internal/wfp"
 )
 
-// This file is the accelerator's parallel compute engine. A padded
-// matrix-matrix product decomposes into (block-row, block-col) work items.
+// This file is the accelerator's parallel compute engine. A matrix-matrix
+// product, zero-padded to block multiples (Eq. 2), decomposes into
+// (block-row, block-col) work items.
 // The right-hand side passes the DAC once per call; each item then fetches
 // (or compiles into the weight-program cache) its block's SVD + Clements
 // program, multiplies its block column's modulated vectors by the
@@ -25,11 +27,11 @@ import (
 // through the program's plan — is the block's whole effect on any input
 // (DESIGN §3c).
 //
-// A partition is the engine's unit of capacity (the checkout pool), of
-// fault injection and of health; the engine executes the program and
-// does not write its phases into the partition's mesh. The equivalence
-// physical partition ≡ program ≡ plan is pinned in internal/photonic, and
-// each item is still charged the phase-programming energy (DESIGN §3c).
+// A partition is an index: the engine's unit of capacity (the checkout
+// pool), of fault injection and of health. The engine executes the program
+// and writes its phases into no device partition. The equivalence physical
+// partition ≡ program ≡ plan is pinned in internal/photonic, and each item
+// is still charged the phase-programming energy (DESIGN §3c).
 //
 // Determinism guarantees:
 //   - Worker g owns block rows g, g+workers, … and walks block columns in
@@ -92,19 +94,20 @@ type modulated struct {
 	scales []float64
 }
 
-// modulate is the call's one DAC stage. The slab is a pure function of the
-// right-hand side and the quantizer, so the bj·bi items share it instead of
-// each re-converting its block column.
-func (a *Accelerator) modulate(xd *mat.Dense, bj int, dac optics.Quantizer) *modulated {
-	n, nrhs := a.blockSize, xd.Cols()
+// modulate is the call's one DAC stage, reading the right-hand side x
+// (row-major, one column per vector) in place. The slab is a pure function
+// of x and the quantizer, so the bj·bi items share it instead of each
+// re-converting its block column.
+func (a *Accelerator) modulate(x [][]float64, bj int, dac optics.Quantizer) *modulated {
+	n, nrhs := a.blockSize, len(x[0])
 	in := &modulated{nrhs: nrhs, states: make([]float64, bj*nrhs*n), scales: make([]float64, bj*nrhs)}
 	for c := 0; c < bj; c++ {
-		rows := min(n, xd.Rows()-c*n) // the last block column may be zero-padded
+		rows := min(n, len(x)-c*n) // the last block column may be zero-padded
 		for v := 0; v < nrhs; v++ {
 			seg := in.states[(c*nrhs+v)*n:][:n]
 			var scale float64 // the largest |x|; NaN entries never win
 			for i := 0; i < rows; i++ {
-				seg[i] = real(xd.At(c*n+i, v))
+				seg[i] = x[c*n+i][v]
 				if a := math.Abs(seg[i]); a > scale {
 					scale = a
 				}
@@ -135,31 +138,37 @@ type workerScratch struct {
 	blockScratch
 }
 
-// blockScratch is the reusable storage of programFor: the fingerprint of
-// the block being looked up and, on a miss, the block handed to the
-// compiler.
+// blockScratch is the reusable storage of programFor: the wfp key of the
+// block being looked up and, on a miss, the complex block handed to the
+// compiler (allocated on the first miss).
 type blockScratch struct {
 	key   []byte
-	block mat.Dense
+	block *mat.Dense
 }
 
-// matMulCtx computes the product md·xd across the partition pool and returns
-// it row-major with xd.Cols() columns and md's row count padded to a block
-// multiple (callers truncate). xd's entries are read as real. Cancellation is cooperative: the
-// context is checked before each partition checkout and before every work
-// item, so a cancelled call abandons its remaining items (and never starts
-// any when the context arrives already cancelled). Partitions checked out
-// before cancellation are always returned to the pool; a cancelled call
+// blocks returns the block grid of m zero-padded to the block size (Eq. 2):
+// ⌈rows/n⌉ block rows and ⌈cols/n⌉ block columns.
+func (a *Accelerator) blocks(m [][]float64) (bi, bj int) {
+	n := a.blockSize
+	return (len(m) + n - 1) / n, (len(m[0]) + n - 1) / n
+}
+
+// matMulCtx computes the product m·x across the partition pool and returns
+// it row-major with len(x[0]) columns and m's row count padded to a block
+// multiple (callers truncate). Both operands are read in place during the
+// call and never written. Cancellation is cooperative: the context is
+// checked before each partition checkout and before every work item, so a
+// cancelled call abandons its remaining items (and never starts any when
+// the context arrives already cancelled). Partitions checked out before
+// cancellation are always returned to the pool; a cancelled call
 // contributes nothing to the energy meter.
-func (a *Accelerator) matMulCtx(ctx context.Context, md, xd *mat.Dense) ([]float64, error) {
+func (a *Accelerator) matMulCtx(ctx context.Context, m, x [][]float64) ([]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	n := a.blockSize
-	pm := mat.PadTo(md, n)
-	bi := pm.Rows() / n
-	bj := pm.Cols() / n
-	nrhs := xd.Cols()
+	bi, bj := a.blocks(m)
+	nrhs := len(x[0])
 
 	a.mu.RLock()
 	cfg := callConfig{
@@ -188,17 +197,17 @@ func (a *Accelerator) matMulCtx(ctx context.Context, md, xd *mat.Dense) ([]float
 	if cfg.rec != nil {
 		dacStart = time.Now()
 	}
-	in := a.modulate(xd, bj, cfg.dac)
+	in := a.modulate(x, bj, cfg.dac)
 	if cfg.rec != nil {
 		d := time.Since(dacStart)
 		cfg.rec.Add(trace.StageDAC, d)
 		cfg.rec.Add(trace.StageCompute, d)
 	}
 
-	out := make([]float64, pm.Rows()*nrhs)
+	out := make([]float64, bi*n*nrhs)
 	workers := min(cfg.workers, bi)
 	if workers <= 1 {
-		if err := a.runRows(ctx, 0, 1, pm, in, out, &cfg); err != nil {
+		if err := a.runRows(ctx, 0, 1, m, in, out, &cfg); err != nil {
 			return nil, err
 		}
 	} else {
@@ -208,7 +217,7 @@ func (a *Accelerator) matMulCtx(ctx context.Context, md, xd *mat.Dense) ([]float
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				errs[g] = a.runRows(ctx, g, workers, pm, in, out, &cfg)
+				errs[g] = a.runRows(ctx, g, workers, m, in, out, &cfg)
 			}(g)
 		}
 		wg.Wait()
@@ -239,16 +248,10 @@ func (a *Accelerator) matMulCtx(ctx context.Context, md, xd *mat.Dense) ([]float
 	return out, nil
 }
 
-// partHandle pairs a checked-out partition with its index.
-type partHandle struct {
-	p   *photonic.Partition
-	idx int
-}
-
 // checkout takes a partition from the pool, giving up as soon as the
 // context is cancelled so callers never block on capacity drained by work
 // they no longer want.
-func (a *Accelerator) checkout(ctx context.Context, cfg *callConfig) (partHandle, error) {
+func (a *Accelerator) checkout(ctx context.Context, cfg *callConfig) (int, error) {
 	if cfg.rec != nil {
 		// Lease-wait is the partition-contention signal: time from asking
 		// the pool for a partition to holding one.
@@ -258,38 +261,28 @@ func (a *Accelerator) checkout(ctx context.Context, cfg *callConfig) (partHandle
 	// Fast path: a cancelled context always loses, even when a partition is
 	// simultaneously available (select would pick at random).
 	if err := ctx.Err(); err != nil {
-		return partHandle{}, err
+		return -1, err
 	}
 	select {
-	case p := <-a.pool:
-		return partHandle{p: p, idx: a.partitionIndex(p)}, nil
+	case part := <-a.pool:
+		return part, nil
 	case <-ctx.Done():
-		return partHandle{}, ctx.Err()
+		return -1, ctx.Err()
 	}
 }
 
-// partitionIndex resolves a partition pointer back to its index in the
-// registry (for health/fault bookkeeping).
-func (a *Accelerator) partitionIndex(p *photonic.Partition) int {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if i, ok := a.partIdx[p]; ok {
-		return i
-	}
-	return -1
-}
-
-// checkin returns a checked-out partition to the pool — unless the health
-// monitor quarantined it while it was held, in which case the monitor parks
-// it and starts background recalibration.
-func (a *Accelerator) checkin(h partHandle) {
-	if h.p == nil {
+// checkin returns checked-out partition part to the pool — unless the
+// health monitor quarantined it while it was held, in which case the
+// monitor parks it and starts background recalibration. A negative part
+// (none held) is a no-op.
+func (a *Accelerator) checkin(part int) {
+	if part < 0 {
 		return
 	}
-	if hm := a.healthRef(); hm != nil && hm.parkIfQuarantined(a, h.idx, h.p) {
+	if hm := a.healthRef(); hm != nil && hm.parkIfQuarantined(a, part) {
 		return
 	}
-	a.pool <- h.p
+	a.pool <- part
 }
 
 // runRows executes one worker's work items — block rows g, g+workers, … of
@@ -297,25 +290,26 @@ func (a *Accelerator) checkin(h partHandle) {
 // the serial path because the rows of out a worker accumulates into are its
 // alone, it visits their items in the serial order, and a compiled block
 // program propagates independently of the partition that runs it.
-func (a *Accelerator) runRows(ctx context.Context, g, workers int, pm *mat.Dense, in *modulated, out []float64, cfg *callConfig) error {
+func (a *Accelerator) runRows(ctx context.Context, g, workers int, m [][]float64, in *modulated, out []float64, cfg *callConfig) error {
 	n := a.blockSize
-	var h partHandle
+	bi, bj := a.blocks(m)
+	part := -1
 	var err error
-	defer func() { a.checkin(h) }()
+	defer func() { a.checkin(part) }()
 	scratch := &workerScratch{
 		states:       make([]complex128, in.nrhs*n),
-		blockScratch: blockScratch{key: make([]byte, 0, 16+16*n*n)},
+		blockScratch: blockScratch{key: make([]byte, 0, 16+8*n*n)},
 	}
-	for c := 0; c < pm.Cols()/n; c++ {
-		for r := g; r < pm.Rows()/n; r += workers {
+	for c := 0; c < bj; c++ {
+		for r := g; r < bi; r += workers {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if h.p == nil {
+			if part < 0 {
 				// First item, or the previous partition was quarantined:
 				// check out lazily so a worker that just finished its rows
 				// never blocks on capacity it no longer needs.
-				if h, err = a.checkout(ctx, cfg); err != nil {
+				if part, err = a.checkout(ctx, cfg); err != nil {
 					return err
 				}
 			}
@@ -323,20 +317,20 @@ func (a *Accelerator) runRows(ctx context.Context, g, workers int, pm *mat.Dense
 			if cfg.rec != nil {
 				itemStart = time.Now()
 			}
-			if err := a.computeItem(h.idx, scratch, pm, in, out, r, c, cfg); err != nil {
+			if err := a.computeItem(part, scratch, m, in, out, r, c, cfg); err != nil {
 				return err
 			}
 			if cfg.rec != nil {
 				cfg.rec.Add(trace.StageCompute, time.Since(itemStart))
 			}
-			if cfg.health != nil && cfg.health.afterItem(cfg, h) {
+			if cfg.health != nil && cfg.health.afterItem(cfg, part) {
 				// The partition we hold just failed its calibration probe and
 				// was quarantined: hand it to the monitor and continue on
 				// whichever healthy partition the next checkout grants.
 				// Results are unaffected — the remaining items accumulate in
 				// the same order regardless of which partition runs them.
-				a.checkin(h)
-				h = partHandle{}
+				a.checkin(part)
+				part = -1
 			}
 		}
 	}
@@ -347,9 +341,9 @@ func (a *Accelerator) runRows(ctx context.Context, g, workers int, pm *mat.Dense
 // partition with index pidx: fetch or compile the block's weight program,
 // multiply block column c's modulated vectors by its transfer matrix, and
 // detect the result into block row r of out.
-func (a *Accelerator) computeItem(pidx int, s *workerScratch, pm *mat.Dense, in *modulated, out []float64, r, c int, cfg *callConfig) error {
+func (a *Accelerator) computeItem(pidx int, s *workerScratch, m [][]float64, in *modulated, out []float64, r, c int, cfg *callConfig) error {
 	n, nrhs := a.blockSize, in.nrhs
-	bp, err := a.programFor(pm, r, c, cfg.cache, &s.blockScratch)
+	bp, err := a.programFor(m, r, c, cfg.cache, &s.blockScratch)
 	if err != nil {
 		return err
 	}
@@ -459,24 +453,39 @@ func detect(rows []float64, fields []complex128, scales []float64, blockScale fl
 	}
 }
 
-// programFor resolves the weight program of block (r, c) of the padded
-// matrix pm, through the cache when one is configured. The block's
-// fingerprint is appended into s.key and looked up without allocating; the
-// block itself is copied out (into s.block) only on a miss, and the
-// compiler works in its own pooled scratch, so a miss allocates the program
-// and its cache entry and nothing else. Concurrent misses on the same key
-// compile independently and the last put wins; compilation is
-// deterministic, so every copy is interchangeable.
-func (a *Accelerator) programFor(pm *mat.Dense, r, c int, cache *programCache, s *blockScratch) (*photonic.BlockProgram, error) {
+// programFor resolves the weight program of block (r, c) of m zero-padded
+// to the block size, through the cache when one is configured. The block's
+// wfp key is appended into s.key from m in place and looked up without
+// allocating; the block is copied out (into s.block, the call's one complex
+// copy) only on a miss, and the compiler works in its own pooled scratch,
+// so a miss allocates the program and its cache entry and nothing else.
+// Concurrent misses on the same key compile independently and the last put
+// wins; compilation is deterministic, so every copy is interchangeable.
+func (a *Accelerator) programFor(m [][]float64, r, c int, cache *programCache, s *blockScratch) (*photonic.BlockProgram, error) {
 	n := a.blockSize
 	if cache != nil {
-		s.key = mat.AppendBlockFingerprint(s.key[:0], pm, n, r, c)
+		s.key = wfp.AppendBlock(s.key[:0], m, n, r, c)
 		if bp, ok := cache.get(s.key); ok {
 			return bp, nil
 		}
 	}
-	mat.BlockInto(&s.block, pm, n, r, c)
-	bp, err := photonic.CompileBlockScaled(&s.block)
+	if s.block == nil {
+		s.block = mat.New(n, n)
+	}
+	for i := 0; i < n; i++ {
+		var row []float64
+		if r*n+i < len(m) {
+			row = m[r*n+i]
+		}
+		for j := 0; j < n; j++ {
+			var v float64
+			if c*n+j < len(row) {
+				v = row[c*n+j]
+			}
+			s.block.Set(i, j, complex(v, 0))
+		}
+	}
+	bp, err := photonic.CompileBlockScaled(s.block)
 	if err != nil || cache == nil {
 		return bp, err
 	}
@@ -515,8 +524,8 @@ type CacheStats struct {
 }
 
 // programCache is a mutex-guarded LRU of compiled block programs keyed by
-// the exact bit-level fingerprint of the padded block, so a hit is
-// guaranteed to return the identical program a fresh compile would.
+// the padded block's wfp key (its exact bits), so a hit is guaranteed to
+// return the identical program a fresh compile would.
 type programCache struct {
 	mu        sync.Mutex
 	capacity  int

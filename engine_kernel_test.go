@@ -162,13 +162,14 @@ func newTransferCase(t *testing.T, rng *rand.Rand, n, k int, dac optics.Quantize
 	if err != nil {
 		t.Fatal(err)
 	}
-	xd := mat.New(n, k)
-	for i := 0; i < n; i++ {
-		for v := 0; v < k; v++ {
-			xd.Set(i, v, complex(rng.NormFloat64()*math.Ldexp(1, rng.Intn(9)-4), 0))
+	x := make([][]float64, n)
+	for i := range x {
+		x[i] = make([]float64, k)
+		for v := range x[i] {
+			x[i][v] = rng.NormFloat64() * math.Ldexp(1, rng.Intn(9)-4)
 		}
 	}
-	in := (&Accelerator{blockSize: n}).modulate(xd, 1, dac)
+	in := (&Accelerator{blockSize: n}).modulate(x, 1, dac)
 	tc := transferCase{bp: bp, xs: in.states, states: make([]complex128, n*k), scales: in.scales}
 	for i, x := range in.states {
 		tc.states[i] = complex(x, 0)

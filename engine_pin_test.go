@@ -78,62 +78,86 @@ func TestPrewarmWeightsPinsAgainstEviction(t *testing.T) {
 }
 
 // TestPrewarmWeightsBitwiseNeutral: prewarming is purely a cache fill — it
-// must not change a single output bit or meter any energy.
+// must not change a single output bit or meter any energy. The 13×11 case
+// is not block-aligned at block size 8: prewarm and the calls key the same
+// implicitly padded blocks, so the calls after it compile nothing, and
+// UnpinWeights releases exactly the pins PrewarmWeights took.
 func TestPrewarmWeightsBitwiseNeutral(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	m := randMatrix(rng, 16, 16)
-	x := randMatrix(rng, 16, 3)
-	v := make([]float64, 16)
-	for i := range v {
-		v[i] = rng.NormFloat64()
-	}
-
-	cold := newEngineAccel(t, 16, 8)
-	wantMM, err := cold.MatMul(m, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantMV, err := cold.MatVec(m, v)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	warm := newEngineAccel(t, 16, 8)
-	if _, err := warm.PrewarmWeights(m); err != nil {
-		t.Fatal(err)
-	}
-	if e := warm.EnergyPJ(); e != 0 {
-		t.Fatalf("prewarm metered %g pJ", e)
-	}
-	if p := warm.Stats().Programs; p != 0 {
-		t.Fatalf("prewarm programmed %d partitions", p)
-	}
-	missesAfterPrewarm := warm.Stats().Cache.Misses
-
-	gotMM, err := warm.MatMul(m, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// MatVec lowers onto the same block programs, so the prewarm covers the
-	// /v1/infer FC path too.
-	gotMV, err := warm.MatVec(m, v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := warm.Stats().Cache; st.Misses != missesAfterPrewarm {
-		t.Fatalf("prewarmed serving still compiled: %+v", st)
-	}
-	for i := range wantMM {
-		for j := range wantMM[i] {
-			if math.Float64bits(gotMM[i][j]) != math.Float64bits(wantMM[i][j]) {
-				t.Fatalf("MatMul differs bitwise at (%d,%d) after prewarm", i, j)
+	for _, tc := range []struct {
+		name       string
+		seed       int64
+		rows, cols int
+	}{
+		{"aligned16x16", 22, 16, 16},
+		{"ragged13x11", 25, 13, 11},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(tc.seed))
+			m := randMatrix(rng, tc.rows, tc.cols)
+			x := randMatrix(rng, tc.cols, 3)
+			v := make([]float64, tc.cols)
+			for i := range v {
+				v[i] = rng.NormFloat64()
 			}
-		}
-	}
-	for i := range wantMV {
-		if math.Float64bits(gotMV[i]) != math.Float64bits(wantMV[i]) {
-			t.Fatalf("MatVec differs bitwise at %d after prewarm", i)
-		}
+
+			cold := newEngineAccel(t, 16, 8)
+			wantMM, err := cold.MatMul(m, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantMV, err := cold.MatVec(m, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			warm := newEngineAccel(t, 16, 8)
+			pinned, err := warm.PrewarmWeights(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if blocks := ((tc.rows + 7) / 8) * ((tc.cols + 7) / 8); pinned != blocks {
+				t.Fatalf("PrewarmWeights pinned %d, want one per block (%d)", pinned, blocks)
+			}
+			if e := warm.EnergyPJ(); e != 0 {
+				t.Fatalf("prewarm metered %g pJ", e)
+			}
+			if p := warm.Stats().Programs; p != 0 {
+				t.Fatalf("prewarm programmed %d partitions", p)
+			}
+			missesAfterPrewarm := warm.Stats().Cache.Misses
+
+			gotMM, err := warm.MatMul(m, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// MatVec lowers onto the same block programs, so the prewarm
+			// covers the /v1/infer FC path too.
+			gotMV, err := warm.MatVec(m, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := warm.Stats().Cache; st.Misses != missesAfterPrewarm {
+				t.Fatalf("prewarmed serving still compiled: %+v", st)
+			}
+			for i := range wantMM {
+				for j := range wantMM[i] {
+					if math.Float64bits(gotMM[i][j]) != math.Float64bits(wantMM[i][j]) {
+						t.Fatalf("MatMul differs bitwise at (%d,%d) after prewarm", i, j)
+					}
+				}
+			}
+			for i := range wantMV {
+				if math.Float64bits(gotMV[i]) != math.Float64bits(wantMV[i]) {
+					t.Fatalf("MatVec differs bitwise at %d after prewarm", i)
+				}
+			}
+			if released := warm.UnpinWeights(m); released != pinned {
+				t.Fatalf("UnpinWeights released %d, PrewarmWeights took %d", released, pinned)
+			}
+			if st := warm.Stats().Cache; st.Pinned != 0 {
+				t.Fatalf("after unpin: %+v, want 0 pinned", st)
+			}
+		})
 	}
 }
 

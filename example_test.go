@@ -63,19 +63,3 @@ func ExampleEnergyBreakdown_TotalPJ() {
 	fmt.Println(e.TotalPJ())
 	// Output: 160
 }
-
-// ExampleAccelerator_RoutePermutation shows the fabric's communication
-// mode: route a permutation and inspect the per-path MZI counts whose
-// spread the attenuator column equalizes.
-func ExampleAccelerator_RoutePermutation() {
-	acc, err := flumen.NewAccelerator(8, 4)
-	if err != nil {
-		log.Fatal(err)
-	}
-	counts, err := acc.RoutePermutation([]int{1, 0, 3, 2, 5, 4, 7, 6})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(len(counts))
-	// Output: 8
-}

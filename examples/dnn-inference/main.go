@@ -85,15 +85,7 @@ func main() {
 	for k := range km {
 		km[k] = kernels[k]
 	}
-	cols := workload.Im2Col(shape, in)
-	rhs := make([][]float64, cols.Rows())
-	for i := range rhs {
-		rhs[i] = make([]float64, cols.Cols())
-		for j := range rhs[i] {
-			rhs[i][j] = real(cols.At(i, j))
-		}
-	}
-	convOut, err := acc.MatMul(km, rhs)
+	convOut, err := acc.MatMul(km, workload.Im2Col(shape, in))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -33,16 +33,8 @@ func main() {
 	var worst, sum float64
 	var count int
 	for ch := 0; ch < 3; ch++ {
-		cols := workload.Im2Col(shape, img[ch])
 		// One patch per column; batch all patches as the RHS matrix.
-		patches := make([][]float64, cols.Rows())
-		for i := range patches {
-			patches[i] = make([]float64, cols.Cols())
-			for j := range patches[i] {
-				patches[i][j] = real(cols.At(i, j))
-			}
-		}
-		out, err := acc.MatMul(kernel, patches)
+		out, err := acc.MatMul(kernel, workload.Im2Col(shape, img[ch]))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,32 +6,22 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"slices"
 
-	"flumen"
 	"flumen/internal/noc"
+	"flumen/internal/photonic"
 )
 
 func main() {
 	// Device level: route a permutation and inspect path-length spread.
-	acc, err := flumen.NewAccelerator(16, 8)
-	if err != nil {
-		log.Fatal(err)
-	}
+	fabric := photonic.NewFlumenMesh(16)
 	perm := []int{5, 12, 0, 9, 14, 2, 7, 11, 1, 15, 4, 8, 13, 3, 10, 6}
-	counts, err := acc.RoutePermutation(perm)
-	if err != nil {
-		log.Fatal(err)
+	fabric.RoutePermutation(perm)
+	counts := make([]int, len(perm))
+	for src := range perm {
+		counts[src], _ = fabric.PathMZICount(src)
 	}
-	minC, maxC := counts[0], counts[0]
-	for _, c := range counts {
-		if c < minC {
-			minC = c
-		}
-		if c > maxC {
-			maxC = c
-		}
-	}
+	minC, maxC := slices.Min(counts), slices.Max(counts)
 	fmt.Println("Flumen MZIM point-to-point routing (16 ports):")
 	fmt.Printf("  permutation: %v\n", perm)
 	fmt.Printf("  MZIs traversed per path: %v\n", counts)

@@ -145,7 +145,7 @@ type partitionHealth struct {
 	probes      int64
 	quarantines int64
 	recals      int64
-	parked      bool // physical partition held by the monitor
+	parked      bool // partition held by the monitor, out of the pool
 }
 
 // healthMonitor drives probes, quarantine decisions and background
@@ -179,10 +179,7 @@ func probeProgram(n int) (*photonic.BlockProgram, error) {
 }
 
 // EnableHealthMonitor turns on per-partition calibration probes,
-// quarantine and background recalibration. It can be enabled at most once;
-// RoutePermutation is refused while the monitor is active (quarantined
-// partitions are parked outside the pool, so a full drain could never
-// complete).
+// quarantine and background recalibration. It can be enabled at most once.
 func (a *Accelerator) EnableHealthMonitor(cfg HealthConfig) error {
 	bp, err := probeProgram(a.blockSize)
 	if err != nil {
@@ -196,8 +193,8 @@ func (a *Accelerator) EnableHealthMonitor(cfg HealthConfig) error {
 	a.health = &healthMonitor{
 		cfg:       cfg.withDefaults(),
 		probe:     bp,
-		parts:     make([]partitionHealth, len(a.partitions)),
-		inService: len(a.partitions),
+		parts:     make([]partitionHealth, a.parts),
+		inService: a.parts,
 	}
 	return nil
 }
@@ -212,12 +209,12 @@ func (a *Accelerator) EnableHealthMonitor(cfg HealthConfig) error {
 func (a *Accelerator) InjectFaults(part int, fc photonic.FaultConfig) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if part < 0 || part >= len(a.partitions) {
-		return fmt.Errorf("flumen: partition %d out of range [0,%d)", part, len(a.partitions))
+	if part < 0 || part >= a.parts {
+		return fmt.Errorf("flumen: partition %d out of range [0,%d)", part, a.parts)
 	}
 	// Copy-on-write so concurrent calls snapshotting the slice never
 	// observe a torn element.
-	next := make([]*photonic.FaultInjector, len(a.partitions))
+	next := make([]*photonic.FaultInjector, a.parts)
 	copy(next, a.faults)
 	next[part] = photonic.NewFaultInjector(a.blockSize, fc)
 	a.faults = next
@@ -282,15 +279,15 @@ func (hm *healthMonitor) snapshot(faults []*photonic.FaultInjector) HealthStats 
 // probe every ProbeInterval items, and decides quarantine. It returns true
 // when the held partition was quarantined and the worker must hand it back
 // and continue on another.
-func (hm *healthMonitor) afterItem(cfg *callConfig, h partHandle) bool {
-	inj := cfg.injector(h.idx)
+func (hm *healthMonitor) afterItem(cfg *callConfig, part int) bool {
+	inj := cfg.injector(part)
 	if inj == nil {
 		// No fault model on this partition: probes would measure exactly
 		// zero, so skip the bookkeeping entirely.
 		return false
 	}
 	hm.mu.Lock()
-	ph := &hm.parts[h.idx]
+	ph := &hm.parts[part]
 	ph.items++
 	if ph.items < hm.cfg.ProbeInterval {
 		hm.mu.Unlock()
@@ -331,15 +328,15 @@ func (hm *healthMonitor) afterItem(cfg *callConfig, h partHandle) bool {
 	hm.quarantines++
 	hm.inService--
 	hm.mu.Unlock()
-	// The physical partition is parked (and recalibration spawned) by
-	// checkin via parkIfQuarantined once the worker hands it back.
+	// The partition is parked (and recalibration spawned) by checkin via
+	// parkIfQuarantined once the worker hands it back.
 	return true
 }
 
 // parkIfQuarantined intercepts a checkin: a quarantined partition is held
 // by the monitor instead of returning to the pool, and background
 // recalibration starts. Returns true when the partition was parked.
-func (hm *healthMonitor) parkIfQuarantined(a *Accelerator, idx int, p *photonic.Partition) bool {
+func (hm *healthMonitor) parkIfQuarantined(a *Accelerator, idx int) bool {
 	hm.mu.Lock()
 	ph := &hm.parts[idx]
 	if ph.state != HealthQuarantined || ph.parked {
@@ -349,15 +346,15 @@ func (hm *healthMonitor) parkIfQuarantined(a *Accelerator, idx int, p *photonic.
 	ph.parked = true
 	hm.wg.Add(1)
 	hm.mu.Unlock()
-	go hm.recalibrate(a, idx, p)
+	go hm.recalibrate(a, idx)
 	return true
 }
 
 // recalibrate is the background recovery path: up to MaxRecalAttempts
 // rounds of in-situ coordinate descent against the probe program, each
-// followed by a verification probe. On success the parked partition p goes
-// back to the pool; on exhaustion it stays quarantined.
-func (hm *healthMonitor) recalibrate(a *Accelerator, idx int, p *photonic.Partition) {
+// followed by a verification probe. On success the parked partition idx
+// goes back to the pool; on exhaustion it stays quarantined.
+func (hm *healthMonitor) recalibrate(a *Accelerator, idx int) {
 	defer hm.wg.Done()
 	inj := a.injectorFor(idx)
 	hm.mu.Lock()
@@ -379,7 +376,7 @@ func (hm *healthMonitor) recalibrate(a *Accelerator, idx int, p *photonic.Partit
 				hm.recals++
 				hm.inService++
 				hm.mu.Unlock()
-				a.pool <- p
+				a.pool <- idx
 				return
 			}
 			hm.mu.Unlock()

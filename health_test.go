@@ -176,13 +176,6 @@ func TestHealthGuards(t *testing.T) {
 	if err := a.InjectFaults(99, photonic.FaultConfig{}); err == nil {
 		t.Fatal("out-of-range InjectFaults accepted")
 	}
-	perm := make([]int, a.Ports())
-	for i := range perm {
-		perm[i] = (i + 1) % len(perm)
-	}
-	if _, err := a.RoutePermutation(perm); err == nil {
-		t.Fatal("RoutePermutation allowed with health monitor enabled")
-	}
 }
 
 // TestHealthMonitorHoldsAccuracyUnderDrift is the accuracy claim of the

@@ -173,13 +173,11 @@ func TestIntegrationResNetSliceThroughFabric(t *testing.T) {
 	in, kernels := r.RandomLayer(25)
 	ref := r.Reference(in, kernels)
 	sh := r.Shape()
-	km := workload.KernelMatrix(sh, kernels)
-	cols := workload.Im2Col(sh, in)
 	acc, err := NewAccelerator(16, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := acc.MatMul(toFloatMatrix(km), toFloatMatrix(cols))
+	out, err := acc.MatMul(kernels, workload.Im2Col(sh, in))
 	if err != nil {
 		t.Fatal(err)
 	}

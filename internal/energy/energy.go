@@ -158,38 +158,3 @@ func (p Params) FlumenBatchTimeNS(vecs, computeLambdas int, inputModGHz float64)
 func EDP(totalPJ, seconds float64) float64 {
 	return totalPJ * 1e-12 * seconds
 }
-
-// Breakdown is the per-component energy split of Fig. 13 (picojoules).
-type Breakdown struct {
-	CorePJ float64
-	L1iPJ  float64
-	L1dPJ  float64
-	L2PJ   float64
-	L3PJ   float64
-	DRAMPJ float64
-	NoPPJ  float64
-}
-
-// TotalPJ sums all components.
-func (b Breakdown) TotalPJ() float64 {
-	return b.CorePJ + b.L1iPJ + b.L1dPJ + b.L2PJ + b.L3PJ + b.DRAMPJ + b.NoPPJ
-}
-
-// Add accumulates another breakdown into b.
-func (b *Breakdown) Add(o Breakdown) {
-	b.CorePJ += o.CorePJ
-	b.L1iPJ += o.L1iPJ
-	b.L1dPJ += o.L1dPJ
-	b.L2PJ += o.L2PJ
-	b.L3PJ += o.L3PJ
-	b.DRAMPJ += o.DRAMPJ
-	b.NoPPJ += o.NoPPJ
-}
-
-// Scale multiplies every component by f and returns the result.
-func (b Breakdown) Scale(f float64) Breakdown {
-	return Breakdown{
-		CorePJ: b.CorePJ * f, L1iPJ: b.L1iPJ * f, L1dPJ: b.L1dPJ * f,
-		L2PJ: b.L2PJ * f, L3PJ: b.L3PJ * f, DRAMPJ: b.DRAMPJ * f, NoPPJ: b.NoPPJ * f,
-	}
-}

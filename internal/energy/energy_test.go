@@ -112,21 +112,6 @@ func TestEDP(t *testing.T) {
 	}
 }
 
-func TestBreakdownArithmetic(t *testing.T) {
-	b := Breakdown{CorePJ: 1, L1iPJ: 2, L1dPJ: 3, L2PJ: 4, L3PJ: 5, DRAMPJ: 6, NoPPJ: 7}
-	if b.TotalPJ() != 28 {
-		t.Fatalf("TotalPJ = %g", b.TotalPJ())
-	}
-	b.Add(b)
-	if b.TotalPJ() != 56 {
-		t.Fatalf("after Add TotalPJ = %g", b.TotalPJ())
-	}
-	s := b.Scale(0.5)
-	if s.TotalPJ() != 28 || s.CorePJ != 1 {
-		t.Fatalf("Scale wrong: %+v", s)
-	}
-}
-
 func TestAreaAnchorsSec51(t *testing.T) {
 	a := DefaultArea()
 	if math.Abs(a.EndpointMM2-9.46) > 1e-9 {

@@ -1,10 +1,5 @@
 package mat
 
-import (
-	"encoding/binary"
-	"math"
-)
-
 // This file implements the zero-padding and block-partition machinery of
 // Eq. (2) and Eq. (3) in the Flumen paper: an arbitrary n×m matrix M is
 // zero-padded to the nearest multiple of the mesh size N along both
@@ -49,61 +44,15 @@ func ceilMultiple(x, n int) int {
 // Block extracts the n×n sub-block at block-row bi, block-col bj of a
 // matrix whose dimensions are multiples of n.
 func Block(m *Dense, n, bi, bj int) *Dense {
-	out := new(Dense)
-	BlockInto(out, m, n, bi, bj)
-	return out
-}
-
-// BlockInto is Block written into dst, keeping dst's storage when it is
-// large enough.
-func BlockInto(dst, m *Dense, n, bi, bj int) {
 	if m.rows%n != 0 || m.cols%n != 0 {
 		panic("mat: Block requires dimensions aligned to the block size")
 	}
-	dst.rows, dst.cols = n, n
-	dst.data = grow(dst.data, n*n)
+	out := New(n, n)
 	for i := 0; i < n; i++ {
 		src := (bi*n+i)*m.cols + bj*n
-		copy(dst.data[i*n:(i+1)*n], m.data[src:src+n])
+		copy(out.data[i*n:(i+1)*n], m.data[src:src+n])
 	}
-}
-
-// Fingerprint returns an exact content key for the matrix: its dimensions
-// followed by the raw IEEE-754 bits of every element. Two matrices share a
-// fingerprint if and only if they are bit-identical (so ±0 and equal-but-
-// differently-rounded values are distinguished — exact, collision-free, and
-// conservative). It is the weight-program cache key of the accelerator's
-// compute engine.
-func (m *Dense) Fingerprint() string {
-	b := make([]byte, 0, 16+16*len(m.data))
-	b = binary.LittleEndian.AppendUint64(b, uint64(m.rows))
-	b = binary.LittleEndian.AppendUint64(b, uint64(m.cols))
-	return string(appendBits(b, m.data))
-}
-
-// AppendBlockFingerprint appends Block(m, n, bi, bj).Fingerprint() to b
-// without materializing the block, so a cache lookup on a resident block
-// allocates nothing.
-func AppendBlockFingerprint(b []byte, m *Dense, n, bi, bj int) []byte {
-	if m.rows%n != 0 || m.cols%n != 0 {
-		panic("mat: AppendBlockFingerprint requires dimensions aligned to the block size")
-	}
-	b = binary.LittleEndian.AppendUint64(b, uint64(n))
-	b = binary.LittleEndian.AppendUint64(b, uint64(n))
-	for i := 0; i < n; i++ {
-		src := (bi*n+i)*m.cols + bj*n
-		b = appendBits(b, m.data[src:src+n])
-	}
-	return b
-}
-
-// appendBits appends the raw IEEE-754 bits of every element of vs.
-func appendBits(b []byte, vs []complex128) []byte {
-	for _, v := range vs {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(real(v)))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(imag(v)))
-	}
-	return b
+	return out
 }
 
 // BlockGrid reports the number of block rows and block columns for matrix m

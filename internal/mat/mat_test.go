@@ -355,6 +355,13 @@ func TestPadTo(t *testing.T) {
 	}
 }
 
+func TestPadToReturnsAlignedMatrixUncopied(t *testing.T) {
+	m := New(4, 8)
+	if PadTo(m, 4) != m {
+		t.Fatal("PadTo copied a matrix that was already aligned")
+	}
+}
+
 func TestBlockExtraction(t *testing.T) {
 	a := New(4, 4)
 	for i := 0; i < 4; i++ {

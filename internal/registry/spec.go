@@ -252,15 +252,3 @@ func (s *Spec) RoutingKey() string {
 		return "model:" + s.Ref()
 	}
 }
-
-// Fingerprint is the model's printable content identity: the sha256 of the
-// concatenated raw-bit layer fingerprints. Two registrations share a
-// fingerprint exactly when every layer's weights are bit-identical.
-func (s *Spec) Fingerprint() string {
-	var b strings.Builder
-	b.WriteString(string(s.Kind))
-	for _, w := range s.Weights() {
-		b.WriteString(wfp.Matrix(w))
-	}
-	return wfp.Hex(b.String())
-}

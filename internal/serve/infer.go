@@ -146,15 +146,7 @@ func (mo *inferModel) infer(ctx context.Context, acc *flumen.Accelerator, req *I
 			}
 		}
 	}
-	cols := workload.Im2Col(mo.shape, vol)
-	rhs := make([][]float64, cols.Rows())
-	for i := range rhs {
-		rhs[i] = make([]float64, cols.Cols())
-		for j := range rhs[i] {
-			rhs[i][j] = real(cols.At(i, j))
-		}
-	}
-	convOut, err := acc.MatMulCtx(ctx, mo.kernels, rhs)
+	convOut, err := acc.MatMulCtx(ctx, mo.kernels, workload.Im2Col(mo.shape, vol))
 	if err != nil {
 		return nil, err
 	}

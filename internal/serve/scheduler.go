@@ -254,8 +254,9 @@ func (s *scheduler) executeBatch(batch []*job) {
 	}
 	defer cancel()
 
-	// A batch of one goes to the engine as is: MatMulCtx copies its input
-	// and returns fresh rows, so nothing aliases and no column copy is needed.
+	// A batch of one goes to the engine as is: MatMulCtx reads m and x
+	// during the call, never writes them, and returns fresh rows, so
+	// nothing aliases and no column copy is needed.
 	xAll := live[0].x
 	if len(live) > 1 {
 		xAll = concatColumns(live)

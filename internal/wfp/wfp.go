@@ -24,19 +24,41 @@ func Matrix(m [][]float64) string {
 	if rows > 0 {
 		cols = len(m[0])
 	}
-	buf := make([]byte, 0, 16+rows*cols*8)
-	var dims [16]byte
-	binary.LittleEndian.PutUint64(dims[0:], uint64(rows))
-	binary.LittleEndian.PutUint64(dims[8:], uint64(cols))
-	buf = append(buf, dims[:]...)
-	var w [8]byte
+	b := appendDims(make([]byte, 0, 16+rows*cols*8), rows, cols)
 	for _, row := range m {
 		for _, v := range row {
-			binary.LittleEndian.PutUint64(w[:], math.Float64bits(v))
-			buf = append(buf, w[:]...)
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 		}
 	}
-	return string(buf)
+	return string(b)
+}
+
+// AppendBlock appends to b the Matrix key of the n×n block at block row bi,
+// block column bj of m zero-padded to multiples of n (Eq. 2): entries past
+// m's edge encode as +0. It reads m in place, so with enough capacity in b
+// it allocates nothing — the engine looks up a resident block program
+// without copying the block.
+func AppendBlock(b []byte, m [][]float64, n, bi, bj int) []byte {
+	b = appendDims(b, n, n)
+	for i := bi * n; i < (bi+1)*n; i++ {
+		var row []float64
+		if i < len(m) {
+			row = m[i]
+		}
+		for j := bj * n; j < (bj+1)*n; j++ {
+			var bits uint64
+			if j < len(row) {
+				bits = math.Float64bits(row[j])
+			}
+			b = binary.LittleEndian.AppendUint64(b, bits)
+		}
+	}
+	return b
+}
+
+func appendDims(b []byte, rows, cols int) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(rows))
+	return binary.LittleEndian.AppendUint64(b, uint64(cols))
 }
 
 // Hex condenses a raw fingerprint (or any byte string) to a fixed-width

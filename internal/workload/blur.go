@@ -122,7 +122,7 @@ func (b *ImageBlur) OffloadStreams(cores, meshN, lambdas int) []chip.Stream {
 		for ch := 0; ch < 3; ch++ {
 			// Bring in the input rows (with halo) feeding this core's
 			// output groups; they are reused across all block columns.
-			addr := baseInputs + uint64(ch*b.H+maxInt(rowLo-1, 0))*uint64(rowBytes)
+			addr := baseInputs + uint64(ch*b.H+max(rowLo-1, 0))*uint64(rowBytes)
 			ops = append(ops, chip.Op{Kind: chip.KindLoadBlock,
 				Addr: addr, Lines: lines((rowHi - rowLo + 2) * rowBytes)})
 			for bc := 0; bc < blockCols; bc++ {
@@ -146,13 +146,6 @@ func (b *ImageBlur) OffloadStreams(cores, meshN, lambdas int) []chip.Stream {
 		streams[c] = chip.NewSliceStream(ops)
 	}
 	return streams
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ToeplitzOperator builds the N×(3·(N+2)) block-Toeplitz matrix that the

@@ -71,13 +71,19 @@ func (v *Volume) Set(x, y, ch int, val float64) {
 }
 
 // Im2Col lowers the convolution to the matrix form of Fig. 7b: the result
-// has one raveled receptive field per column, shape PatchLen × Patches.
-func Im2Col(shape ConvShape, in *Volume) *mat.Dense {
+// has one raveled receptive field per column, shape PatchLen × Patches,
+// row-major (the rows share one backing array).
+func Im2Col(shape ConvShape, in *Volume) [][]float64 {
 	shape.Validate()
 	if in.W != shape.InW || in.H != shape.InH || in.C != shape.InC {
 		panic("workload: Im2Col volume does not match shape")
 	}
-	out := mat.New(shape.PatchLen(), shape.Patches())
+	cols := shape.Patches()
+	data := make([]float64, shape.PatchLen()*cols)
+	out := make([][]float64, shape.PatchLen())
+	for i := range out {
+		out[i] = data[i*cols : (i+1)*cols : (i+1)*cols]
+	}
 	col := 0
 	for oy := 0; oy < shape.OutH(); oy++ {
 		for ox := 0; ox < shape.OutW(); ox++ {
@@ -87,7 +93,7 @@ func Im2Col(shape ConvShape, in *Volume) *mat.Dense {
 			for ch := 0; ch < shape.InC; ch++ {
 				for ky := 0; ky < shape.KH; ky++ {
 					for kx := 0; kx < shape.KW; kx++ {
-						out.Set(row, col, complex(in.At(x0+kx, y0+ky, ch), 0))
+						out[row][col] = in.At(x0+kx, y0+ky, ch)
 						row++
 					}
 				}
@@ -154,7 +160,7 @@ func Convolve(shape ConvShape, in *Volume, kernels [][]float64) *Volume {
 func ConvViaMatMul(shape ConvShape, in *Volume, kernels [][]float64) *Volume {
 	km := KernelMatrix(shape, kernels)
 	cols := Im2Col(shape, in)
-	prod := mat.Mul(km, cols) // NumKernels × Patches
+	prod := mat.Mul(km, mat.FromReal(cols)) // NumKernels × Patches
 	out := NewVolume(shape.OutW(), shape.OutH(), shape.NumKernels)
 	for k := 0; k < shape.NumKernels; k++ {
 		for p := 0; p < shape.Patches(); p++ {

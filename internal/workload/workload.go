@@ -111,13 +111,6 @@ func splitRange(total, parts, i int) (lo, hi int) {
 	return lo, hi
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // All returns the five paper benchmarks at paper scale.
 func All() []Workload {
 	return []Workload{

@@ -26,6 +26,7 @@ keep=(
   "internal/photonic SetDriftSigma|ROADMAP item 4: the accuracy envelope sweeps drift"
   "internal/photonic Forward|the root package's mesh benchmarks (bench_test.go) propagate through it"
   "internal/photonic Program|reference path: tests hold CompileBlock+Apply to it"
+  "internal/photonic NewPartition|reference path: the device partition Partition.Apply programs; ROADMAP 19"
   "internal/photonic Depth|the root package's mesh benchmarks and DESIGN's depth-N argument"
   "internal/trace MarshalJSON|encoding/json calls it"
   "internal/workload ToeplitzOperator|the root integration test (another package) runs blur through it"
