@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"flumen"
@@ -64,28 +65,83 @@ func TestFigs131415(t *testing.T) {
 	}
 }
 
-// TestRunValidatesFlags holds every bad -scale to exit 2 before
-// any output, naming what is valid.
+// TestRunValidatesFlags runs the command as a user would at -scale 8. A
+// bad flag, an unknown section or a -scale below 1 exits 2 with nothing on
+// stdout and the valid sections on stderr. Each section exits 0 and prints
+// exactly its slice of the whole report: the header followed by every
+// section in table order is the report, byte for byte.
 func TestRunValidatesFlags(t *testing.T) {
-	for _, c := range []struct {
+	type outcome struct {
+		code           int
+		stdout, stderr string
+	}
+	exec := func(args ...string) outcome {
+		var stdout, stderr bytes.Buffer
+		code := run(args, &stdout, &stderr)
+		return outcome{code, stdout.String(), stderr.String()}
+	}
+	valid := "sections: fig1, fig11, sec52, fig12, sec6, figs13-15, sec51, sec34"
+	type testCase struct {
 		name   string
 		args   []string
+		code   int
 		stderr string // substring of stderr
-	}{
-		{"zero scale", []string{"-scale", "0"}, "-scale must be at least 1"},
-		{"negative scale", []string{"-scale", "-2"}, "-scale must be at least 1"},
-	} {
+	}
+	cases := []testCase{
+		{"zero scale", []string{"-scale", "0"}, 2, "-scale must be at least 1"},
+		{"negative scale", []string{"-scale", "-2"}, 2, "-scale must be at least 1"},
+		{"unknown section", []string{"-scale", "8", "fig1", "fig99"}, 2, `unknown section "fig99"`},
+		{"removed flag", []string{"-pattern", "uniform", "fig11"}, 2, "flag provided but not defined: -pattern"},
+	}
+	for _, s := range sections {
+		cases = append(cases, testCase{s.name, []string{"-scale", "8", s.name}, 0, ""})
+	}
+
+	// The sections are independent simulations: run them and the whole
+	// report at once.
+	outs := make([]outcome, len(cases))
+	var report outcome
+	var wg sync.WaitGroup
+	for i, c := range cases {
+		wg.Add(1)
+		go func() { defer wg.Done(); outs[i] = exec(c.args...) }()
+	}
+	wg.Add(1)
+	go func() { defer wg.Done(); report = exec("-scale", "8") }()
+	wg.Wait()
+
+	if report.code != 0 || report.stderr != "" {
+		t.Fatalf("the whole report exited %d; stderr: %s", report.code, report.stderr)
+	}
+	const header = "# Flumen reproduction report\n\nWorkload scale: 1/8 of paper scale.\n"
+	rest, ok := strings.CutPrefix(report.stdout, header)
+	if !ok {
+		t.Fatalf("the report does not open with its header:\n%s", report.stdout)
+	}
+	for i, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			var stdout, stderr bytes.Buffer
-			if got := run(c.args, &stdout, &stderr); got != 2 {
-				t.Fatalf("exit %d, want 2; stderr: %s", got, stderr.String())
+			o := outs[i]
+			if o.code != c.code {
+				t.Fatalf("exit %d, want %d; stderr: %s", o.code, c.code, o.stderr)
 			}
-			if stdout.Len() != 0 {
-				t.Errorf("wrote output before rejecting the flags:\n%s", stdout.String())
+			if c.code != 0 {
+				if o.stdout != "" {
+					t.Errorf("wrote output before rejecting the arguments:\n%s", o.stdout)
+				}
+				for _, want := range []string{c.stderr, valid} {
+					if !strings.Contains(o.stderr, want) {
+						t.Errorf("stderr %q does not name %q", o.stderr, want)
+					}
+				}
+				return
 			}
-			if !strings.Contains(stderr.String(), c.stderr) {
-				t.Errorf("stderr %q does not name %q", stderr.String(), c.stderr)
+			if !strings.HasPrefix(o.stdout, "\n## ") || !strings.HasPrefix(rest, o.stdout) {
+				t.Fatalf("section %s is not the report's next slice; it printed:\n%s\nthe report goes on:\n%s", c.name, o.stdout, rest)
 			}
+			rest = rest[len(o.stdout):]
 		})
+	}
+	if rest != "" {
+		t.Errorf("the report prints text that no section does:\n%s", rest)
 	}
 }

@@ -1,18 +1,5 @@
 package main
 
-// flumen-util models: manage the model registry of a running flumend (or
-// flumen-router, which fans registrations out to the whole fleet).
-//
-//	flumen-util models register -server http://host:9090 [-file spec.json]
-//	flumen-util models list     -server http://host:9090
-//	flumen-util models rm       -server http://host:9090 name@version
-//
-// register reads a registry spec (JSON) from -file or stdin and POSTs it to
-// /v1/models; list prints the registered models; rm unregisters one.
-//
-// Exit codes: 0 success, 1 transport or server error, 2 usage error,
-// 3 model not found (rm).
-
 import (
 	"bytes"
 	"encoding/json"
@@ -34,13 +21,14 @@ const (
 	exitUsage     = 2
 	exitNotFound  = 3
 	modelsTimeout = 60 * time.Second
+	modelsUsage   = "usage: flumen-util models {register|list|rm} [flags]"
 )
 
 // runModels dispatches "flumen-util models <verb> ..." and returns the
 // process exit code.
 func runModels(args []string) int {
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: flumen-util models {register|list|rm} [flags]")
+		fmt.Fprintln(os.Stderr, modelsUsage)
 		return exitUsage
 	}
 	verb, rest := args[0], args[1:]

@@ -1,19 +1,18 @@
-// Network explorer: exercise the Flumen fabric's communication modes at
-// the device level — point-to-point permutation routing with loss
-// equalization, physical broadcast, and multicast — and compare the four
-// NoP topologies' latency under increasing synthetic load.
+// Network explorer: route a permutation through the Flumen fabric at the
+// device level and inspect how many MZIs each path crosses — the spread
+// that the attenuator column's loss equalization evens out (Sec 3.1.2).
+// The four NoP topologies' latency against load (Fig. 11) is
+// `flumen-repro fig11`.
 package main
 
 import (
 	"fmt"
 	"slices"
 
-	"flumen/internal/noc"
 	"flumen/internal/photonic"
 )
 
 func main() {
-	// Device level: route a permutation and inspect path-length spread.
 	fabric := photonic.NewFlumenMesh(16)
 	perm := []int{5, 12, 0, 9, 14, 2, 7, 11, 1, 15, 4, 8, 13, 3, 10, 6}
 	fabric.RoutePermutation(perm)
@@ -25,43 +24,7 @@ func main() {
 	fmt.Println("Flumen MZIM point-to-point routing (16 ports):")
 	fmt.Printf("  permutation: %v\n", perm)
 	fmt.Printf("  MZIs traversed per path: %v\n", counts)
-	fmt.Printf("  spread %d..%d — the attenuator column equalizes this %d-MZI loss difference (Sec 3.1.2)\n\n",
+	fmt.Printf("  spread %d..%d — the attenuator column equalizes this %d-MZI loss difference (Sec 3.1.2)\n",
 		minC, maxC, maxC-minC)
-
-	// Cycle level: latency vs load across topologies (a slice of Fig. 11).
-	np := struct {
-		ring, mesh, bus, mzim int
-	}{560, 320, 256, 256}
-	mk := []struct {
-		name string
-		f    func() noc.Network
-	}{
-		{"Ring", func() noc.Network { return noc.NewRing(16, np.ring, 4) }},
-		{"Mesh", func() noc.Network { return noc.NewMesh(4, 4, np.mesh, 4) }},
-		{"OptBus", func() noc.Network { return noc.NewOptBus(16, 8, np.bus) }},
-		{"Flumen", func() noc.Network { return noc.NewMZIM(16, np.mzim, 3) }},
-	}
-	cfg := noc.DefaultRunConfig()
-	cfg.MeasureCycles = 5000
-	pattern := noc.Uniform(16)
-	fmt.Println("uniform-random latency vs offered load (cycles):")
-	fmt.Printf("%-12s", "load (Gbps)")
-	for _, m := range mk {
-		fmt.Printf(" %9s", m.name)
-	}
-	fmt.Println()
-	for _, rate := range []float64{0.005, 0.02, 0.05, 0.1, 0.15} {
-		fmt.Printf("%-12.0f", rate*640*2.5)
-		for _, m := range mk {
-			r := noc.RunSynthetic(m.f(), pattern, rate, cfg)
-			if r.Saturated {
-				fmt.Printf(" %9s", "sat")
-			} else {
-				fmt.Printf(" %9.1f", r.AvgLatency)
-			}
-		}
-		fmt.Println()
-	}
-	fmt.Println("\nFlumen's non-blocking crossbar keeps latency lowest until the")
-	fmt.Println("per-port bandwidth limit; the shared-waveguide OptBus saturates first.")
+	fmt.Println("\nLatency against load on the four NoP topologies (Fig. 11): go run ./cmd/flumen-repro fig11")
 }

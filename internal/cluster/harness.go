@@ -134,9 +134,6 @@ func (h *Harness) Backend(i int) *serve.Server {
 	return h.nodes[i].srv
 }
 
-// NodeID returns node i's cluster identity.
-func (h *Harness) NodeID(i int) string { return h.nodes[i].nodeID }
-
 // Stop gracefully drains every running node and waits for exit.
 func (h *Harness) Stop() {
 	h.mu.Lock()

@@ -87,18 +87,3 @@ func BlockMatVec(m *Dense, a []complex128, n int, mvm func(block *Dense, x []com
 	}
 	return out[:m.rows]
 }
-
-// BlockMatMul computes C = M·A column-by-column through BlockMatVec. Each
-// column of A models one wavelength's input vector in a WDM-parallel
-// photonic matrix-matrix product (Sec 3.3.1).
-func BlockMatMul(m, a *Dense, n int, mvm func(block *Dense, x []complex128) []complex128) *Dense {
-	if m.cols != a.rows {
-		panic("mat: BlockMatMul dimension mismatch")
-	}
-	out := New(m.rows, a.cols)
-	for j := 0; j < a.cols; j++ {
-		col := BlockMatVec(m, a.Col(j), n, mvm)
-		out.SetCol(j, col)
-	}
-	return out
-}

@@ -30,16 +30,6 @@ func TestRandomRealRange(t *testing.T) {
 	}
 }
 
-func TestSetRowLengthPanics(t *testing.T) {
-	m := New(2, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetRow length mismatch accepted")
-		}
-	}()
-	m.SetRow(0, []complex128{1})
-}
-
 func TestSetColLengthPanics(t *testing.T) {
 	m := New(2, 2)
 	defer func() {

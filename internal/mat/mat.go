@@ -100,14 +100,6 @@ func (m *Dense) Col(j int) []complex128 {
 	return out
 }
 
-// SetRow overwrites row i.
-func (m *Dense) SetRow(i int, row []complex128) {
-	if len(row) != m.cols {
-		panic("mat: SetRow length mismatch")
-	}
-	copy(m.data[i*m.cols:(i+1)*m.cols], row)
-}
-
 // SetCol overwrites column j.
 func (m *Dense) SetCol(j int, col []complex128) {
 	if len(col) != m.rows {

@@ -169,13 +169,6 @@ func TestAddSubScale(t *testing.T) {
 func TestRowColRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := RandomDense(4, 4, rng)
-	b := New(4, 4)
-	for i := 0; i < 4; i++ {
-		b.SetRow(i, a.Row(i))
-	}
-	if !EqualApprox(a, b, 0) {
-		t.Fatal("Row/SetRow roundtrip failed")
-	}
 	c := New(4, 4)
 	for j := 0; j < 4; j++ {
 		c.SetCol(j, a.Col(j))
@@ -390,19 +383,6 @@ func TestBlockMatVecMatchesDirect(t *testing.T) {
 		if VecMaxAbsDiff(got, want) > 1e-11 {
 			t.Fatalf("BlockMatVec mismatch for %v: %g", dims, VecMaxAbsDiff(got, want))
 		}
-	}
-}
-
-func TestBlockMatMulMatchesDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	m := RandomDense(6, 10, rng)
-	a := RandomDense(10, 3, rng)
-	want := Mul(m, a)
-	got := BlockMatMul(m, a, 4, func(blk *Dense, seg []complex128) []complex128 {
-		return MulVec(blk, seg)
-	})
-	if !EqualApprox(got, want, 1e-11) {
-		t.Fatal("BlockMatMul mismatch")
 	}
 }
 
