@@ -126,16 +126,6 @@ func (a *Accelerator) DisableNoise() {
 	a.mu.Unlock()
 }
 
-// Precision returns the converter bit depth.
-func (a *Accelerator) Precision() int {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.quant.Bits
-}
-
-// BlockSize returns the compute partition size.
-func (a *Accelerator) BlockSize() int { return a.blockSize }
-
 // NumPartitions returns the number of independent compute partitions the
 // fabric is carved into (ports/blockSize).
 func (a *Accelerator) NumPartitions() int { return a.parts }
@@ -470,9 +460,6 @@ func (a *Accelerator) Conv2DCtx(ctx context.Context, input [][][]float64, kernel
 	}
 	return out, nil
 }
-
-// Ports returns the fabric port count.
-func (a *Accelerator) Ports() int { return a.ports }
 
 func colsOf(m [][]float64) int {
 	if len(m) == 0 {

@@ -8,6 +8,9 @@ import (
 	"testing/quick"
 )
 
+// Ports returns the fabric port count.
+func (a *Accelerator) Ports() int { return a.ports }
+
 func randomMatrix(r, c int, rng *rand.Rand) [][]float64 {
 	m := make([][]float64, r)
 	for i := range m {
@@ -557,3 +560,13 @@ func rowBlockScale(m, x [][]float64, i, c int) float64 {
 	}
 	return total
 }
+
+// Precision returns the converter bit depth.
+func (a *Accelerator) Precision() int {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	return a.quant.Bits
+}
+
+// BlockSize returns the compute partition size.
+func (a *Accelerator) BlockSize() int { return a.blockSize }

@@ -310,28 +310,6 @@ func BenchmarkAblationLossEqualization(b *testing.B) {
 	b.ReportMetric(eqSpreadDB, "equalized-spread-dB")
 }
 
-// BenchmarkAblationPhaseNoise measures matrix error versus phase-noise
-// sigma for a programmed 8×8 mesh — the thermal/fabrication robustness
-// property Sec 6 credits MZI meshes with.
-func BenchmarkAblationPhaseNoise(b *testing.B) {
-	rng := rand.New(rand.NewSource(8))
-	u := mat.RandomUnitary(8, rng)
-	for _, sigma := range []float64{0.001, 0.01, 0.05} {
-		b.Run(fmt.Sprintf("sigma%g", sigma), func(b *testing.B) {
-			var worst float64
-			for i := 0; i < b.N; i++ {
-				m := photonic.NewMesh(8)
-				m.ProgramUnitary(u)
-				m.PerturbPhases(sigma, rng)
-				if d := mat.MaxAbsDiff(m.Matrix(), u); d > worst {
-					worst = d
-				}
-			}
-			b.ReportMetric(worst, "max-matrix-err")
-		})
-	}
-}
-
 // --- Substrate micro-benches ---
 
 // BenchmarkClementsProgram measures programming an 8×8 unitary into a mesh
@@ -536,25 +514,4 @@ func BenchmarkEngineConv2DCache(b *testing.B) {
 			conv(b, a)
 		}
 	})
-}
-
-// BenchmarkAblationInSituOptimization quantifies how much fidelity the
-// measurement-in-the-loop optimizer ([33] Pai et al.) recovers from
-// coupler-imbalanced hardware, versus open-loop Clements programming.
-func BenchmarkAblationInSituOptimization(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	u := mat.RandomUnitary(8, rng)
-	var before, after float64
-	for i := 0; i < b.N; i++ {
-		m := photonic.NewMesh(8)
-		m.SetFabricationErrors(0.02, rng)
-		m.ProgramUnitary(u)
-		before = mat.Sub(m.Matrix(), u).FrobeniusNorm()
-		after = m.InSituOptimize(u, 4)
-	}
-	b.ReportMetric(before, "openloop-err")
-	b.ReportMetric(after, "insitu-err")
-	if after > 0 {
-		b.ReportMetric(before/after, "recovery")
-	}
 }

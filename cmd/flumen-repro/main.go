@@ -13,7 +13,8 @@
 // fig11, sec52, fig12, sec6, figs13-15, sec51, sec34) it writes only those
 // sections, each byte for byte as the report prints it. A bad flag, an
 // unknown section or a -scale below 1 exits 2 before any output; a section
-// that fails exits 1 with the error on stderr.
+// that fails, or a report that cannot be written in full, exits 1 with the
+// error on stderr.
 package main
 
 import (
@@ -93,15 +94,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	var w io.Writer = stdout
+	w := &errWriter{w: stdout}
+	var file *os.File
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		defer f.Close()
-		w = f
+		defer f.Close() // when a section fails; the report's Close is checked below
+		file, w.w = f, f
 	}
 	if fs.NArg() == 0 {
 		fmt.Fprintln(w, "# Flumen reproduction report")
@@ -113,6 +115,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
+	if w.err != nil {
+		fmt.Fprintf(stderr, "flumen-repro: writing the report: %v\n", w.err)
+		return 1
+	}
+	if file != nil {
+		if err := file.Close(); err != nil {
+			fmt.Fprintf(stderr, "flumen-repro: %v\n", err)
+			return 1
+		}
+	}
 	if *csvPath != "" {
 		if err := writeCSV(*csvPath, *scale); err != nil {
 			fmt.Fprintln(stderr, err)
@@ -120,6 +132,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
+}
+
+// errWriter passes writes on to w until one fails, and keeps that first
+// error; every later write fails with it. The sections drop the errors of
+// their fmt.Fprint* calls, so err is the report's one write check.
+type errWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (e *errWriter) Write(p []byte) (int, error) {
+	if e.err != nil {
+		return 0, e.err
+	}
+	n, err := e.w.Write(p)
+	e.err = err
+	return n, err
 }
 
 // writeCSV dumps the full suite grid with one row per (benchmark,

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -143,5 +145,42 @@ func TestRunValidatesFlags(t *testing.T) {
 	}
 	if rest != "" {
 		t.Errorf("the report prints text that no section does:\n%s", rest)
+	}
+}
+
+// failAfter accepts n bytes, then fails every write.
+type failAfter struct{ n int }
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) > f.n {
+		n := f.n
+		f.n = 0
+		return n, errors.New("device full")
+	}
+	f.n -= len(p)
+	return len(p), nil
+}
+
+// A report that cannot be written in full exits 1 with the error on
+// stderr, whether the write fails on stdout or in the -o file.
+func TestRunReportsWriteErrors(t *testing.T) {
+	var stderr bytes.Buffer
+	if code := run([]string{"-scale", "8", "sec6"}, &failAfter{n: 100}, &stderr); code != 1 {
+		t.Errorf("stdout failing after 100 bytes: exit %d, want 1", code)
+	}
+	if !strings.Contains(stderr.String(), "device full") {
+		t.Errorf("stderr %q does not carry the write error", stderr.String())
+	}
+
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full:", err)
+	}
+	stderr.Reset()
+	var stdout bytes.Buffer
+	if code := run([]string{"-o", "/dev/full", "-scale", "8", "sec6"}, &stdout, &stderr); code != 1 {
+		t.Errorf("-o /dev/full: exit %d, want 1", code)
+	}
+	if stderr.Len() == 0 || stdout.Len() != 0 {
+		t.Errorf("-o /dev/full: stdout %q, stderr %q; want the error on stderr alone", stdout.String(), stderr.String())
 	}
 }

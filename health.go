@@ -22,8 +22,8 @@ import (
 // the dispatch pool when the worker checks them in, so MatMul and Conv2D
 // continue on the healthy remainder bitwise-identically to a shrunken
 // pool. A background goroutine then recalibrates the partition
-// in situ (FaultInjector.Recalibrate, the runtime counterpart of
-// Mesh.InSituOptimize) and returns it to service, or leaves it quarantined
+// in situ (FaultInjector.Recalibrate, internal/photonic's one calibration
+// loop) and returns it to service, or leaves it quarantined
 // after MaxRecalAttempts failed attempts. MinHealthy partitions are always
 // kept in service so the accelerator degrades rather than dies.
 
@@ -386,14 +386,6 @@ func (hm *healthMonitor) recalibrate(a *Accelerator, idx int) {
 	hm.parts[idx].state = HealthQuarantined
 	hm.recalFailures++
 	hm.mu.Unlock()
-}
-
-// FaultInjector returns the injector InjectFaults attached to partition
-// part, or nil. The injector is safe for concurrent use, so callers may
-// drive it directly — e.g. SetDriftSigma(0) to model a transient fault
-// source abating.
-func (a *Accelerator) FaultInjector(part int) *photonic.FaultInjector {
-	return a.injectorFor(part)
 }
 
 // injectorFor returns partition idx's fault injector, or nil.

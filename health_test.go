@@ -273,3 +273,11 @@ func TestHealthMonitorHoldsAccuracyUnderDrift(t *testing.T) {
 		t.Fatalf("monitored error %.4f exceeds 2× healthy %.4f (stats %+v)", got, baseline, st)
 	}
 }
+
+// FaultInjector returns the injector InjectFaults attached to partition
+// part, or nil. The injector is safe for concurrent use, so a test may
+// drive it directly — e.g. SetDriftSigma(0) to model a transient fault
+// source abating.
+func (a *Accelerator) FaultInjector(part int) *photonic.FaultInjector {
+	return a.injectorFor(part)
+}

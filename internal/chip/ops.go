@@ -68,12 +68,6 @@ func (s *SliceStream) Next() (Op, bool) {
 	return op, true
 }
 
-// FuncStream adapts a generator function to a Stream.
-type FuncStream func() (Op, bool)
-
-// Next invokes the generator.
-func (f FuncStream) Next() (Op, bool) { return f() }
-
 // EmptyStream is a Stream with no ops (idle core).
 type EmptyStream struct{}
 

@@ -290,14 +290,8 @@ func (s *System) SetStream(core int, st Stream) { s.cores[core].stream = st }
 // SetOffloadHandler installs the Flumen control-unit hook.
 func (s *System) SetOffloadHandler(h OffloadHandler) { s.handler = h }
 
-// Network returns the underlying NoP.
-func (s *System) Network() noc.Network { return s.net }
-
 // Now returns the current cycle.
 func (s *System) Now() int64 { return s.now }
-
-// Config returns the system configuration.
-func (s *System) Config() Config { return s.cfg }
 
 // ChargeDRAM accounts additional DRAM line fetches performed by agents
 // outside the cores (e.g. the MZIM control unit loading precomputed phase

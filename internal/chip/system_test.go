@@ -240,3 +240,9 @@ func TestSystemAccessors(t *testing.T) {
 		t.Fatal("Now after Run negative")
 	}
 }
+
+// Config returns the system configuration.
+func (s *System) Config() Config { return s.cfg }
+
+// Network returns the underlying NoP.
+func (s *System) Network() noc.Network { return s.net }

@@ -85,9 +85,6 @@ func New(cfg Config) (*Router, error) {
 	return rt, nil
 }
 
-// Handler exposes the route table (tests drive it directly).
-func (rt *Router) Handler() http.Handler { return rt.mux }
-
 // Addr returns the bound listen address once Listen has run.
 func (rt *Router) Addr() string {
 	if rt.lis == nil {

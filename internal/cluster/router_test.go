@@ -468,3 +468,6 @@ func TestRouterKeyMatchesBackendKey(t *testing.T) {
 		}
 	}
 }
+
+// Handler exposes the route table (tests drive it directly).
+func (rt *Router) Handler() http.Handler { return rt.mux }

@@ -37,12 +37,3 @@ func (m *Meter) Counts() (programs, batches int64) {
 	defer m.mu.Unlock()
 	return m.programs, m.batches
 }
-
-// Reset zeroes the meter.
-func (m *Meter) Reset() {
-	m.mu.Lock()
-	m.energyPJ = 0
-	m.programs = 0
-	m.batches = 0
-	m.mu.Unlock()
-}

@@ -50,3 +50,12 @@ func TestMeterAddEnergyPJ(t *testing.T) {
 		t.Fatalf("AddEnergyPJ changed counts: (%d,%d)", p, b)
 	}
 }
+
+// Reset zeroes the meter.
+func (m *Meter) Reset() {
+	m.mu.Lock()
+	m.energyPJ = 0
+	m.programs = 0
+	m.batches = 0
+	m.mu.Unlock()
+}

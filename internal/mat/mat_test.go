@@ -489,3 +489,24 @@ func TestPropertyPadBlockRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Conj returns the element-wise complex conjugate.
+func (m *Dense) Conj() *Dense {
+	out := New(m.rows, m.cols)
+	for i, v := range m.data {
+		out.data[i] = cmplx.Conj(v)
+	}
+	return out
+}
+
+// Add returns a+b.
+func Add(a, b *Dense) *Dense {
+	if a.rows != b.rows || a.cols != b.cols {
+		panic("mat: Add dimension mismatch")
+	}
+	out := New(a.rows, a.cols)
+	for i := range a.data {
+		out.data[i] = a.data[i] + b.data[i]
+	}
+	return out
+}

@@ -88,25 +88,27 @@ func (d *WDMDemux) ChannelWavelength(i int) float64 { return d.Rings[i].Resonanc
 // at channel j's wavelength.
 func (d *WDMDemux) CrosstalkMatrix() [][]float64 {
 	x := make([][]float64, d.Channels)
+	// thru[j] is the power of channel j left after the thru ports of the
+	// rings above the current one, multiplied in ring order.
+	thru := make([]float64, d.Channels)
+	for j := range thru {
+		thru[j] = 1
+	}
 	for i := range x {
 		x[i] = make([]float64, d.Channels)
 		for j := range x[i] {
 			lambda := d.ChannelWavelength(j)
-			// Channel j passes the thru ports of rings 0..i-1 first.
-			p := 1.0
-			for k := 0; k < i; k++ {
-				p *= d.Rings[k].ThruPower(lambda)
-			}
-			x[i][j] = p * d.Rings[i].DropPower(lambda)
+			x[i][j] = thru[j] * d.Rings[i].DropPower(lambda)
+			thru[j] *= d.Rings[i].ThruPower(lambda)
 		}
 	}
 	return x
 }
 
-// AggregateCrosstalkDB returns the total unwanted power at drop output i
-// relative to the wanted signal, in dB (more negative is better).
-func (d *WDMDemux) AggregateCrosstalkDB(i int) float64 {
-	x := d.CrosstalkMatrix()
+// aggregateCrosstalkDB returns the total unwanted power at drop output i
+// of crosstalk matrix x relative to the wanted signal, in dB (more
+// negative is better).
+func aggregateCrosstalkDB(x [][]float64, i int) float64 {
 	var unwanted float64
 	for j := range x[i] {
 		if j != i {
@@ -122,9 +124,10 @@ func (d *WDMDemux) AggregateCrosstalkDB(i int) float64 {
 // WorstAggregateCrosstalkDB returns the worst channel's aggregate
 // crosstalk.
 func (d *WDMDemux) WorstAggregateCrosstalkDB() float64 {
+	x := d.CrosstalkMatrix()
 	worst := math.Inf(-1)
-	for i := 0; i < d.Channels; i++ {
-		if c := d.AggregateCrosstalkDB(i); c > worst {
+	for i := range x {
+		if c := aggregateCrosstalkDB(x, i); c > worst {
 			worst = c
 		}
 	}

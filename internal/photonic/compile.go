@@ -10,8 +10,7 @@ import (
 // One executor: a CompiledPlan is the only code in the package that
 // propagates light. It flattens a programmed lattice into
 // structure-of-arrays — one int32 wire index plus the four complex transfer
-// coefficients per MZI, in the exact physical application order, with
-// fabrication-imperfection coefficients folded in at compile time — and
+// coefficients per MZI, in the exact physical application order — and
 // pointwise stages (the attenuator column, output phase screens) appear as
 // diagonal segments between op runs.
 //
@@ -24,8 +23,8 @@ import (
 // match bit for bit lives on in oracle_test.go.
 //
 // Plans over live device state (Mesh, FlumenMesh) are invalidated by a
-// generation counter bumped on every mutation (SetMZI, programming, phase
-// perturbation, fabrication-error injection); a program's plan is as
+// generation counter bumped on every mutation (SetMZI, programming,
+// routing, attenuator writes); a program's plan is as
 // immutable as the program, so the engine's weight-program cache caches
 // both at once.
 
@@ -201,10 +200,8 @@ func (b *planBuilder) build() *CompiledPlan {
 }
 
 // appendRange compiles mesh columns [c0, c1) into the builder: for every
-// populated slot it records the wire index and the device's 2×2 transfer —
-// imperfectTransfer when a fabrication-imperfection entry is set, the ideal
-// MZI transfer otherwise — in column-major order (ops within one column act
-// on disjoint wire pairs).
+// populated slot it records the wire index and the device's 2×2 transfer,
+// in column-major order (ops within one column act on disjoint wire pairs).
 func (m *Mesh) appendRange(b *planBuilder, c0, c1 int) {
 	if c0 < 0 || c1 > m.depth || c0 > c1 {
 		panic(fmt.Sprintf("photonic: appendRange invalid column range [%d,%d)", c0, c1))
@@ -215,14 +212,7 @@ func (m *Mesh) appendRange(b *planBuilder, c0, c1 int) {
 			if col[w] == nil {
 				continue
 			}
-			z := *col[w]
-			if m.fabEta != nil {
-				if e := m.fabEta[c][w]; e[0] != 0 || e[1] != 0 {
-					b.addOp(w, imperfectTransfer(z, e[0], e[1]))
-					continue
-				}
-			}
-			b.addOp(w, z.Transfer())
+			b.addOp(w, col[w].Transfer())
 		}
 	}
 }

@@ -2,7 +2,6 @@ package photonic
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"flumen/internal/mat"
@@ -136,12 +135,6 @@ func TestProgramScaledOnZeroPartition(t *testing.T) {
 	}
 }
 
-func TestClampEtaBounds(t *testing.T) {
-	if clampEta(-1) != 0.01 || clampEta(2) != 0.99 || clampEta(0.5) != 0.5 {
-		t.Fatal("clampEta wrong")
-	}
-}
-
 func TestDecomposeIdentityFastPath(t *testing.T) {
 	ops, d, err := Decompose(mat.Identity(4))
 	if err != nil {
@@ -149,15 +142,5 @@ func TestDecomposeIdentityFastPath(t *testing.T) {
 	}
 	if len(ops) != 6 || len(d) != 4 {
 		t.Fatalf("identity decomposition shape: %d ops, %d phases", len(ops), len(d))
-	}
-}
-
-func TestPerturbFlumenCountsAttenuators(t *testing.T) {
-	rng := rand.New(rand.NewSource(60))
-	f := NewFlumenMesh(8)
-	n := f.PerturbPhases(0.001, rng)
-	// 28 mesh MZIs + 8 attenuators.
-	if n != 36 {
-		t.Fatalf("perturbed %d devices, want 36", n)
 	}
 }

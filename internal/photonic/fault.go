@@ -8,10 +8,10 @@ import (
 	"flumen/internal/mat"
 )
 
-// Runtime fault injection: where imperfect.go and perturb.go model static,
-// offline imperfections, this file models a mesh that degrades while it
-// serves. Three mechanisms, matching the failure taxonomy of the photonic
-// accelerator reliability literature (LuxIA; Al-Qadasi et al.):
+// Runtime fault injection: the package's one imperfection model, a mesh
+// that degrades while it serves. Three mechanisms, matching the failure
+// taxonomy of the photonic accelerator reliability literature (LuxIA;
+// Al-Qadasi et al.):
 //
 //   - random-walk phase drift: every tunable phase wanders by N(0, σ²)
 //     radians per step (thermal crosstalk, aging) — compensable by
@@ -27,11 +27,11 @@ import (
 // the faults become coefficients, the executor stays the one ForwardBatch —
 // so compute results degrade exactly as the injected device state dictates,
 // and the health monitor's calibration probes observe the same corrupted
-// lattice the workload does.
-// Recalibrate is the runtime counterpart of InSituOptimize (imperfect.go):
-// it tunes per-device correction phases by the same exact sinusoid
-// coordinate descent, nulling accumulated drift and partially compensating
-// stuck/dead devices.
+// lattice the workload does. Recalibrate, the package's one calibration
+// loop, tunes per-device correction phases in place from measurements, the
+// in-situ matrix optimisation of the paper's programming reference ([33]
+// Pai et al.): it nulls accumulated drift and partially compensates stuck
+// and dead devices.
 
 // FaultConfig parameterizes a partition's runtime fault injector.
 type FaultConfig struct {
@@ -109,27 +109,6 @@ func NewFaultInjector(size int, cfg FaultConfig) *FaultInjector {
 		})
 	}
 	return fi
-}
-
-// Size returns the partition dimension the injector targets.
-func (fi *FaultInjector) Size() int { return fi.size }
-
-// Counts reports the number of stuck and dead devices across both
-// lattices.
-func (fi *FaultInjector) Counts() (stuck, dead int) {
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	for _, lattice := range [2][]deviceFault{fi.v, fi.u} {
-		for _, d := range lattice {
-			if d.stuck {
-				stuck++
-			}
-			if d.dead {
-				dead++
-			}
-		}
-	}
-	return stuck, dead
 }
 
 // SetDriftSigma changes the per-step drift rate at runtime: 0 freezes the
@@ -229,12 +208,15 @@ func (fi *FaultInjector) MatrixError(bp *BlockProgram) float64 {
 }
 
 // Recalibrate tunes the correction phase pair of every responsive device
-// by exact sinusoid coordinate descent (the same measurement-in-the-loop
-// minimization as Mesh.InSituOptimize) against ref's ideal lattice,
+// by exact sinusoid coordinate descent against ref's ideal lattice,
 // nulling accumulated drift and partially compensating stuck and dead
-// neighbours. It returns the residual Frobenius error of the recalibrated
-// lattice. Drift continues to accumulate after recalibration; corrections
-// persist until the next Recalibrate.
+// neighbours. Every transfer entry is affine in e^{jx} for each single
+// phase x, so the squared Frobenius error along one coordinate is exactly
+// a + b·cos x + c·sin x: three measurements fix the sinusoid and its
+// minimum in closed form (minimizeSinusoid). It returns the residual
+// Frobenius error of the recalibrated lattice. Drift continues to
+// accumulate after recalibration; corrections persist until the next
+// Recalibrate.
 func (fi *FaultInjector) Recalibrate(ref *BlockProgram, passes int) float64 {
 	if ref.Size != fi.size {
 		panic("photonic: FaultInjector size mismatch")
@@ -266,4 +248,52 @@ func (fi *FaultInjector) Recalibrate(ref *BlockProgram, passes int) float64 {
 		}
 	}
 	return measure()
+}
+
+// minimizeSinusoid minimizes err2 over *p, exploiting the exact
+// a + b·cos x + c·sin x form, with the result clamped to [lo, hi].
+func minimizeSinusoid(p *float64, lo, hi float64, err2 func() float64) {
+	x0 := *p
+	minimizeSinusoidFunc(x0, lo, hi, func(x float64) { *p = x }, err2)
+}
+
+// minimizeSinusoidFunc fits E²(x) = a + b·cos x + c·sin x from three
+// probes and jumps to the constrained minimizer.
+func minimizeSinusoidFunc(x0, lo, hi float64, set func(float64), err2 func() float64) {
+	const d = 2 * math.Pi / 3
+	set(x0)
+	e0 := err2()
+	set(x0 + d)
+	e1 := err2()
+	set(x0 - d)
+	e2 := err2()
+	// With y = x − x0: E = a + b·cos y + c·sin y sampled at 0, ±2π/3.
+	a := (e0 + e1 + e2) / 3
+	b := (2*e0 - e1 - e2) / 3
+	c := (e1 - e2) / math.Sqrt(3)
+	best := x0
+	bestE := e0
+	if b != 0 || c != 0 {
+		yStar := math.Atan2(-c, -b) // minimizes b·cos y + c·sin y
+		cand := x0 + yStar
+		// Bring the candidate near x0's branch and clamp.
+		for cand > x0+math.Pi {
+			cand -= 2 * math.Pi
+		}
+		for cand < x0-math.Pi {
+			cand += 2 * math.Pi
+		}
+		if cand < lo {
+			cand = lo
+		}
+		if cand > hi {
+			cand = hi
+		}
+		set(cand)
+		if e := err2(); e < bestE {
+			best, bestE = cand, e
+		}
+	}
+	_ = a
+	set(best)
 }

@@ -1,6 +1,7 @@
 package photonic
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -128,4 +129,82 @@ func TestFaultInjectorSizeMismatchPanics(t *testing.T) {
 		}
 	}()
 	fi.Corrupt(bp)
+}
+
+// TestDriftDegradesGracefully: small phase errors cause proportionally
+// small matrix errors, the robustness Sec 6 credits MZI meshes with. Each
+// σ is one drift step on a programmed 8×8 unitary, worst of five seeds.
+func TestDriftDegradesGracefully(t *testing.T) {
+	bp, err := CompileBlock(mat.RandomUnitary(8, rand.New(rand.NewSource(43))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prev float64
+	for _, sigma := range []float64{0.001, 0.01, 0.1} {
+		var worst float64
+		for seed := int64(1); seed <= 5; seed++ {
+			fi := NewFaultInjector(8, FaultConfig{DriftSigma: sigma, Seed: seed})
+			fi.Step(1)
+			worst = max(worst, fi.MatrixError(bp))
+		}
+		if worst <= prev {
+			t.Fatalf("error not increasing with sigma: %g at σ=%g vs %g before", worst, sigma, prev)
+		}
+		if sigma <= 0.01 && worst > 40*sigma {
+			t.Fatalf("σ=%g produced disproportionate error %g", sigma, worst)
+		}
+		prev = worst
+	}
+}
+
+// TestFaultedLatticeStaysUnitary: drift, stuck and dead devices change the
+// transformation but never create gain, so a unitary program's faulted
+// lattice stays unitary (MZIs are lossless in the E-field model; loss lives
+// in internal/optics).
+func TestFaultedLatticeStaysUnitary(t *testing.T) {
+	bp, err := CompileBlock(mat.RandomUnitary(6, rand.New(rand.NewSource(44))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fi := NewFaultInjector(6, FaultConfig{DriftSigma: 0.2, StuckFrac: 0.1, DeadFrac: 0.1, Seed: 44})
+	fi.Step(1)
+	if stuck, dead := fi.Counts(); stuck == 0 || dead == 0 {
+		t.Fatalf("%d stuck and %d dead devices; want some of each", stuck, dead)
+	}
+	if !fi.Corrupt(bp).Matrix().IsUnitary(1e-9) {
+		t.Fatal("faulted lattice lost unitarity")
+	}
+}
+
+// TestRecalibrateOnIdealHardwareIsNearNoOp: calibrating a fault-free
+// lattice leaves it exact, and the error Recalibrate reports is the one an
+// independent measurement reads.
+func TestRecalibrateOnIdealHardwareIsNearNoOp(t *testing.T) {
+	bp := compileTestProgram(t, 4, 55)
+	fi := NewFaultInjector(4, FaultConfig{Seed: 55})
+	res := fi.Recalibrate(bp, 2)
+	if res > 1e-6 {
+		t.Fatalf("recalibration worsened a perfect lattice: %g", res)
+	}
+	if meas := mat.Sub(fi.Corrupt(bp).Matrix(), bp.Matrix()).FrobeniusNorm(); math.Abs(meas-res) > 1e-9 {
+		t.Fatalf("reported error %g vs measured %g", res, meas)
+	}
+}
+
+// Counts reports the number of stuck and dead devices across both
+// lattices.
+func (fi *FaultInjector) Counts() (stuck, dead int) {
+	fi.mu.Lock()
+	defer fi.mu.Unlock()
+	for _, lattice := range [2][]deviceFault{fi.v, fi.u} {
+		for _, d := range lattice {
+			if d.stuck {
+				stuck++
+			}
+			if d.dead {
+				dead++
+			}
+		}
+	}
+	return stuck, dead
 }

@@ -20,9 +20,6 @@ type Mesh struct {
 	// the (c, m) slot does not exist in the rectangular lattice.
 	cols     [][]*MZI
 	outPhase []complex128 // unit-modulus output phase screen
-	// fabEta, when non-nil, holds per-slot static coupler splitting ratios
-	// (fabrication imperfections); see SetFabricationErrors.
-	fabEta [][][2]float64
 	// gen counts device mutations; a cached CompiledPlan is valid only while
 	// the generation it was compiled from is still current (compile.go). The
 	// plan is the mesh's only propagation path.

@@ -212,6 +212,40 @@ func TestPathMZICountConsistentWithRouting(t *testing.T) {
 	}
 }
 
+// TestRoutedPathLengths pins how many MZIs the paths of a routed
+// permutation cross, over 200 seeded permutations at each N. Every MZI
+// carries two paths, so the mean is exactly N − 1. The longest path of
+// every permutation crosses the whole depth N (7 or 8 at N = 8). No path
+// crosses fewer than N/2, an edge wire that every other column skips, and
+// some path crosses exactly that. The "k/2 mesh MZIs" that
+// optics.FlumenWorstCaseLossDB charges for the worst-case path is this
+// shortest path, not the longest (ROADMAP item 19 owns the loss law).
+func TestRoutedPathLengths(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, n := range []int{8, 16, 32, 64} {
+		m := NewMesh(n)
+		shortest := n
+		for trial := 0; trial < 200; trial++ {
+			m.RoutePermutation(rng.Perm(n))
+			sum, longest := 0, 0
+			for src := 0; src < n; src++ {
+				c, _ := m.PathMZICount(src)
+				sum += c
+				shortest, longest = min(shortest, c), max(longest, c)
+			}
+			if sum != n*(n-1) {
+				t.Fatalf("N=%d permutation %d: the paths cross %d MZIs in all, want N(N−1) = %d", n, trial, sum, n*(n-1))
+			}
+			if longest != n && !(n == 8 && longest == 7) {
+				t.Fatalf("N=%d permutation %d: the longest path crosses %d MZIs, want N", n, trial, longest)
+			}
+		}
+		if shortest != n/2 {
+			t.Errorf("N=%d: the shortest path crosses %d MZIs, want N/2 = %d", n, shortest, n/2)
+		}
+	}
+}
+
 func TestPathMZICountPanicsOnSplitter(t *testing.T) {
 	m := NewMesh(4)
 	m.RouteBroadcast(0)

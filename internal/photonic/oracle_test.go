@@ -6,8 +6,7 @@ import "slices"
 // kept here and nowhere else. Every walker takes one vector, visits the
 // devices in physical order, derives each device's transfer from its
 // settings at the moment of use and applies it — nothing shared with
-// compile.go but the device models (MZI.Transfer, imperfectTransfer,
-// Attenuator.Amplitude, deviceFault.faultedTransfer). Every plan must match
+// compile.go but the device models (MZI.Transfer, Attenuator.Amplitude, deviceFault.faultedTransfer). Every plan must match
 // it bit for bit: the engine's serial ≡ parallel guarantee and the golden
 // digests are stated at the bit level.
 
@@ -20,19 +19,13 @@ func applyTransfer(t [2][2]complex128, top, bottom complex128) (complex128, comp
 	return t[0][0]*top + t[0][1]*bottom, t[1][0]*top + t[1][1]*bottom
 }
 
-// oracleColumns walks mesh columns [c0, c1), honouring fabrication errors.
+// oracleColumns walks mesh columns [c0, c1).
 func oracleColumns(m *Mesh, s []complex128, c0, c1 int) {
 	for c := c0; c < c1; c++ {
 		for w := c % 2; w <= m.n-2; w += 2 {
 			z := m.cols[c][w]
 			if z == nil {
 				continue
-			}
-			if m.fabEta != nil {
-				if e := m.fabEta[c][w]; e[0] != 0 || e[1] != 0 {
-					s[w], s[w+1] = applyTransfer(imperfectTransfer(*z, e[0], e[1]), s[w], s[w+1])
-					continue
-				}
 			}
 			s[w], s[w+1] = z.Apply(s[w], s[w+1])
 		}

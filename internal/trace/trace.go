@@ -344,10 +344,3 @@ func (r *Ring) Snapshot() []Record {
 	}
 	return out
 }
-
-// Len reports how many records the ring currently holds.
-func (r *Ring) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
-}

@@ -190,3 +190,10 @@ func TestStageNames(t *testing.T) {
 		t.Fatalf("out-of-range name = %q", Stage(-1).String())
 	}
 }
+
+// Len reports how many records the ring currently holds.
+func (r *Ring) Len() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.n
+}

@@ -423,24 +423,3 @@ func TestMZIMJobDefaults(t *testing.T) {
 		t.Fatalf("FabricMACs = %d", j.FabricMACs())
 	}
 }
-
-func TestFuncStreamAdapter(t *testing.T) {
-	n := 0
-	s := chip.FuncStream(func() (chip.Op, bool) {
-		if n >= 2 {
-			return chip.Op{}, false
-		}
-		n++
-		return chip.Op{Kind: chip.KindCompute, N: 1}, true
-	})
-	count := 0
-	for {
-		if _, ok := s.Next(); !ok {
-			break
-		}
-		count++
-	}
-	if count != 2 {
-		t.Fatalf("FuncStream yielded %d ops", count)
-	}
-}
