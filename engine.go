@@ -20,12 +20,14 @@ import (
 // (block-row, block-col) work items.
 // The right-hand side passes the DAC once per call; each item then fetches
 // (or compiles into the weight-program cache) its block's SVD + Clements
-// program, multiplies its block column's modulated vectors by the
-// program's transfer matrix, and detects the result straight into the
-// output. The lattice is linear and noise enters only at detection, so the
-// transfer matrix — measured once at compile by propagating the identity
-// through the program's plan — is the block's whole effect on any input
-// (DESIGN §3c).
+// program, multiplies its block column's modulated vectors by the real
+// part of the program's transfer matrix, and detects the result straight
+// into the output. The lattice is linear and noise enters only at
+// detection, so the transfer matrix — measured once at compile by
+// propagating the identity through the program's plan — is the block's
+// whole effect on any input, and since the inputs are real and only the
+// real part of each output is read, the real part of T·x is all an item
+// computes (DESIGN §3c; detect states why that is exact).
 //
 // A partition is an index: the engine's unit of capacity (the checkout
 // pool), of fault injection and of health. The engine executes the program
@@ -129,12 +131,14 @@ func (a *Accelerator) modulate(x [][]float64, bj int, dac optics.Quantizer) *mod
 	return in
 }
 
-// workerScratch holds one worker's reusable buffers: the fields its current
-// item detects, the transfer matrix a faulted item measures (allocated on
-// the first one) and the storage of its program lookups.
+// workerScratch holds one worker's reusable buffers: the real fields its
+// current item detects, the transfer matrix a faulted item measures and its
+// real part (both allocated on the first one) and the storage of its
+// program lookups.
 type workerScratch struct {
-	states  []complex128
-	faulted []complex128
+	fields   []float64
+	measured []complex128
+	faulted  []float64
 	blockScratch
 }
 
@@ -297,7 +301,7 @@ func (a *Accelerator) runRows(ctx context.Context, g, workers int, m [][]float64
 	var err error
 	defer func() { a.checkin(part) }()
 	scratch := &workerScratch{
-		states:       make([]complex128, in.nrhs*n),
+		fields:       make([]float64, in.nrhs*n),
 		blockScratch: blockScratch{key: make([]byte, 0, 16+8*n*n)},
 	}
 	for c := 0; c < bj; c++ {
@@ -355,16 +359,19 @@ func (a *Accelerator) computeItem(pidx int, s *workerScratch, m [][]float64, in 
 	// With a fault injector attached, the hardware realizes a corrupted
 	// version of the program it was asked for: drift advances one step per
 	// item, and the item measures the faulted lattice's matrix through its
-	// plan and multiplies by that. The cached program itself is never
-	// touched.
+	// plan and multiplies by its real part. The cached program itself is
+	// never touched.
 	if inj := cfg.injector(pidx); inj != nil {
 		inj.Step(1)
 		if s.faulted == nil {
-			s.faulted = make([]complex128, n*n)
+			s.measured, s.faulted = make([]complex128, n*n), make([]float64, n*n)
 		}
-		t = inj.Corrupt(bp).TransferInto(s.faulted)
+		for i, v := range inj.Corrupt(bp).TransferInto(s.measured) {
+			s.faulted[i] = real(v)
+		}
+		t = s.faulted
 	}
-	propagate(s.states, t, in.states[c*nrhs*n:][:nrhs*n], n)
+	propagate(s.fields, t, in.states[c*nrhs*n:][:nrhs*n], n)
 	if cfg.rec != nil {
 		now := time.Now()
 		cfg.rec.Add(trace.StagePropagate, now.Sub(start))
@@ -377,28 +384,28 @@ func (a *Accelerator) computeItem(pidx int, s *workerScratch, m [][]float64, in 
 		nm := optics.DefaultNoise(1, rng)
 		noise = &nm
 	}
-	detect(out[r*n*nrhs:][:n*nrhs], s.states, in.scales[c*nrhs:][:nrhs], bp.Scale, noise, cfg.adc)
+	detect(out[r*n*nrhs:][:n*nrhs], s.fields, in.scales[c*nrhs:][:nrhs], bp.Scale, noise, cfg.adc)
 	if cfg.rec != nil {
 		cfg.rec.Add(trace.StageDetect, time.Since(start))
 	}
 	return nil
 }
 
-// propagate writes into fields the output field T·x of every n-wide real
-// vector x of xs, where t holds T column-major: the lattice response
-// ForwardBatch gives, up to float64 rounding that the ADC masks (DESIGN
-// §3g).
-func propagate(fields, t []complex128, xs []float64, n int) {
+// propagate writes into fields Re(T·x) = Re(T)·x for every n-wide real
+// vector x of xs, where t holds Re T column-major: the real part of the
+// lattice response ForwardBatch gives, up to float64 rounding that the ADC
+// masks (DESIGN §3g).
+func propagate(fields, t, xs []float64, n int) {
 	for off := 0; off < len(xs); off += n {
 		x, y := xs[off:off+n], fields[off:off+n]
 		x0 := x[0]
 		for i, c := range t[:n] {
-			y[i] = complex(real(c)*x0, imag(c)*x0)
+			y[i] = c * x0
 		}
 		for j := 1; j < n; j++ {
 			xj := x[j]
 			for i, c := range t[j*n : (j+1)*n] {
-				y[i] += complex(real(c)*xj, imag(c)*xj)
+				y[i] += c * xj
 			}
 		}
 	}
@@ -406,49 +413,48 @@ func propagate(fields, t []complex128, xs []float64, n int) {
 
 // detect is the one post-propagation stage: for each live vector in
 // ascending order (so noise draws are reproducible) it applies the block's
-// spectral scale, detection noise and the ADC, restores the modulator scale
-// the DAC divided out, and adds the real part of the n detected values
-// into column v of rows, the item's n output rows (row-major, one column
-// per vector). Each step is the receive chain's complex arithmetic; the
-// division by the real block scale is the runtime's complex division by a
-// real divisor written out, which falls back to it only when both parts of
-// the quotient are NaN.
-func detect(rows []float64, fields []complex128, scales []float64, blockScale float64, noise *optics.NoiseModel, adc optics.Quantizer) {
+// spectral scale and detection noise, quantizes in the ADC's normalized
+// domain (an all-zero block, scale 0, has none and skips it), restores both
+// scales and adds the n detected values into column v of rows, the item's n
+// output rows (row-major, one column per vector).
+//
+// It is the real half of the complex receive chain it replaced, bit for
+// bit (TestEngineReceiveChainMatchesComplexOracle). The imaginary channel
+// still draws its noise, so every later draw is the one the complex chain
+// took. Otherwise the imaginary half reached the output only as im·0 (in
+// the scale products, the division by the real scale and real(d·scale)):
+// a zero, which moves at most the sign of a zero result, absorbed by the
+// output rows (they start at +0 and a sum never makes them −0); or a NaN,
+// which needs a NaN input that poisons the real half as well. Only where a
+// field times the block scale overflows (a spectral norm within √n of
+// MaxFloat64) did Inf·0 turn the complex output NaN; the real chain keeps
+// the real half's value there (DESIGN §3c).
+func detect(rows, fields, scales []float64, blockScale float64, noise *optics.NoiseModel, adc optics.Quantizer) {
 	n, nrhs := len(fields)/len(scales), len(scales)
-	scaleC := complex(blockScale, 0)
-	ratio := 0 / blockScale
 	for v, scale := range scales {
 		if scale == 0 {
 			continue
 		}
 		det := fields[v*n:][:n]
 		for i, d := range det {
-			if blockScale != 1 {
-				d *= scaleC
-			}
+			d *= blockScale
 			if noise != nil {
-				d = complex(noise.Apply(real(d)), noise.Apply(imag(d)))
+				d = noise.Apply(d)
+				noise.Apply(0) // the imaginary channel's draws
 			}
-			// ADC quantization of detected outputs happens in the
-			// normalized (pre-spectral-rescale) domain.
 			if blockScale != 0 {
-				re, im := real(d), imag(d)
-				q := complex((re+im*ratio)/blockScale, (im-re*ratio)/blockScale)
-				if math.IsNaN(real(q)) && math.IsNaN(imag(q)) {
-					q = d / scaleC
-				}
-				d = q
+				d /= blockScale
 			}
 			det[i] = d
 		}
 		if blockScale != 0 {
-			adc.QuantizeComplexVec(det)
+			adc.QuantizeVec(det)
 		}
 		for i, d := range det {
 			if blockScale != 0 {
-				d *= scaleC
+				d *= blockScale
 			}
-			rows[i*nrhs+v] += real(d)*scale - imag(d)*0
+			rows[i*nrhs+v] += d * scale
 		}
 	}
 }

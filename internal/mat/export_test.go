@@ -2,6 +2,7 @@ package mat
 
 import (
 	"fmt"
+	"math"
 	"math/cmplx"
 )
 
@@ -66,4 +67,25 @@ func (r SVDResult) Reconstruct() *Dense {
 		s.data[i*n+i] = complex(r.Sigma[i], 0)
 	}
 	return Mul(Mul(r.U, s), r.V.Adjoint())
+}
+
+// Sub returns a-b.
+func Sub(a, b *Dense) *Dense {
+	if a.rows != b.rows || a.cols != b.cols {
+		panic("mat: Sub dimension mismatch")
+	}
+	out := New(a.rows, a.cols)
+	for i := range a.data {
+		out.data[i] = a.data[i] - b.data[i]
+	}
+	return out
+}
+
+// FrobeniusNorm returns sqrt(sum |a_ij|²).
+func (m *Dense) FrobeniusNorm() float64 {
+	var s float64
+	for _, v := range m.data {
+		s += real(v)*real(v) + imag(v)*imag(v)
+	}
+	return math.Sqrt(s)
 }

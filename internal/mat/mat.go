@@ -179,18 +179,6 @@ func (m *Dense) Transpose() *Dense {
 	return out
 }
 
-// Sub returns a-b.
-func Sub(a, b *Dense) *Dense {
-	if a.rows != b.rows || a.cols != b.cols {
-		panic("mat: Sub dimension mismatch")
-	}
-	out := New(a.rows, a.cols)
-	for i := range a.data {
-		out.data[i] = a.data[i] - b.data[i]
-	}
-	return out
-}
-
 // Scale returns s·a.
 func Scale(s complex128, a *Dense) *Dense {
 	out := new(Dense)
@@ -274,15 +262,6 @@ func AbsExceeds(v complex128, tol float64) bool {
 		return false
 	}
 	return cmplx.Abs(v) > tol
-}
-
-// FrobeniusNorm returns sqrt(sum |a_ij|²).
-func (m *Dense) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.data {
-		s += real(v)*real(v) + imag(v)*imag(v)
-	}
-	return math.Sqrt(s)
 }
 
 // MaxAbsPart returns the largest |real| or |imaginary| part of any element:

@@ -203,23 +203,9 @@ func TestQuantizerIdempotent(t *testing.T) {
 	}
 }
 
-func TestQuantizeComplexVec(t *testing.T) {
-	q := NewQuantizer(4, 1)
-	xs := []complex128{0.333 + 0.777i, -0.123 - 0.456i}
-	q.QuantizeComplexVec(xs)
-	for _, x := range xs {
-		if math.Abs(real(x)-q.Quantize(real(x))) > 1e-15 {
-			t.Fatal("real part not on grid")
-		}
-		if math.Abs(imag(x)-q.Quantize(imag(x))) > 1e-15 {
-			t.Fatal("imag part not on grid")
-		}
-	}
-}
-
 // refQuantize is the scalar converter written out element by element — step
-// and largest code re-derived for each value, as the vector forms did before
-// they hoisted both — kept here as the oracle for them.
+// and largest code re-derived for each value, as QuantizeVec did before it
+// hoisted both — kept here as its oracle.
 func refQuantize(q Quantizer, x float64) float64 {
 	max := float64(int(1)<<(q.Bits-1) - 1)
 	step := q.FullScale / max
@@ -233,8 +219,8 @@ func refQuantize(q Quantizer, x float64) float64 {
 	return k * step
 }
 
-// TestQuantizeVecMatchesScalarBitwise holds the vector forms (which derive
-// the step once per vector) to the scalar converter bit for bit, on the
+// TestQuantizeVecMatchesScalarBitwise holds QuantizeVec (which derives the
+// step once per vector) to the scalar converter bit for bit, on the
 // values where a reordered or fused computation would show: NaN, ±Inf, −0,
 // exact half-step ties, both clip edges, and a seeded sweep.
 func TestQuantizeVecMatchesScalarBitwise(t *testing.T) {
@@ -261,18 +247,9 @@ func TestQuantizeVecMatchesScalarBitwise(t *testing.T) {
 				}
 			}
 			reals := q.QuantizeVec(append([]float64(nil), xs...))
-			cs := make([]complex128, len(xs))
-			for i, x := range xs {
-				cs[i] = complex(x, xs[len(xs)-1-i])
-			}
-			q.QuantizeComplexVec(cs)
 			for i := range xs {
 				if got := math.Float64bits(reals[i]); got != want[i] {
 					t.Fatalf("%d bits: QuantizeVec(%v) = %x, scalar %x", bits, xs[i], got, want[i])
-				}
-				if re, im := math.Float64bits(real(cs[i])), math.Float64bits(imag(cs[i])); re != want[i] || im != want[len(xs)-1-i] {
-					t.Fatalf("%d bits: QuantizeComplexVec(%v) = (%x, %x), scalar (%x, %x)",
-						bits, complex(xs[i], xs[len(xs)-1-i]), re, im, want[i], want[len(xs)-1-i])
 				}
 			}
 		}

@@ -37,8 +37,8 @@ func (q Quantizer) maxCode() int { return 1<<(q.Bits-1) - 1 }
 func (q Quantizer) Step() float64 { return q.FullScale / float64(q.maxCode()) }
 
 // quantize is Quantize with the step and the largest code already derived,
-// so the vector forms pay for the division behind Step once per vector
-// instead of once per element.
+// so QuantizeVec pays for the division behind Step once per vector instead
+// of once per element.
 func quantize(x, step, max float64) float64 {
 	k := math.Round(x / step)
 	if k > max {
@@ -55,15 +55,6 @@ func (q Quantizer) QuantizeVec(xs []float64) []float64 {
 	step, max := q.Step(), float64(q.maxCode())
 	for i, x := range xs {
 		xs[i] = quantize(x, step, max)
-	}
-	return xs
-}
-
-// QuantizeComplexVec quantizes a complex vector in place and returns it.
-func (q Quantizer) QuantizeComplexVec(xs []complex128) []complex128 {
-	step, max := q.Step(), float64(q.maxCode())
-	for i, x := range xs {
-		xs[i] = complex(quantize(real(x), step, max), quantize(imag(x), step, max))
 	}
 	return xs
 }

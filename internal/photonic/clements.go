@@ -40,6 +40,7 @@ type compiler struct {
 	scaled, vAdj, work mat.Dense
 	ops, left          []placedOp   // physical op list; pending row operations
 	d                  []complex128 // output phase screen
+	transfer           []complex128 // the program's measured matrix, column-major
 	frontier           []int        // packSlots: next free column per wire
 	at                 []int32      // packSlots: column·size + wire → 1 + op index
 }

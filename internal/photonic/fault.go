@@ -221,28 +221,38 @@ func (fi *FaultInjector) Recalibrate(ref *BlockProgram, passes int) float64 {
 	if ref.Size != fi.size {
 		panic("photonic: FaultInjector size mismatch")
 	}
-	target := ref.Matrix()
+	n := fi.size
+	target := ref.plan.TransferInto(make([]complex128, n*n))
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
-	// Every probe recompiles the coefficients of one faulted plan in place
-	// and measures its matrix into one buffer.
+	// Every probe recompiles the coefficients of one faulted plan in place,
+	// measures its matrix into one slab (column-major, like target) and sums
+	// ‖T − target‖²_F in place, in row-major order: the sum's rounding sets
+	// every correction, so its order is part of Recalibrate's result.
 	pl := fi.corruptLocked(ref)
-	got := mat.New(fi.size, fi.size)
+	slab := make([]complex128, n*n)
 	measure := func() float64 {
 		fi.corruptInto(pl, ref)
-		return mat.Sub(pl.MatrixInto(got), target).FrobeniusNorm()
+		got := pl.TransferInto(slab)
+		var s float64
+		for i := 0; i < n; i++ {
+			for k := i; k < n*n; k += n {
+				d := got[k] - target[k]
+				s += real(d)*real(d) + imag(d)*imag(d)
+			}
+		}
+		return math.Sqrt(s)
 	}
 	err2 := func() float64 {
 		d := measure()
 		return d * d
 	}
-	inf := math.Inf(1)
 	for pass := 0; pass < passes; pass++ {
 		for _, lattice := range [2][]deviceFault{fi.v, fi.u} {
-			forEachSlot(fi.size, func(s int) {
+			forEachSlot(n, func(s int) {
 				if d := &lattice[s]; !d.stuck && !d.dead {
-					minimizeSinusoid(&d.corrTheta, -inf, inf, err2)
-					minimizeSinusoid(&d.corrPhi, -inf, inf, err2)
+					minimizeSinusoid(&d.corrTheta, err2)
+					minimizeSinusoid(&d.corrPhi, err2)
 				}
 			})
 		}
@@ -251,49 +261,34 @@ func (fi *FaultInjector) Recalibrate(ref *BlockProgram, passes int) float64 {
 }
 
 // minimizeSinusoid minimizes err2 over *p, exploiting the exact
-// a + b·cos x + c·sin x form, with the result clamped to [lo, hi].
-func minimizeSinusoid(p *float64, lo, hi float64, err2 func() float64) {
-	x0 := *p
-	minimizeSinusoidFunc(x0, lo, hi, func(x float64) { *p = x }, err2)
-}
-
-// minimizeSinusoidFunc fits E²(x) = a + b·cos x + c·sin x from three
-// probes and jumps to the constrained minimizer.
-func minimizeSinusoidFunc(x0, lo, hi float64, set func(float64), err2 func() float64) {
+// E²(x) = a + b·cos x + c·sin x form: three probes fix b and c, and *p
+// jumps to the minimizer when a fourth probe confirms it improves.
+func minimizeSinusoid(p *float64, err2 func() float64) {
 	const d = 2 * math.Pi / 3
-	set(x0)
+	x0 := *p
 	e0 := err2()
-	set(x0 + d)
+	*p = x0 + d
 	e1 := err2()
-	set(x0 - d)
+	*p = x0 - d
 	e2 := err2()
 	// With y = x − x0: E = a + b·cos y + c·sin y sampled at 0, ±2π/3.
-	a := (e0 + e1 + e2) / 3
 	b := (2*e0 - e1 - e2) / 3
 	c := (e1 - e2) / math.Sqrt(3)
 	best := x0
-	bestE := e0
 	if b != 0 || c != 0 {
 		yStar := math.Atan2(-c, -b) // minimizes b·cos y + c·sin y
 		cand := x0 + yStar
-		// Bring the candidate near x0's branch and clamp.
+		// Bring the candidate near x0's branch.
 		for cand > x0+math.Pi {
 			cand -= 2 * math.Pi
 		}
 		for cand < x0-math.Pi {
 			cand += 2 * math.Pi
 		}
-		if cand < lo {
-			cand = lo
-		}
-		if cand > hi {
-			cand = hi
-		}
-		set(cand)
-		if e := err2(); e < bestE {
-			best, bestE = cand, e
+		*p = cand
+		if err2() < e0 {
+			best = cand
 		}
 	}
-	_ = a
-	set(best)
+	*p = best
 }

@@ -3,6 +3,7 @@ package photonic
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"flumen/internal/mat"
@@ -186,8 +187,37 @@ func TestRecalibrateOnIdealHardwareIsNearNoOp(t *testing.T) {
 	if res > 1e-6 {
 		t.Fatalf("recalibration worsened a perfect lattice: %g", res)
 	}
-	if meas := mat.Sub(fi.Corrupt(bp).Matrix(), bp.Matrix()).FrobeniusNorm(); math.Abs(meas-res) > 1e-9 {
+	got, want := fi.Corrupt(bp).Matrix(), bp.Matrix()
+	var sq float64
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 4; j++ {
+			d := got.At(i, j) - want.At(i, j)
+			sq += real(d)*real(d) + imag(d)*imag(d)
+		}
+	}
+	if meas := math.Sqrt(sq); math.Abs(meas-res) > 1e-9 {
 		t.Fatalf("reported error %g vs measured %g", res, meas)
+	}
+}
+
+// TestRecalibrateAllocations holds one Recalibrate pass at N = 16 to its
+// setup: the target matrix, the faulted plan and its coefficients, and one
+// measurement slab. Each of the pass's ≈ 1 900 probes once allocated an
+// N×N difference and a state slab (5 770 allocations, 15.9 MB a pass).
+func TestRecalibrateAllocations(t *testing.T) {
+	bp := compileTestProgram(t, 16, 11)
+	fi := NewFaultInjector(16, FaultConfig{DriftSigma: 0.05, Seed: 13})
+	fi.Step(5)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(1, func() { fi.Recalibrate(bp, 1) })
+	runtime.ReadMemStats(&after)
+	if allocs > 8 {
+		t.Errorf("one Recalibrate pass at N = 16: %.0f allocations, budget 8", allocs)
+	}
+	// AllocsPerRun makes one warm-up pass.
+	if kb := float64(after.TotalAlloc-before.TotalAlloc) / 2 / 1024; kb > 64 {
+		t.Errorf("one Recalibrate pass at N = 16: %.0f KB allocated, budget 64 KB", kb)
 	}
 }
 

@@ -56,32 +56,33 @@ type BlockProgram struct {
 	// U ops, the du diagonal. segs holds its four stages.
 	plan CompiledPlan
 	segs [4]planSeg
-	// transfer is the plan's Size×Size matrix, column-major, measured once
-	// at compile by propagating the identity through the plan.
-	transfer []complex128
+	// transfer is the real part of the plan's Size×Size matrix,
+	// column-major, measured once at compile by propagating the identity
+	// through the plan.
+	transfer []float64
 }
 
 // newBlockProgram allocates a size-input program with every array at its
-// final size in five allocations: the program, Sigma, the two lattices'
-// slots, the plan's wires, and one complex array holding both screens, the
-// plan's coefficients and the transfer matrix.
+// final size in five allocations: the program, one real array holding
+// Sigma and the transfer matrix, the two lattices' slots, the plan's wires,
+// and one complex array holding both screens and the plan's coefficients.
 func newBlockProgram(size int) *BlockProgram {
 	slots := make([]MZI, 2*size*size)
 	ops := size * (size - 1)
-	coef := 2*size + 4*ops
-	cplx := make([]complex128, coef+size*size)
+	cplx := make([]complex128, 2*size+4*ops)
+	reals := make([]float64, size+size*size)
 	bp := &BlockProgram{
 		Size:     size,
 		Scale:    1,
-		Sigma:    make([]float64, size),
+		Sigma:    reals[:size:size],
 		vSlots:   slots[: size*size : size*size],
 		uSlots:   slots[size*size:],
 		alpha:    cplx[:size:size],
 		du:       cplx[size : 2*size : 2*size],
-		transfer: cplx[coef:],
+		transfer: reals[size:],
 	}
 	bp.plan = CompiledPlan{n: size, segs: bp.segs[:0], wires: make([]int32, 0, ops)}
-	bp.plan.setCoef(cplx[2*size:coef:coef], 0)
+	bp.plan.setCoef(cplx[2*size:], 0)
 	return bp
 }
 
@@ -152,7 +153,10 @@ func (cp *compiler) compile(m *mat.Dense) (*BlockProgram, error) {
 	}
 	copy(bp.du, dU)
 	b.addDiag(bp.du)
-	bp.plan.TransferInto(bp.transfer)
+	cp.transfer = slices.Grow(cp.transfer[:0], n*n)
+	for i, v := range bp.plan.TransferInto(cp.transfer[:n*n]) {
+		bp.transfer[i] = real(v)
+	}
 	return bp, nil
 }
 
@@ -218,7 +222,8 @@ func (bp *BlockProgram) Plan() (*CompiledPlan, bool) { return &bp.plan, false }
 // implements (multiply by Scale to recover the compiled block).
 func (bp *BlockProgram) Matrix() *mat.Dense { return bp.plan.Matrix() }
 
-// Transfer returns the same matrix as Matrix, column-major (column j, the
-// lattice's response to basis input j, at [j·Size, (j+1)·Size)), from the
-// program's own storage: callers must not modify it.
-func (bp *BlockProgram) Transfer() []complex128 { return bp.transfer }
+// Transfer returns the real part of Matrix, column-major (column j, the
+// real part of the lattice's response to basis input j, at
+// [j·Size, (j+1)·Size)), from the program's own storage: callers must not
+// modify it. It is all of the matrix that a real input's real output reads.
+func (bp *BlockProgram) Transfer() []float64 { return bp.transfer }
