@@ -66,6 +66,8 @@ type Accelerator struct {
 
 	blockSize int
 	lambdas   int
+	// maxWeight bounds every weight's magnitude (checkMatrix).
+	maxWeight float64
 }
 
 // NewAccelerator builds an accelerator over a `ports`-input Flumen mesh
@@ -92,6 +94,7 @@ func NewAccelerator(ports, blockSize int) (*Accelerator, error) {
 		blockSize: blockSize,
 		lambdas:   8,
 		cache:     newProgramCache(DefaultProgramCacheSize),
+		maxWeight: math.MaxFloat64 / (float64(blockSize) * math.Sqrt(float64(blockSize))),
 	}
 	for i := 0; i < parts; i++ {
 		a.pool <- i
@@ -179,13 +182,9 @@ type KernelStats struct {
 	Fallbacks int64
 }
 
-// EnergyPJ returns the accumulated photonic compute energy (Fig. 12b
-// model).
-func (a *Accelerator) EnergyPJ() float64 { return a.meter.EnergyPJ() }
-
 // PrewarmWeights compiles every block program of weight matrix m — plan
 // included — into the weight-program cache and pins the entries against
-// LRU eviction. A later MatMul/MatVec/Conv2D against the same raw bits then
+// LRU eviction. A later MatMul/MatVecCtx/Conv2D against the same raw bits then
 // pays no SVD + Clements decomposition on its first request: this is the
 // model registry's warm-start hook. Returns the number of block programs
 // pinned (a matrix whose blocks repeat pins the shared entry once per
@@ -195,7 +194,7 @@ func (a *Accelerator) EnergyPJ() float64 { return a.meter.EnergyPJ() }
 // Prewarming performs no physical programming and meters no energy: it
 // fills the compilation cache, it does not touch the fabric.
 func (a *Accelerator) PrewarmWeights(m [][]float64) (int, error) {
-	if err := checkMatrix(m); err != nil {
+	if err := a.checkMatrix(m); err != nil {
 		return 0, err
 	}
 	a.mu.RLock()
@@ -225,7 +224,7 @@ func (a *Accelerator) PrewarmWeights(m [][]float64) (int, error) {
 // how many pins were released; weights that were never prewarmed — or a
 // cache that has since been resized, which drops all pins — release zero.
 func (a *Accelerator) UnpinWeights(m [][]float64) int {
-	if checkMatrix(m) != nil {
+	if a.checkMatrix(m) != nil {
 		return 0
 	}
 	a.mu.RLock()
@@ -306,16 +305,12 @@ func (a *Accelerator) Stats() Stats {
 	return s
 }
 
-// MatVec computes y = M·x photonically. M is row-major.
-func (a *Accelerator) MatVec(m [][]float64, x []float64) ([]float64, error) {
-	return a.MatVecCtx(context.Background(), m, x)
-}
-
-// MatVecCtx is MatVec with cooperative cancellation: when ctx is cancelled
-// or its deadline passes, dispatch stops before the remaining block work
-// items run and the context's error is returned.
+// MatVecCtx computes y = M·x photonically (M row-major), with cooperative
+// cancellation: when ctx is cancelled or its deadline passes, dispatch
+// stops before the remaining block work items run and the context's error
+// is returned.
 func (a *Accelerator) MatVecCtx(ctx context.Context, m [][]float64, x []float64) ([]float64, error) {
-	if err := checkMatrix(m); err != nil {
+	if err := a.checkMatrix(m); err != nil {
 		return nil, err
 	}
 	if len(m[0]) != len(x) {
@@ -350,7 +345,7 @@ func (a *Accelerator) MatMul(m, x [][]float64) ([][]float64, error) {
 // bitwise-identical per-column results (the property the serving layer's
 // batcher relies on).
 func (a *Accelerator) MatMulCtx(ctx context.Context, m, x [][]float64) ([][]float64, error) {
-	if err := checkMatrix(m); err != nil {
+	if err := a.checkMatrix(m); err != nil {
 		return nil, err
 	}
 	rows, inner := len(m), len(m[0])
@@ -404,7 +399,7 @@ func (a *Accelerator) Conv2DCtx(ctx context.Context, input [][][]float64, kernel
 	if err := checkPlanes(input, checkShape); err != nil {
 		return nil, fmt.Errorf("flumen: Conv2D input: %w", err)
 	}
-	if err := checkPlanes(kplanes, checkMatrix); err != nil {
+	if err := checkPlanes(kplanes, a.checkMatrix); err != nil {
 		return nil, fmt.Errorf("flumen: Conv2D kernels: %w", err)
 	}
 	shape := workload.ConvShape{
@@ -482,17 +477,20 @@ func checkShape(m [][]float64) error {
 	return nil
 }
 
-// checkMatrix vets a weight matrix: checkShape, and every entry finite. A
-// NaN or infinite weight has no photonic program. (Inputs may be non-finite:
+// checkMatrix vets a weight matrix: checkShape, and every entry within
+// ±MaxFloat64/(n·√n) for block size n. A block's spectral norm is at most
+// n·max|w| and the ADC's full scale is √n, so a detected field times the
+// block scale stays finite (DESIGN §3c). The one comparison also refuses
+// NaN and ±Inf, which have no photonic program. (Inputs may be non-finite:
 // a vector never mixes with another, so it spoils only its own column.)
-func checkMatrix(m [][]float64) error {
+func (a *Accelerator) checkMatrix(m [][]float64) error {
 	if err := checkShape(m); err != nil {
 		return err
 	}
 	for i, row := range m {
 		for j, v := range row {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("flumen: weight (%d,%d) is %v, not a finite number", i, j, v)
+			if !(math.Abs(v) <= a.maxWeight) {
+				return fmt.Errorf("flumen: weight (%d,%d) is %v, outside ±%.4g (MaxFloat64/(n·√n) at block size %d)", i, j, v, a.maxWeight, a.blockSize)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package flumen
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -104,7 +105,7 @@ func goldenCases() []goldenCase {
 		{"matmul20x20x5", goldenMatMul(101, 20, 20, 5)},
 		{"matmul30x50x7", goldenMatMul(102, 30, 50, 7)},
 		{"matmul64x64x64", goldenMatMul(103, 64, 64, 64)},
-		{"matvec30x50", func(a *Accelerator) ([]float64, error) { return a.MatVec(mv, xv) }},
+		{"matvec30x50", func(a *Accelerator) ([]float64, error) { return a.MatVecCtx(context.Background(), mv, xv) }},
 		{"conv3ch8k", goldenConv(105, 8)},
 		{"conv3ch1k", goldenConv(106, 1)},
 	}

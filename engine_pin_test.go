@@ -1,6 +1,7 @@
 package flumen
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -105,7 +106,7 @@ func TestPrewarmWeightsBitwiseNeutral(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantMV, err := cold.MatVec(m, v)
+			wantMV, err := cold.MatVecCtx(context.Background(), m, v)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +119,7 @@ func TestPrewarmWeightsBitwiseNeutral(t *testing.T) {
 			if blocks := ((tc.rows + 7) / 8) * ((tc.cols + 7) / 8); pinned != blocks {
 				t.Fatalf("PrewarmWeights pinned %d, want one per block (%d)", pinned, blocks)
 			}
-			if e := warm.EnergyPJ(); e != 0 {
+			if e := warm.Stats().EnergyPJ; e != 0 {
 				t.Fatalf("prewarm metered %g pJ", e)
 			}
 			if p := warm.Stats().Programs; p != 0 {
@@ -132,7 +133,7 @@ func TestPrewarmWeightsBitwiseNeutral(t *testing.T) {
 			}
 			// MatVec lowers onto the same block programs, so the prewarm
 			// covers the /v1/infer FC path too.
-			gotMV, err := warm.MatVec(m, v)
+			gotMV, err := warm.MatVecCtx(context.Background(), m, v)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -65,7 +65,7 @@ func TestEngineParallelMatchesSerialBitwise(t *testing.T) {
 	}
 	wantStats := serial.Stats()
 	wantPrograms, wantBatches := wantStats.Programs, wantStats.Batches
-	wantEnergy := serial.EnergyPJ()
+	wantEnergy := serial.Stats().EnergyPJ
 
 	for _, workers := range []int{2, 3, 4} {
 		par := newEngineAccel(t, 32, 8)
@@ -88,7 +88,7 @@ func TestEngineParallelMatchesSerialBitwise(t *testing.T) {
 			t.Fatalf("workers=%d: counters (%d,%d), serial (%d,%d)",
 				workers, programs, batches, wantPrograms, wantBatches)
 		}
-		if e := par.EnergyPJ(); e != wantEnergy {
+		if e := par.Stats().EnergyPJ; e != wantEnergy {
 			t.Fatalf("workers=%d: energy %v, serial %v", workers, e, wantEnergy)
 		}
 	}
@@ -263,7 +263,7 @@ func TestEngineMatVecMatchesMatMulColumn(t *testing.T) {
 	}
 
 	a := newEngineAccel(t, 16, 8)
-	y, err := a.MatVec(m, x)
+	y, err := a.MatVecCtx(context.Background(), m, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestEngineConcurrentMatMulStress(t *testing.T) {
 	}
 	refStats := ref.Stats()
 	refPrograms, refBatches := refStats.Programs, refStats.Batches
-	refEnergy := ref.EnergyPJ()
+	refEnergy := ref.Stats().EnergyPJ
 
 	const calls = 16
 	a := newEngineAccel(t, 32, 8)
@@ -331,7 +331,7 @@ func TestEngineConcurrentMatMulStress(t *testing.T) {
 	for g := 0; g < calls; g++ {
 		wantEnergy += refEnergy
 	}
-	if e := a.EnergyPJ(); e != wantEnergy {
+	if e := a.Stats().EnergyPJ; e != wantEnergy {
 		t.Fatalf("energy %v, want %v", e, wantEnergy)
 	}
 }

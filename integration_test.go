@@ -6,6 +6,7 @@ package flumen
 // mathematics.
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -66,7 +67,7 @@ func TestIntegrationVGGSliceThroughFabric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := acc.MatVec(toFloatMatrix(weights), input)
+	got, err := acc.MatVecCtx(context.Background(), toFloatMatrix(weights), input)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 
 	"flumen"
 	"flumen/internal/serve"
+	"flumen/internal/wfp"
 )
 
 // TestFailoverUnderLoad is the cluster's crash drill: a fleet of three real
@@ -108,7 +109,7 @@ func TestFailoverUnderLoad(t *testing.T) {
 
 	// Kill the node that owns matrix 0, so the crash provably hits a node
 	// that was taking affinity traffic.
-	key0 := serve.WeightFingerprint(ms[0])
+	key0 := wfp.Matrix(ms[0])
 	_, home := rt.pool.candidates(key0)
 	victim := -1
 	for i, u := range h.URLs() {

@@ -16,6 +16,7 @@ import (
 	"flumen/internal/registry"
 	"flumen/internal/serve"
 	"flumen/internal/trace"
+	"flumen/internal/wfp"
 )
 
 // Router is the cluster front door: it terminates client HTTP, computes the
@@ -188,7 +189,7 @@ func (rt *Router) matmulKey(body []byte) (string, error) {
 	if req.Model != "" {
 		return rt.modelKey(req.Model), nil
 	}
-	return serve.WeightFingerprint(req.M), nil
+	return wfp.Matrix(req.M), nil
 }
 
 // conv2dKey fingerprints the kernel stack (the conv weights), flattened one
@@ -202,7 +203,7 @@ func (rt *Router) conv2dKey(body []byte) (string, error) {
 	if req.Model != "" {
 		return rt.modelKey(req.Model), nil
 	}
-	return serve.WeightFingerprint(registry.RavelKernels(req.Kernels)), nil
+	return wfp.Matrix(registry.RavelKernels(req.Kernels)), nil
 }
 
 // inferKey routes by model name: built-in models have identical seed-derived

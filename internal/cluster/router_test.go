@@ -14,6 +14,7 @@ import (
 	"flumen/internal/loadgen"
 	"flumen/internal/registry"
 	"flumen/internal/serve"
+	"flumen/internal/wfp"
 )
 
 // fakeBackend is a scripted flumend stand-in for router-logic tests: it
@@ -429,14 +430,14 @@ func TestRouterKeyMatchesBackendKey(t *testing.T) {
 				if err := serve.DecodeMatMul(body, &req, serve.AllFields); err != nil {
 					t.Fatal(err)
 				}
-				want = serve.WeightFingerprint(req.M)
+				want = wfp.Matrix(req.M)
 				if req.Model != "" {
 					mdl, err := h.Backend(0).Registry().Resolve(req.Model)
 					if err != nil {
 						t.Fatal(err)
 					}
 					want = mdl.Spec.RoutingKey()
-					if inline := serve.WeightFingerprint(st.Matrices[r.WeightIdx]); want != inline {
+					if inline := wfp.Matrix(st.Matrices[r.WeightIdx]); want != inline {
 						t.Fatalf("seed %d request %d: by-name key differs from the inline key of the same weights", seed, i)
 					}
 				}
@@ -446,7 +447,7 @@ func TestRouterKeyMatchesBackendKey(t *testing.T) {
 				if err := serve.DecodeConv2D(body, &req, serve.AllFields); err != nil {
 					t.Fatal(err)
 				}
-				want = serve.WeightFingerprint(registry.RavelKernels(req.Kernels))
+				want = wfp.Matrix(registry.RavelKernels(req.Kernels))
 				got, err = rt.conv2dKey(body)
 			case loadgen.OpInfer:
 				var req serve.InferRequest

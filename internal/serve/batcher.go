@@ -3,7 +3,7 @@ package serve
 import "flumen/internal/trace"
 
 // The batcher coalesces consecutive matmul jobs whose weight matrices are
-// bit-identical (WeightFingerprint keys) into one partition-wide engine
+// bit-identical (wfp.Matrix keys) into one partition-wide engine
 // call. The engine's per-column independence makes this exact: each
 // request's result columns are bitwise what a solo call would have
 // produced, while the shared call amortizes the weight-program cache lookup

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"flumen"
+	"flumen/internal/wfp"
 )
 
 // stagedJob describes one matmul queued behind the stalled executor.
@@ -58,7 +59,7 @@ func TestBatcherCoalescesSharedWeights(t *testing.T) {
 				m := weights[sj.weights]
 				jobs[i] = &job{
 					ctx: context.Background(), endpoint: "matmul", enq: time.Now(),
-					key: WeightFingerprint(m), m: m, x: testMatrix(rng, 16, sj.cols),
+					key: wfp.Matrix(m), m: m, x: testMatrix(rng, 16, sj.cols),
 					done: done,
 				}
 				if sj.cancelled {

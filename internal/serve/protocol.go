@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"flumen/internal/trace"
-	"flumen/internal/wfp"
 )
 
 // The wire protocol: plain JSON over HTTP. Every request may carry
@@ -187,16 +186,3 @@ func validateConv2D(req *Conv2DRequest) error {
 	}
 	return nil
 }
-
-// WeightFingerprint is an exact content key for a weight matrix — its
-// dimensions plus the IEEE-754 bits of every element — mirroring the
-// engine's block fingerprint. Collision-free by construction, so two
-// requests coalesce only when their weights are bit-identical and batched
-// execution is guaranteed bitwise-equal to serving them separately.
-//
-// Exported because the cluster router keys its rendezvous hashing on the
-// same raw bits: the node that owns a fingerprint is the node whose
-// weight-program cache already holds the compiled plan. The encoding
-// itself lives in internal/wfp, shared with the model registry's content
-// addressing.
-func WeightFingerprint(m [][]float64) string { return wfp.Matrix(m) }

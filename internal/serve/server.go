@@ -17,6 +17,7 @@ import (
 	"flumen"
 	"flumen/internal/registry"
 	"flumen/internal/trace"
+	"flumen/internal/wfp"
 )
 
 // Server is the flumend HTTP front end: handlers decode and validate
@@ -285,7 +286,7 @@ func (s *Server) handleMatMul(w http.ResponseWriter, r *http.Request) {
 			s.reject(w, tr, "matmul", http.StatusBadRequest, CodeBadRequest, err.Error())
 			return
 		}
-		key = WeightFingerprint(req.M)
+		key = wfp.Matrix(req.M)
 	}
 	s.dispatch(w, r, tr, req.TimeoutMS, &job{endpoint: "matmul", key: key, m: req.M, x: req.X},
 		func(res jobResult, elapsedMS float64, rec *trace.Record) any {

@@ -553,31 +553,6 @@ func TestRunGracefulDrain(t *testing.T) {
 	}
 }
 
-func TestWeightFingerprint(t *testing.T) {
-	a := [][]float64{{1, 2}, {3, 4}}
-	b := [][]float64{{1, 2}, {3, 4}}
-	c := [][]float64{{1, 2}, {3, 5}}
-	if WeightFingerprint(a) != WeightFingerprint(b) {
-		t.Fatal("identical matrices fingerprint differently")
-	}
-	if WeightFingerprint(a) == WeightFingerprint(c) {
-		t.Fatal("different matrices share a fingerprint")
-	}
-	// Shape is part of the key: a 1×4 and a 2×2 with the same elements
-	// must not collide.
-	d := [][]float64{{1, 2, 3, 4}}
-	if WeightFingerprint(a) == WeightFingerprint(d) {
-		t.Fatal("shape not encoded in fingerprint")
-	}
-	// Signed zero is a distinct bit pattern and must stay distinct: the
-	// engine's block fingerprints are bit-exact, so coalescing must be too.
-	z1 := [][]float64{{0.0}}
-	z2 := [][]float64{{math.Copysign(0, -1)}}
-	if WeightFingerprint(z1) == WeightFingerprint(z2) {
-		t.Fatal("±0 collapsed into one fingerprint")
-	}
-}
-
 // TestMatMulEndpointExtremeWeights posts weights that are legal JSON numbers
 // but whose squares overflow or underflow float64: the answer used to be 200
 // with a matrix of zeros.

@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"fmt"
-
-	"flumen/internal/mat"
-)
+import "fmt"
 
 // ConvShape describes a convolutional layer (Fig. 7a): an input volume of
 // InW×InH×InC activations convolved with NumKernels kernels of KW×KH×InC
@@ -104,26 +100,6 @@ func Im2Col(shape ConvShape, in *Volume) [][]float64 {
 	return out
 }
 
-// KernelMatrix ravels a set of kernels into the Fig. 7b weight matrix of
-// shape NumKernels × PatchLen. kernels[k] must have PatchLen weights in
-// (channel, ky, kx) order.
-func KernelMatrix(shape ConvShape, kernels [][]float64) *mat.Dense {
-	shape.Validate()
-	if len(kernels) != shape.NumKernels {
-		panic(fmt.Sprintf("workload: %d kernels, shape wants %d", len(kernels), shape.NumKernels))
-	}
-	m := mat.New(shape.NumKernels, shape.PatchLen())
-	for k, w := range kernels {
-		if len(w) != shape.PatchLen() {
-			panic("workload: kernel length mismatch")
-		}
-		for i, x := range w {
-			m.Set(k, i, complex(x, 0))
-		}
-	}
-	return m
-}
-
 // Convolve computes the layer directly (sliding window), returning the
 // output volume with one channel per kernel. It is the ground-truth
 // reference the im2col/photonic paths are validated against.
@@ -148,23 +124,6 @@ func Convolve(shape ConvShape, in *Volume, kernels [][]float64) *Volume {
 				}
 				out.Set(ox, oy, k, acc)
 			}
-		}
-	}
-	return out
-}
-
-// ConvViaMatMul computes the layer through the im2col lowering (kernel
-// matrix times input matrix), returning the output volume. Used to verify
-// the Fig. 7b organization against the direct method, and as the host-side
-// staging for MZIM offload.
-func ConvViaMatMul(shape ConvShape, in *Volume, kernels [][]float64) *Volume {
-	km := KernelMatrix(shape, kernels)
-	cols := Im2Col(shape, in)
-	prod := mat.Mul(km, mat.FromReal(cols)) // NumKernels × Patches
-	out := NewVolume(shape.OutW(), shape.OutH(), shape.NumKernels)
-	for k := 0; k < shape.NumKernels; k++ {
-		for p := 0; p < shape.Patches(); p++ {
-			out.Set(p%shape.OutW(), p/shape.OutW(), k, real(prod.At(k, p)))
 		}
 	}
 	return out

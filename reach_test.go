@@ -45,10 +45,12 @@ var keep = []keepEntry{
 	{".", "Accelerator.InjectFaults", "ROADMAP item 4: the accuracy envelope sweeps drift"},
 	{"internal/mat", "BlockGrid", "workload's blur tests call it"},
 	{"internal/mat", "BlockMatVec", "Eq. 3's reference: photonic's and workload's tests hold block products to it"},
+	{"internal/mat", "Dense.Clone", "photonic's tests copy matrices with it"},
 	{"internal/mat", "Dense.Col", "photonic's tests read plan outputs column by column"},
 	{"internal/mat", "Dense.IsUnitary", "photonic's and workload's tests call it"},
 	{"internal/mat", "EqualApprox", "photonic's and workload's tests call it"},
 	{"internal/mat", "RandomDense", "the root package's and photonic's tests draw operands with it"},
+	{"internal/mat", "RandomUnitary", "photonic's and the root package's tests draw Haar unitaries with it"},
 	{"internal/mat", "Scale", "the root package's and photonic's tests call it"},
 	{"internal/mat", "SpectralNorm", "the root package's and photonic's tests call it"},
 	{"internal/mat", "VecMaxAbsDiff", "photonic's and workload's tests call it"},
@@ -58,7 +60,11 @@ var keep = []keepEntry{
 	{"internal/photonic", "FaultInjector.SetDriftSigma", "ROADMAP item 4: the accuracy envelope sweeps drift"},
 	{"internal/photonic", "Mesh", "ROADMAP item 19: the Fig. 5/6 device model, the NoP's oracle; its path-length test routes through it"},
 	{"internal/photonic", "FlumenMesh", "ROADMAP item 19: the Fig. 5/6 device model, the NoP's oracle"},
+	{"internal/photonic", "NewMesh", "ROADMAP item 19: builds the Fig. 5 mesh"},
+	{"internal/photonic", "NewFlumenMesh", "ROADMAP item 19: builds the Fig. 6 fabric"},
 	{"internal/photonic", "Partition", "ROADMAP item 19: a compute partition beside routed traffic (Sec 3.3)"},
+	{"internal/workload", "ImageBlur.RandomImage", "the root package's integration tests draw the image with it; ROADMAP item 13's blur needs it"},
+	{"internal/workload", "ImageBlur.Reference", "the root package's integration tests hold blur to it; ROADMAP item 13's blur needs it"},
 	{"internal/workload", "ImageBlur.ToeplitzOperator", "the root package's integration tests run blur through it"},
 	{"internal/workload", "ImageBlur.ToeplitzWindow", "the root package's integration tests run blur through it"},
 	{"internal/workload", "MZIMJob.FabricMACs", "the root package's invariants tests conserve work with it"},

@@ -12,7 +12,7 @@ while IFS=: read -r file path; do
     echo "$file names $path, which is not in the tree" >&2
     missing=1
   fi
-done < <(grep -oHE '\./(cmd|internal|examples)/[A-Za-z0-9_-]+|\./benchmark\b|\bscripts/[A-Za-z0-9_-]+\.sh' \
+done < <(grep -oHE '\./(cmd|internal)/[A-Za-z0-9_-]+|\./benchmark\b|\bscripts/[A-Za-z0-9_-]+\.sh' \
   .github/workflows/*.yml scripts/*.sh | sort -u)
 
 # lists prints the names `go test -list pattern pkgs...` selects, or fails.

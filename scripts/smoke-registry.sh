@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
 # registry smoke: register, restart on the same store, by-name ≡ inline
-# bitwise across the restart, zero-compile warm start, flumen-util exit
-# codes.
+# bitwise across the restart, zero-compile warm start, and a second remove
+# answering 404 unknown_model.
 source "$(dirname "$0")/smoke-lib.sh"
 
 go build -o flumend ./cmd/flumend
-go build -o flumen-util ./cmd/flumen-util
 
 BASE=http://127.0.0.1:8110
 STORE=$(mktemp -d)
@@ -23,8 +22,8 @@ start_server flumend-1 "$BASE" ./flumend -addr 127.0.0.1:8110 -store "$STORE" -p
 PID=$SERVER_PID
 wait_healthz "$BASE"
 
-./flumen-util models register -server "$BASE" -file /tmp/spec.json
-./flumen-util models list -server "$BASE" | grep -q 'ci-w@v1'
+curl -fs -X POST "$BASE/v1/models" -d @/tmp/spec.json >/dev/null
+curl -fs "$BASE/v1/models" | grep -q '"name":"ci-w"'
 wait_healthz "$BASE" '"prewarm_pending":0'
 
 curl -fs -X POST "$BASE/v1/matmul" -d @/tmp/inline.json > /tmp/inline_resp.json
@@ -40,7 +39,9 @@ PID=$SERVER_PID
 wait_healthz "$BASE" '"registry_models":1'
 wait_healthz "$BASE" '"prewarm_pending":0'
 
-curl -fs "$BASE/metrics" | grep -q 'flumend_registry_prewarmed_models 1'
+# grep reads the whole exposition: -q would close the pipe early and fail
+# curl (exit 23) under pipefail.
+curl -fs "$BASE/metrics" | grep 'flumend_registry_prewarmed_models 1' >/dev/null
 MISS_BEFORE=$(curl -fs "$BASE/metrics" | grep '^flumend_cache_misses_total' | awk '{print $2}')
 curl -fs -X POST "$BASE/v1/matmul" -d @/tmp/byname.json > /tmp/warm_resp.json
 MISS_AFTER=$(curl -fs "$BASE/metrics" | grep '^flumend_cache_misses_total' | awk '{print $2}')
@@ -58,12 +59,11 @@ for path in ("/tmp/byname_resp.json", "/tmp/warm_resp.json"):
 print("by-name responses bitwise-equal to inline, across the restart")
 EOF
 
-./flumen-util models rm -server "$BASE" ci-w@v1
-set +e
-./flumen-util models rm -server "$BASE" ci-w@v1   # already gone
-RC=$?
-set -e
-test "$RC" = 3   # not-found exit code
+curl -fs -X DELETE "$BASE/v1/models/ci-w@v1" >/dev/null
+# Already gone: a structured 404 with a stable code.
+CODE=$(curl -s -o /tmp/rm_resp.json -w '%{http_code}' -X DELETE "$BASE/v1/models/ci-w@v1")
+test "$CODE" = 404
+grep -q '"code":"unknown_model"' /tmp/rm_resp.json
 
 drain "$PID"
 echo "registry smoke: PASS"

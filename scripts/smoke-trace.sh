@@ -1,12 +1,8 @@
 #!/usr/bin/env bash
-# trace smoke: per-stage tracing unit tests, then a served drill asserting
-# the wall-stage sums, the header opt-in, and the Prometheus exposition.
+# trace smoke: a served drill asserting the wall-stage sums, the header
+# opt-in, and the Prometheus exposition. The tracing unit tests run in the
+# test job's `go test -race ./...`.
 source "$(dirname "$0")/smoke-lib.sh"
-
-go test -race ./internal/trace/
-go test -race -run 'TestTraceOptIn|TestClientCancellation|TestErrorPathOutcome|TestRetryAfterSecsCeil' ./internal/serve/
-go test -race -run 'TestRouterTraceRing|TestRouterDoesNotScore|TestRouterStillScores|TestRouterRetryAfter' ./internal/cluster/
-go test -race -run 'TestPrewarm' ./internal/registry/
 
 go build -o flumend ./cmd/flumend
 
